@@ -25,6 +25,8 @@ from .linarith import (
     ConstraintConj,
     Var,
     format_conj,
+    make_dnf,
+    project,
     rename_conj,
 )
 
@@ -208,12 +210,13 @@ def initial_constraint_dnf(p: Program) -> DNF:
 
     Each fact's constraint is projected onto its own argument tuple and then
     renamed positionally, so versions produced by the transforms all land on
-    the same variables.
+    the same variables.  A fact whose arity differs from `init_args` raises
+    ValueError.
     """
-    from .linarith import make_dnf, project
-
     disjuncts = []
     for cl in p.initial_clauses():
+        if len(cl.head.args) != len(p.init_args):
+            raise ValueError("initial predicate arity does not match declaration")
         c = project(cl.constr, set(cl.head.args))
         mapping = dict(zip(cl.head.args, p.init_args))
         disjuncts.append(rename_conj(c, mapping))

@@ -4,19 +4,25 @@ One analysis run is pe, cs, then up to n rounds of (te, pe, cs), reading
 the precondition off the last program.  The wall clock is checked between
 transformation steps; when time runs out mid-round the partial round is
 discarded and the result falls back to the last completed one.
+
+Each step keeps the program it produced, and its precondition (`swp`) is
+computed only when it is read: a run that reports just the final
+precondition extracts once, and a step's `seconds` is its transformation
+alone.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
-from .core import Clause, Program
+from .core import Clause, Program, initial_constraint_dnf
 from .cs import DEFAULT_WIDENING_DELAY, constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, TRUE_CONJ, make_dnf, project, rename_conj
+from .linarith import DNF, TRUE_CONJ
 from .pe import pe_run
 from .precond import PrecondState, classify, extract_swp, final_precondition
 from .te import eliminate_trace
@@ -41,18 +47,24 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One transformation step: its duration and the precondition after it.
+    """One transformation step: its duration and the program it produced.
 
-    For trace-elimination steps `feasible` tells whether the removed trace
-    was feasible and `trace` holds its term notation; a round where no
-    counterexample exists within the node bound records neither.
+    `swp`, the precondition read off that program, is computed on first
+    access and then cached.  For trace-elimination steps `feasible` tells
+    whether the removed trace was feasible and `trace` holds its term
+    notation; a round where no counterexample exists within the node bound
+    records neither.
     """
 
     label: str
     seconds: float
-    swp: DNF
+    program: Program = field(repr=False)
     feasible: Optional[bool] = None
     trace: Optional[str] = None
+
+    @cached_property
+    def swp(self) -> DNF:
+        return extract_swp(self.program)
 
 
 @dataclass(frozen=True)
@@ -74,18 +86,13 @@ def strip_init(p: Program) -> tuple[Program, DNF]:
     the inferred precondition against the condition the program shipped
     with.
     """
-    removed = []
-    clauses = []
-    for cl in p.clauses:
-        if cl.is_fact() and cl.head.pred in p.initial_preds:
-            args = cl.head.args
-            removed.append(
-                rename_conj(project(cl.constr, args), dict(zip(args, p.init_args)))
-            )
-            clauses.append(Clause(cl.cid, cl.head, TRUE_CONJ, cl.body))
-        else:
-            clauses.append(cl)
-    return p.with_clauses(clauses), make_dnf(removed)
+    clauses = [
+        Clause(cl.cid, cl.head, TRUE_CONJ, cl.body)
+        if cl.is_fact() and p.is_initial(cl.head.pred)
+        else cl
+        for cl in p.clauses
+    ]
+    return p.with_clauses(clauses), initial_constraint_dnf(p)
 
 
 class _WarningTrap(logging.Handler):
@@ -121,7 +128,7 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
         p, original = strip_init(p)
 
     state = PrecondState()
-    steps = [StepRecord("input", 0.0, extract_swp(p))]
+    steps = [StepRecord("input", 0.0, p)]
     state.record("input", 0)
 
     def out_of_time() -> bool:
@@ -133,7 +140,7 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
             nxt = pe_run(prog).program
         else:
             nxt = constraint_specialise(prog, cfg.widening_delay).program
-        steps.append(StepRecord(label, time.monotonic() - t0, extract_swp(nxt)))
+        steps.append(StepRecord(label, time.monotonic() - t0, nxt))
         state.record(label, len(steps) - 1)
         return nxt
 
@@ -158,9 +165,7 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
             t0 = time.monotonic()
             cex = find_counterexample(cur, cfg.max_cex_nodes)
             if cex is None:
-                steps.append(
-                    StepRecord("te", time.monotonic() - t0, extract_swp(cur))
-                )
+                steps.append(StepRecord("te", time.monotonic() - t0, cur))
                 state.record("te", len(steps) - 1)
                 early_stop = True
                 break
@@ -171,7 +176,7 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
                 StepRecord(
                     "te",
                     time.monotonic() - t0,
-                    extract_swp(cur),
+                    cur,
                     feasible=feas,
                     trace=str(tt),
                 )

@@ -97,6 +97,15 @@ class LinConstraint:
     const: int
     rel: str  # "=" or "<="
 
+    # Constraints are hashed in every set, dict and `satisfiable` cache
+    # lookup, so the hash of the fields is computed once and kept
+    # (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.coeffs, self.const, self.rel)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return format_constraint(self)
 
@@ -192,6 +201,13 @@ class ConstraintConj:
     """Sorted, deduplicated conjunction.  Empty tuple means true."""
 
     constraints: tuple[LinConstraint, ...]
+
+    # the hash of the fields, cached as in LinConstraint
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.constraints,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_false(self) -> bool:
         return any(is_false_constraint(k) for k in self.constraints)
@@ -561,12 +577,8 @@ def make_dnf(disjuncts: Iterable[ConstraintConj], prune: bool = True) -> DNF:
         seen.add(d)
         kept.append(d)
     # absorption: a disjunct with a superset of another's constraints is weaker
-    sets = {d: set(d.constraints) for d in kept}
-    out = [
-        d
-        for d in kept
-        if not any(e is not d and sets[e] < sets[d] for e in kept)
-    ]
+    pairs = [(d, frozenset(d.constraints)) for d in kept]
+    out = [d for d, s in pairs if not any(t < s for _, t in pairs)]
     return DNF(tuple(sorted(out)))
 
 

@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Program
+from .core import Program, initial_constraint_dnf
 from .linarith import (
     DNF,
     DNF_FALSE,
@@ -25,8 +25,6 @@ from .linarith import (
     make_dnf,
     negate_conj,
     negate_dnf,
-    project,
-    rename_conj,
 )
 from .simplex import Undecided
 
@@ -60,21 +58,12 @@ class PrecondState:
 def extract_swp(p: Program) -> DNF:
     """Negated disjunction of the initial facts' constraints.
 
-    Each constraint is projected onto the fact's own arguments and renamed
-    to the declared initial argument tuple, so every version of the initial
-    predicate contributes a disjunct over the same variables.  A program
-    with no initial facts left admits no derivation through an initial
-    state at all, and the precondition is true.
+    Every version of the initial predicate contributes one disjunct over
+    the declared initial arguments (`core.initial_constraint_dnf`).  A
+    program with no initial facts left admits no derivation through an
+    initial state at all, and the precondition is true.
     """
-    thetas = []
-    for cl in p.initial_clauses():
-        args = cl.head.args
-        if len(args) != len(p.init_args):
-            raise ValueError("initial predicate arity does not match declaration")
-        thetas.append(
-            rename_conj(project(cl.constr, args), dict(zip(args, p.init_args)))
-        )
-    return negate_dnf(make_dnf(thetas))
+    return negate_dnf(initial_constraint_dnf(p))
 
 
 def prune_disjuncts(d: DNF) -> DNF:

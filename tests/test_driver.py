@@ -2,7 +2,9 @@
 
 import pytest
 
+import chcprecond.driver as driver_mod
 import chcprecond.pe as pe_mod
+import chcprecond.precond as precond_mod
 from chcprecond.driver import (
     PipelineConfig,
     run_pipeline,
@@ -41,7 +43,7 @@ def test_zero_iterations_is_propagation_only():
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=0))
     assert [s.label for s in r.steps] == ["input", "pe", "cs"]
     assert r.steps[0].seconds == 0.0
-    assert r.steps[0].swp.is_false
+    assert r.steps[0].swp.is_false()
     assert r.iterations_used == 0
     assert len(r.precondition) == 6
 
@@ -64,7 +66,7 @@ def test_early_stop_when_no_counterexample_left():
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te"]
     last = r.steps[-1]
     assert last.feasible is None and last.trace is None
-    assert r.precondition.is_true
+    assert r.precondition.is_true()
     assert r.classification == "more-general"
 
 
@@ -82,7 +84,7 @@ def test_exact_result_on_disjunctive_branches():
 
 def test_trivial_when_everything_is_unsafe():
     r = run_pipeline(load("no_safe_states.chc"), PipelineConfig(iterations=1))
-    assert r.precondition.is_false
+    assert r.precondition.is_false()
     assert r.classification == "trivial"
 
 
@@ -90,7 +92,7 @@ def test_timeout_falls_back_to_input_precondition():
     r = run_pipeline(load("fig1.chc"), PipelineConfig(timeout=1e-9))
     assert r.timed_out
     assert r.iterations_used == 0
-    assert r.precondition.is_false
+    assert r.precondition.is_false()
     assert r.classification == "trivial"
     assert any("falling back to iteration 0" in w for w in r.warnings)
 
@@ -132,3 +134,24 @@ def test_reports_are_deterministic_up_to_timing():
     assert [(s.label, s.swp, s.feasible, s.trace) for s in a.steps] == [
         (s.label, s.swp, s.feasible, s.trace) for s in b.steps
     ]
+
+
+def test_step_swp_is_computed_only_when_read(monkeypatch):
+    calls = []
+    real = precond_mod.extract_swp
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(precond_mod, "extract_swp", counting)
+    monkeypatch.setattr(driver_mod, "extract_swp", counting)
+    r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
+    # only final_precondition extracts when no step's swp is read
+    assert len(calls) == 1
+    swps = [s.swp for s in r.steps]
+    assert len(calls) == 1 + len(r.steps)
+    assert swps == [real(s.program) for s in r.steps]
+    # a second read is served from the cache
+    assert [s.swp for s in r.steps] == swps
+    assert len(calls) == 1 + len(r.steps)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chcprecond.linarith import (
+    DNF,
     DNF_FALSE,
     DNF_TRUE,
     TRUE_CONJ,
@@ -18,6 +19,7 @@ from chcprecond.linarith import (
     int_satisfiable,
     make_conj,
     make_constraint,
+    make_dnf,
     negate_conj,
     negate_dnf,
     project,
@@ -156,3 +158,26 @@ def test_budget_exhaustion_is_reported():
     with pytest.raises(Undecided):
         int_satisfiable(c, Budget(0))
     assert not int_satisfiable(c)
+
+
+def test_make_dnf_absorbs_deduplicates_and_sorts():
+    small = make_conj([k({x: 1}, 0)])
+    big = make_conj([k({x: 1}, 0), k({y: 1}, 0)])
+    other = make_conj([k({y: -1}, 3)])
+    unsat = make_conj([k({x: 1}, 0), k({x: -1}, 1)])
+    d = make_dnf([big, other, small, unsat, other, small])
+    # the proper superset is absorbed, repeats collapse, unsat goes
+    assert d == DNF(tuple(sorted([small, other])))
+    assert list(d.disjuncts) == sorted(d.disjuncts)
+    assert make_dnf([big, small], prune=False) == DNF((small,))
+    assert make_dnf([unsat]).is_false()
+
+
+def test_equal_constraints_hash_equal():
+    a = make_conj([k({x: 2, y: -4}, 6), k({y: 1}, 0, "=")])
+    b = make_conj([k({y: 1}, 0, "="), k({x: 1, y: -2}, 3)])
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.constraints,))
+    for c in a:
+        assert hash(c) == hash((c.coeffs, c.const, c.rel))
+    assert len({a, b, make_conj(list(b))}) == 1

@@ -32,12 +32,12 @@ A, B, X = Var("A"), Var("B"), Var("X")
 
 def test_unconstrained_fact_means_no_safe_state():
     # the input program admits every initial state as potentially unsafe
-    assert extract_swp(load("fig1.chc")).is_false
+    assert extract_swp(load("fig1.chc")).is_false()
 
 
 def test_rationally_contradictory_negation_collapses():
     swp = extract_swp(pe_run(load("fig1.chc")).program)
-    assert swp.is_false
+    assert swp.is_false()
 
 
 def test_swp_after_strengthening_matches_pointwise_oracle():
@@ -51,7 +51,7 @@ def test_swp_after_strengthening_matches_pointwise_oracle():
 
 def test_no_initial_facts_means_true():
     swp = extract_swp(pe_run(load("already_safe.chc")).program)
-    assert swp.is_true
+    assert swp.is_true()
 
 
 def test_arity_guard():
