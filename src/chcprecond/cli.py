@@ -145,7 +145,7 @@ def _dump(args: argparse.Namespace, p: Program, cfg: PipelineConfig) -> int:
         print()
         print(format_program(r.program))
         return 0
-    r = constraint_specialise(pe_run(p).program, cfg.widening_delay)
+    r = constraint_specialise(pe_run(p).program)
     if args.dump == "invariants":
         print(r.invariants.dump())
     else:

@@ -16,14 +16,13 @@ preconditions read in the user's variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional
-
-import networkx as nx
+from typing import Callable, Iterable, Mapping, Optional
 
 from .linarith import (
     DNF,
     ConstraintConj,
     Var,
+    conj_vars,
     format_conj,
     make_dnf,
     project,
@@ -127,17 +126,27 @@ class Program:
         return format_program(self)
 
 
-def dependency_graph(p: Program) -> "nx.DiGraph":
-    """Edge q -> r iff q occurs in the body of a clause with head r."""
-    g = nx.DiGraph()
-    for pred in p.preds():
-        g.add_node(pred)
+def dependency_graph(p: Program) -> dict[Pred, set[Pred]]:
+    """Adjacency sets: edge q -> r iff q occurs in the body of a clause with head r."""
+    g: dict[Pred, set[Pred]] = {pred: set() for pred in p.preds()}
     if p.goal_clauses():
-        g.add_node(FALSE_PRED)
+        g[FALSE_PRED] = set()
     for cl in p.clauses:
         for a in cl.body:
-            g.add_edge(a.pred, cl.head_pred())
+            g[a.pred].add(cl.head_pred())
     return g
+
+
+def reachable(g: dict[Pred, set[Pred]], roots: Iterable[Pred]) -> set[Pred]:
+    """Nodes of `g` reachable from `roots`, the roots in `g` included."""
+    seen = {r for r in roots if r in g}
+    todo = list(seen)
+    while todo:
+        for w in g[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def check_initial_coverage(p: Program) -> bool:
@@ -170,17 +179,86 @@ def check_initial_coverage(p: Program) -> bool:
 
 
 def recursive_preds(p: Program) -> frozenset[Pred]:
-    """Predicates in a dependency cycle, self-loops included."""
+    """Predicates in a dependency cycle, self-loops included.
+
+    Tarjan's strongly connected components (Tarjan 1972), with an explicit
+    stack of successor iterators in place of recursion, so deep programs
+    cannot exhaust the interpreter's recursion limit.
+    """
     g = dependency_graph(p)
-    out = set()
-    for scc in nx.strongly_connected_components(g):
-        if len(scc) > 1:
-            out |= scc
-        else:
-            (node,) = scc
-            if g.has_edge(node, node):
-                out.add(node)
+    index: dict[Pred, int] = {}
+    low: dict[Pred, int] = {}
+    stack: list[Pred] = []
+    on_stack: set[Pred] = set()
+    out: set[Pred] = set()
+    for root in g:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(g[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(g[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    scc = []
+                    while not scc or scc[-1] != v:
+                        scc.append(stack.pop())
+                        on_stack.discard(scc[-1])
+                    if len(scc) > 1 or v in g[v]:
+                        out.update(scc)
     return frozenset(out)
+
+
+def rename_clause(
+    cl: Clause,
+    expected: Optional[tuple[Var, ...]],
+    fresh: Callable[[], Var],
+    taken: Optional[set[str]] = None,
+) -> tuple[ConstraintConj, tuple[Atom, ...]]:
+    """Rename a clause apart, mapping its head args onto `expected`.
+
+    Variables are visited head args first, then body args, then the
+    constraint's variables in sorted order, so the names drawn from `fresh`
+    never depend on set iteration order.  With `taken` None every other
+    variable gets a fresh name.  Otherwise a variable keeps its name when
+    that name is free, and fresh names skip over taken ones.
+    """
+    mapping: dict[Var, Var] = {}
+    if cl.head is not None and expected is not None:
+        mapping.update(zip(cl.head.args, expected))
+    if taken is not None:
+        taken = taken | {v.name for v in mapping.values()}
+    order: list[Var] = list(cl.head.args) if cl.head is not None else []
+    for a in cl.body:
+        order.extend(a.args)
+    order.extend(sorted(conj_vars(cl.constr)))
+    for v in order:
+        if v in mapping:
+            continue
+        if taken is None:
+            mapping[v] = fresh()
+            continue
+        nv = v
+        while nv.name in taken:
+            nv = fresh()
+        mapping[v] = nv
+        taken.add(nv.name)
+    return rename_conj(cl.constr, mapping), tuple(rename_atom(a, mapping) for a in cl.body)
 
 
 # -- printing ------------------------------------------------------------------

@@ -17,9 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
-
-from .core import Clause, Pred, Program, dependency_graph
+from .core import Clause, Pred, Program, recursive_preds
 from .linarith import (
     Var,
     conj_and,
@@ -40,7 +38,8 @@ from .polyhedra import (
 )
 from .qa import answer_pred, qa_transform, query_pred
 
-DEFAULT_WIDENING_DELAY = 2
+# joins a recursive predicate takes before widening replaces them
+WIDENING_DELAY = 2
 
 
 def _dims(arity: int) -> tuple[Var, ...]:
@@ -77,18 +76,9 @@ class CsResult:
     deleted: tuple[str, ...] = ()
 
 
-def analyze(qa: Program, widening_delay: int = DEFAULT_WIDENING_DELAY) -> dict[Pred, Polyhedron]:
+def analyze(qa: Program) -> dict[Pred, Polyhedron]:
     """Least-fixpoint approximation over the QA program's predicates."""
-    graph = dependency_graph(qa)
-    cyclic = set()
-    for scc in nx.strongly_connected_components(graph):
-        if len(scc) > 1:
-            cyclic.update(scc)
-        else:
-            (q,) = scc
-            if graph.has_edge(q, q):
-                cyclic.add(q)
-
+    cyclic = recursive_preds(qa)
     state: dict[Pred, Polyhedron] = {}
     joins: dict[Pred, int] = {}
     by_body: dict[Pred, list[int]] = {}
@@ -110,7 +100,7 @@ def analyze(qa: Program, widening_delay: int = DEFAULT_WIDENING_DELAY) -> dict[P
         new = join(old, sp)
         if includes(old, new):
             continue
-        if head in cyclic and joins.get(head, 0) >= widening_delay:
+        if head in cyclic and joins.get(head, 0) >= WIDENING_DELAY:
             new = widen(old, new)
         joins[head] = joins.get(head, 0) + 1
         state[head] = new
@@ -137,8 +127,8 @@ def _clause_post(cl: Clause, state: dict[Pred, Polyhedron]):
     return make_poly(dims, rename_conj(over_args, dict(zip(cl.head.args, dims))))
 
 
-def invariants_for(p: Program, widening_delay: int = DEFAULT_WIDENING_DELAY) -> InvariantMap:
-    state = analyze(qa_transform(p), widening_delay)
+def invariants_for(p: Program) -> InvariantMap:
+    state = analyze(qa_transform(p))
     call: dict[Pred, Polyhedron] = {}
     ans: dict[Pred, Polyhedron] = {}
     for pred in p.preds():
@@ -184,9 +174,7 @@ def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]
     return out, tuple(deleted)
 
 
-def constraint_specialise(
-    p: Program, widening_delay: int = DEFAULT_WIDENING_DELAY
-) -> CsResult:
-    inv = invariants_for(p, widening_delay)
+def constraint_specialise(p: Program) -> CsResult:
+    inv = invariants_for(p)
     out, deleted = strengthen(p, inv)
     return CsResult(out, inv, deleted)

@@ -19,14 +19,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import Atom, Clause, Pred, Program, rename_atom
+from .core import Atom, Pred, Program, rename_clause
 from .linarith import (
     ConstraintConj,
     TRUE_CONJ,
     Var,
     conj_and,
-    conj_vars,
-    rename_conj,
     satisfiable,
 )
 
@@ -124,22 +122,6 @@ def iter_nodes(t: AndTree) -> Iterator[AndTree]:
         yield from iter_nodes(c)
 
 
-def _rename_clause(cl: Clause, expected: Optional[tuple[Var, ...]], fresh) -> tuple[ConstraintConj, tuple[Atom, ...]]:
-    mapping: dict[Var, Var] = {}
-    if cl.head is not None and expected is not None:
-        mapping.update(zip(cl.head.args, expected))
-    clause_vars: list[Var] = []
-    if cl.head is not None:
-        clause_vars.extend(cl.head.args)
-    for a in cl.body:
-        clause_vars.extend(a.args)
-    clause_vars.extend(conj_vars(cl.constr))
-    for v in clause_vars:
-        if v not in mapping:
-            mapping[v] = fresh()
-    return rename_conj(cl.constr, mapping), tuple(rename_atom(a, mapping) for a in cl.body)
-
-
 def instantiate(p: Program, tt: TraceTree) -> AndTree:
     """Build the AND-tree for a trace, with variables renamed apart."""
     counter = itertools.count(1)
@@ -159,7 +141,7 @@ def instantiate(p: Program, tt: TraceTree) -> AndTree:
             atom is not None and cl.head.pred != atom.pred
         ):
             raise ValueError(f"head mismatch at clause {node.cid}")
-        constr, body = _rename_clause(cl, expected, fresh)
+        constr, body = rename_clause(cl, expected, fresh)
         children = tuple(build(c, a) for c, a in zip(node.children, body))
         return AndTree(node.cid, atom, constr, children)
 
@@ -244,7 +226,7 @@ def _trees_for_atom(p: Program, atom: Atom, size: int, acc: ConstraintConj, prun
     for cl in p.clauses_for(atom.pred):
         if len(cl.body) > size - 1:
             continue
-        constr, body = _rename_clause(cl, atom.args, fresh)
+        constr, body = rename_clause(cl, atom.args, fresh)
         acc2 = conj_and(acc, constr)
         if prune and not satisfiable(acc2):
             continue
@@ -292,7 +274,7 @@ def iter_and_trees(
             for cl in p.goal_clauses():
                 if len(cl.body) > n - 1:
                     continue
-                constr, body = _rename_clause(cl, None, fresh)
+                constr, body = rename_clause(cl, None, fresh)
                 if prune and not satisfiable(constr):
                     continue
                 for children, acc in _trees_for_list(p, body, n - 1, constr, prune, fresh, masks):

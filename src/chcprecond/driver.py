@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import Clause, Program, initial_constraint_dnf
-from .cs import DEFAULT_WIDENING_DELAY, constraint_specialise
+from .cs import constraint_specialise
 from .derivation import find_counterexample
 from .linarith import DNF, TRUE_CONJ
 from .pe import pe_run
@@ -35,7 +35,6 @@ class PipelineConfig:
     iterations: int = 3
     timeout: float = 300.0
     max_cex_nodes: int = 40
-    widening_delay: int = DEFAULT_WIDENING_DELAY
     strip_init: bool = False
 
     def __post_init__(self) -> None:
@@ -131,71 +130,41 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
     steps = [StepRecord("input", 0.0, p)]
     state.record("input", 0)
 
-    def out_of_time() -> bool:
-        return time.monotonic() - start > cfg.timeout
-
-    def step(label: str, prog: Program) -> Program:
-        t0 = time.monotonic()
-        if label == "pe":
-            nxt = pe_run(prog).program
-        else:
-            nxt = constraint_specialise(prog, cfg.widening_delay).program
-        steps.append(StepRecord(label, time.monotonic() - t0, nxt))
-        state.record(label, len(steps) - 1)
-        return nxt
-
     cur = p
-    timed_out = False
-    early_stop = False
-    iterations_used = 0
-    # the unspecialised program is itself a sound fallback for extraction
+    timed_out = early_stop = False
+    # the program, side conditions and round count after the last completed
+    # round; the unspecialised program is itself a sound fallback
     last_good: tuple[Program, list[DNF], int] = (p, [], 0)
-
-    for label in ("pe", "cs"):
-        if out_of_time():
+    plan = ("pe", "cs") + ("te", "pe", "cs") * cfg.iterations
+    for k, label in enumerate(plan):
+        if time.monotonic() - start > cfg.timeout:
             timed_out = True
             break
-        cur = step(label, cur)
-    else:
-        last_good = (cur, list(state.psis), 0)
-        for i in range(1, cfg.iterations + 1):
-            if out_of_time():
-                timed_out = True
-                break
-            t0 = time.monotonic()
+        t0 = time.monotonic()
+        cex = feasible = trace = theta = None
+        if label == "pe":
+            cur = pe_run(cur).program
+        elif label == "cs":
+            cur = constraint_specialise(cur).program
+        else:
             cex = find_counterexample(cur, cfg.max_cex_nodes)
-            if cex is None:
-                steps.append(StepRecord("te", time.monotonic() - t0, cur))
-                state.record("te", len(steps) - 1)
-                early_stop = True
-                break
-            tree, feas = cex
-            tt = tree.trace()
-            cur, theta = eliminate_trace(cur, tt)
-            steps.append(
-                StepRecord(
-                    "te",
-                    time.monotonic() - t0,
-                    cur,
-                    feasible=feas,
-                    trace=str(tt),
-                )
-            )
-            state.record("te", len(steps) - 1, theta)
-            if out_of_time():
-                timed_out = True
-                break
-            cur = step("pe", cur)
-            if out_of_time():
-                timed_out = True
-                break
-            cur = step("cs", cur)
-            iterations_used = i
-            last_good = (cur, list(state.psis), i)
+            if cex is not None:
+                tree, feasible = cex
+                tt = tree.trace()
+                trace = str(tt)
+                cur, theta = eliminate_trace(cur, tt)
+        steps.append(StepRecord(label, time.monotonic() - t0, cur, feasible, trace))
+        state.record(label, len(steps) - 1, theta)
+        if label == "te" and cex is None:
+            early_stop = True
+            break
+        if label == "cs":
+            last_good = (cur, list(state.psis), k // 3)
 
-    psis = list(state.psis)
+    # an early stop leaves the last round's result unchanged, and a timeout
+    # discards the partial round
+    cur, psis, iterations_used = last_good
     if timed_out:
-        cur, psis, iterations_used = last_good
         log.warning("timeout: falling back to iteration %d result", iterations_used)
 
     final_state = PrecondState(psis=psis, history=list(state.history))

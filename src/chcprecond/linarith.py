@@ -188,11 +188,6 @@ def constraint_vars(k: LinConstraint) -> tuple[Var, ...]:
     return tuple(v for v, _ in k.coeffs)
 
 
-def eval_constraint(k: LinConstraint, env: Mapping[Var, int]) -> bool:
-    total = k.const + sum(c * env[v] for v, c in k.coeffs)
-    return total == 0 if k.rel == "=" else total <= 0
-
-
 # -- conjunctions --------------------------------------------------------------
 
 
@@ -259,14 +254,6 @@ def conj_vars(c: ConstraintConj) -> frozenset[Var]:
 
 def rename_conj(c: ConstraintConj, mapping: Mapping[Var, Var]) -> ConstraintConj:
     return make_conj(rename_constraint(k, mapping) for k in c)
-
-
-def subst_conj(c: ConstraintConj, mapping: Mapping[Var, LinTerm]) -> ConstraintConj:
-    return make_conj(subst_constraint(k, mapping) for k in c)
-
-
-def eval_conj(c: ConstraintConj, env: Mapping[Var, int]) -> bool:
-    return all(eval_constraint(k, env) for k in c)
 
 
 # -- rational reasoning --------------------------------------------------------
@@ -586,10 +573,6 @@ def dnf_of_conj(c: ConstraintConj) -> DNF:
     return make_dnf((c,))
 
 
-def dnf_or(a: DNF, b: DNF) -> DNF:
-    return make_dnf(a.disjuncts + b.disjuncts)
-
-
 def dnf_and(a: DNF, b: DNF) -> DNF:
     return make_dnf(conj_and(x, y) for x in a for y in b)
 
@@ -623,21 +606,6 @@ def negate_dnf(d: DNF) -> DNF:
             logger.warning("negation exceeded %d disjuncts, truncating", NEGATION_CAP)
             acc = acc[:NEGATION_CAP]
     return make_dnf(acc)
-
-
-def rename_dnf(d: DNF, mapping: Mapping[Var, Var]) -> DNF:
-    return make_dnf(rename_conj(c, mapping) for c in d)
-
-
-def dnf_vars(d: DNF) -> frozenset[Var]:
-    out: frozenset[Var] = frozenset()
-    for c in d:
-        out |= conj_vars(c)
-    return out
-
-
-def eval_dnf(d: DNF, env: Mapping[Var, int]) -> bool:
-    return any(eval_conj(c, env) for c in d)
 
 
 def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:

@@ -20,10 +20,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Optional
-
-import networkx as nx
-
 from .core import (
     FALSE_PRED,
     Atom,
@@ -33,8 +29,9 @@ from .core import (
     check_initial_coverage,
     dependency_graph,
     format_clause,
+    reachable,
     recursive_preds,
-    rename_atom,
+    rename_clause,
 )
 from .linarith import (
     ConstraintConj,
@@ -131,16 +128,6 @@ class PeResult:
         return "\n".join(lines)
 
 
-def _init_reachable(p: Program) -> set[Pred]:
-    graph = dependency_graph(p)
-    reach: set[Pred] = set()
-    for ip in p.initial_preds:
-        if graph.has_node(ip):
-            reach.add(ip)
-            reach.update(nx.descendants(graph, ip))
-    return reach
-
-
 def _unfold(
     p: Program,
     pred: Pred,
@@ -159,31 +146,6 @@ def _unfold(
         clauses = p.clauses_for(pred)
     out: list[tuple[ConstraintConj, tuple[Atom, ...]]] = []
 
-    def rename_clause(cl: Clause, expected: Optional[tuple[Var, ...]], taken: set[str]):
-        """Map head args onto the expected tuple; keep other names when free."""
-        mapping: dict[Var, Var] = {}
-        if cl.head is not None and expected is not None:
-            mapping.update(zip(cl.head.args, expected))
-        taken = taken | {v.name for v in mapping.values()}
-        rest: list[Var] = []
-        if cl.head is not None:
-            rest.extend(cl.head.args)
-        for a in cl.body:
-            rest.extend(a.args)
-        rest.extend(sorted(conj_vars(cl.constr)))
-        for v in rest:
-            if v in mapping:
-                continue
-            if v.name not in taken:
-                mapping[v] = v
-            else:
-                nv = fresh()
-                while nv.name in taken:
-                    nv = fresh()
-                mapping[v] = nv
-            taken.add(mapping[v].name)
-        return rename_conj(cl.constr, mapping), tuple(rename_atom(a, mapping) for a in cl.body)
-
     def expand(constr: ConstraintConj, atoms: tuple[Atom, ...]) -> None:
         for i, a in enumerate(atoms):
             if unfoldable(a.pred):
@@ -191,7 +153,7 @@ def _unfold(
                 for at in atoms:
                     taken.update(v.name for v in at.args)
                 for dcl in p.clauses_for(a.pred):
-                    dconstr, dbody = rename_clause(dcl, a.args, taken)
+                    dconstr, dbody = rename_clause(dcl, a.args, fresh, taken)
                     merged = conj_and(constr, dconstr)
                     if satisfiable(merged):
                         expand(merged, atoms[:i] + dbody + atoms[i + 1 :])
@@ -202,7 +164,7 @@ def _unfold(
         expected = canon.get(pred)
         taken = {v.name for v in expected} if expected else set()
         taken.update(v.name for v in conj_vars(theta))
-        constr0, body = rename_clause(cl, expected, taken)
+        constr0, body = rename_clause(cl, expected, fresh, taken)
         merged = conj_and(theta, constr0)
         if satisfiable(merged):
             expand(merged, body)
@@ -217,7 +179,7 @@ def pe_run(p: Program) -> PeResult:
     canon[FALSE_PRED] = ()
     props = gen_properties(p)
     recursive = recursive_preds(p)
-    init_reach = _init_reachable(p)
+    init_reach = reachable(dependency_graph(p), p.initial_preds)
 
     def unfoldable(pred: Pred) -> bool:
         if p.is_initial(pred) or pred in recursive or pred == FALSE_PRED:

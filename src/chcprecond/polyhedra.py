@@ -16,7 +16,6 @@ from .linarith import (
     LinConstraint,
     TRUE_CONJ,
     Var,
-    conj_and,
     conj_vars,
     entails,
     make_conj,
@@ -64,13 +63,6 @@ def make_poly(dims: tuple[Var, ...], constr: ConstraintConj) -> Polyhedron:
 def _same_dims(p: Polyhedron, q: Polyhedron) -> None:
     if p.dims != q.dims:
         raise ValueError("dimension mismatch")
-
-
-def meet(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    _same_dims(p, q)
-    if p.bottom or q.bottom:
-        return bottom_poly(p.dims)
-    return make_poly(p.dims, conj_and(p.constr, q.constr))
 
 
 def _homogenize(constr: ConstraintConj, sub: dict[Var, Var], lam: Var) -> list[LinConstraint]:
@@ -126,27 +118,6 @@ def widen(p: Polyhedron, q: Polyhedron) -> Polyhedron:
         return p
     kept = [k for k in p.constr if entails(q.constr, make_conj([k]))]
     return Polyhedron(p.dims, make_conj(kept))
-
-
-def project_poly(p: Polyhedron, keep: tuple[Var, ...]) -> Polyhedron:
-    for v in keep:
-        if v not in p.dims:
-            raise ValueError("dimension mismatch")
-    if p.bottom:
-        return bottom_poly(keep)
-    return make_poly(keep, project(p.constr, set(keep)))
-
-
-def rename(p: Polyhedron, mapping: dict[Var, Var]) -> Polyhedron:
-    """Relabel dimensions by a bijection on dims."""
-    if set(mapping) != set(p.dims):
-        raise ValueError("dimension mismatch")
-    if len(set(mapping.values())) != len(p.dims):
-        raise ValueError("dimension mismatch")
-    dims = tuple(mapping[v] for v in p.dims)
-    if p.bottom:
-        return bottom_poly(dims)
-    return Polyhedron(dims, rename_conj(p.constr, mapping))
 
 
 def constr_at(p: Polyhedron, args: tuple[Var, ...]) -> ConstraintConj:

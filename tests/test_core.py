@@ -1,16 +1,21 @@
 """Program model: dependency structure, coverage, recursion detection."""
 
+import random
+
 import pytest
 
 from chcprecond.core import (
     FALSE_PRED,
     Atom,
+    Clause,
     Pred,
+    Program,
     check_initial_coverage,
     dependency_graph,
+    reachable,
     recursive_preds,
 )
-from chcprecond.linarith import Var
+from chcprecond.linarith import TRUE_CONJ, Var
 from chcprecond.parser import parse_program
 
 from helpers import load
@@ -24,7 +29,7 @@ def test_atom_rejects_repeated_args():
 def test_single_fact_graph():
     p = parse_program(":- initial(p/1).\nc1. p(A).\nc2. false :- p(A).\n")
     g = dependency_graph(p)
-    assert g.has_edge(Pred("p", 1), FALSE_PRED)
+    assert g == {Pred("p", 1): {FALSE_PRED}, FALSE_PRED: set()}
     assert not recursive_preds(p)
 
 
@@ -32,10 +37,10 @@ def test_fig1_dependency_graph():
     p = load("fig1.chc")
     g = dependency_graph(p)
     init, if_, while_ = Pred("init", 2), Pred("if", 2), Pred("while", 2)
-    assert g.has_edge(init, if_)
-    assert g.has_edge(if_, while_)
-    assert g.has_edge(while_, while_)
-    assert g.has_edge(while_, FALSE_PRED)
+    assert if_ in g[init]
+    assert while_ in g[if_]
+    assert while_ in g[while_]
+    assert FALSE_PRED in g[while_]
     assert recursive_preds(p) == frozenset({while_})
 
 
@@ -49,6 +54,65 @@ def test_mutual_recursion_detected():
         "c5. false :- q(A).\n"
     )
     assert recursive_preds(p) == frozenset({Pred("p", 1), Pred("q", 1)})
+
+
+def _graph_program(n, edges):
+    """Arity-0 predicates p0..p{n-1}, one clause `v :- u` per edge (u, v).
+
+    Every predicate also gets a fact, so nodes without edges stay in the
+    graph.
+    """
+    preds = [Pred(f"p{i}", 0) for i in range(n)]
+    clauses = [Clause(f"f{i}", Atom(q, ()), TRUE_CONJ, ()) for i, q in enumerate(preds)]
+    for j, (u, v) in enumerate(edges):
+        clauses.append(Clause(f"e{j}", Atom(preds[v], ()), TRUE_CONJ, (Atom(preds[u], ()),)))
+    return Program(tuple(clauses), frozenset(), ()), preds
+
+
+def _closure(n, edges):
+    """reach[u][v] iff a path of one or more edges leads from u to v."""
+    reach = [[False] * n for _ in range(n)]
+    for u, v in edges:
+        reach[u][v] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                for j in range(n):
+                    reach[i][j] = reach[i][j] or reach[k][j]
+    return reach
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_graph_code_matches_transitive_closure(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    p, preds = _graph_program(n, edges)
+    reach = _closure(n, edges)
+    want = frozenset(preds[i] for i in range(n) if reach[i][i])
+    assert recursive_preds(p) == want
+    g = dependency_graph(p)
+    roots = rng.sample(range(n), rng.randint(0, n))
+    got = reachable(g, [preds[r] for r in roots] + [Pred("absent", 0)])
+    assert got == {preds[j] for j in range(n) if j in roots or any(reach[r][j] for r in roots)}
+
+
+def test_graph_code_on_self_loop_and_absent_predicate():
+    p, (a, b) = _graph_program(2, [(0, 0), (0, 1)])
+    assert recursive_preds(p) == frozenset({a})
+    g = dependency_graph(p)
+    assert reachable(g, [b]) == {b}
+    assert reachable(g, [Pred("absent", 0)]) == set()
+
+
+def test_deep_chain_does_not_recurse():
+    n = 5000
+    chain = [(i, i + 1) for i in range(n - 1)]
+    p, preds = _graph_program(n, chain)
+    assert recursive_preds(p) == frozenset()
+    assert reachable(dependency_graph(p), [preds[0]]) == set(preds)
+    ring, _ = _graph_program(n, chain + [(n - 1, 0)])
+    assert recursive_preds(ring) == frozenset(preds)
 
 
 def test_coverage_holds_on_corpus():

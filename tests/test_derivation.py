@@ -1,6 +1,13 @@
 """AND-trees: trace parsing, instantiation, enumeration, counterexamples."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import chcprecond
 
 from chcprecond.core import Pred
 from chcprecond.derivation import (
@@ -140,3 +147,33 @@ def test_initial_nodes_order_is_leftmost_outermost():
     nodes = initial_nodes(p, tree)
     assert nodes
     assert nodes[0].clause_id == "c7"
+
+
+def test_instantiate_names_do_not_depend_on_hash_seed():
+    # B..G occur only in constraints; they are numbered in sorted order
+    # after the atom arguments
+    code = (
+        "from chcprecond import parse_program, parse_trace\n"
+        "from chcprecond.derivation import constr_of, instantiate\n"
+        "from chcprecond.linarith import format_conj\n"
+        "p = parse_program(':- initial(p/1).\\n'\n"
+        "    'c1. p(A) :- A = B + 2*C - 3*D, B >= 1, C >= 2, D =< 4.\\n'\n"
+        "    'c2. false :- A = E + F, E >= G, G >= 5, p(A).\\n')\n"
+        "print(format_conj(constr_of(instantiate(p, parse_trace('c2(c1)')))))\n"
+    )
+    src = str(Path(chcprecond.__file__).resolve().parents[1])
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    want = (
+        "T1 - T2 - T3 = 0, T1 - T5 - 2*T6 + 3*T7 = 0, T2 - T4 >= 0, T4 >= 5,"
+        " T5 >= 1, T6 >= 2, T7 =< 4\n"
+    )
+    assert outs == [want, want]

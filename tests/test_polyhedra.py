@@ -1,4 +1,4 @@
-"""Polyhedral domain: meet, convex hull join, inclusion, widening."""
+"""Polyhedral domain: convex hull join, inclusion, widening."""
 
 from chcprecond.linarith import Var, make_conj, make_constraint
 from chcprecond.polyhedra import (
@@ -6,9 +6,6 @@ from chcprecond.polyhedra import (
     includes,
     join,
     make_poly,
-    meet,
-    project_poly,
-    rename,
     top,
     widen,
 )
@@ -25,20 +22,6 @@ def k(coeffs, const, rel="<="):
 
 def poly(*ks):
     return make_poly(DIMS, make_conj(ks))
-
-
-def test_meet_opposed_bounds_is_equality():
-    p = meet(poly(k({x: -1}, 0)), poly(k({x: 1}, 0)))
-    assert includes(p, poly(k({x: 1}, 0, "=")))
-    assert includes(poly(k({x: 1}, 0, "=")), p)
-
-
-def test_meet_with_bottom():
-    assert meet(bottom_poly(DIMS), poly(k({x: 1}, 0))).bottom
-
-
-def test_meet_contradiction_collapses():
-    assert meet(poly(k({x: -1}, 1)), poly(k({x: 1}, 0))).bottom
 
 
 def test_join_with_bottom_is_identity():
@@ -86,25 +69,6 @@ def test_widen_identity_and_bottom():
     assert widen(p, p) == p
     assert widen(bottom_poly(DIMS), p) == p
     assert widen(p, bottom_poly(DIMS)) == p
-
-
-def test_project_poly_shadow():
-    p = poly(k({x: 1, y: -1}, 0), k({y: 1}, -5))
-    got = project_poly(p, (x,))
-    want = make_poly((x,), make_conj([k({x: 1}, -5)]))
-    assert includes(got, want) and includes(want, got)
-
-
-def test_project_bottom_stays_bottom():
-    assert project_poly(bottom_poly(DIMS), (x,)).bottom
-
-
-def test_rename_round_trip():
-    p = poly(k({x: 1, y: -2}, 3))
-    u, v = Var("u"), Var("v")
-    q = rename(p, {x: u, y: v})
-    assert q.dims == (u, v)
-    assert rename(q, {u: x, v: y}) == p
 
 
 def test_make_poly_rejects_foreign_vars():
