@@ -68,6 +68,14 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class PipelineReport:
+    """What one run found, and where its time went.
+
+    `steps` times the transformations; `final_seconds` is the time to read
+    the precondition off the last completed round and `classify_seconds`
+    the time to compare it with the program's own initial condition, both
+    spent after the step loop.
+    """
+
     precondition: DNF
     classification: str
     iterations_used: int
@@ -76,6 +84,8 @@ class PipelineReport:
     steps: tuple[StepRecord, ...]
     warnings: tuple[str, ...]
     program: Program
+    final_seconds: float
+    classify_seconds: float
 
 
 def strip_init(p: Program) -> tuple[Program, DNF]:
@@ -168,8 +178,11 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
         log.warning("timeout: falling back to iteration %d result", iterations_used)
 
     final_state = PrecondState(psis=psis, history=list(state.history))
+    t0 = time.monotonic()
     pre = final_precondition(final_state, cur)
+    t1 = time.monotonic()
     cls = classify(pre, original)
+    t2 = time.monotonic()
     return PipelineReport(
         precondition=pre,
         classification=cls,
@@ -179,4 +192,6 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
         steps=tuple(steps),
         warnings=tuple(trap.messages),
         program=cur,
+        final_seconds=t1 - t0,
+        classify_seconds=t2 - t1,
     )

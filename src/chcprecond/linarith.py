@@ -19,12 +19,21 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .simplex import Budget, Row, Undecided, feasible, int_feasible
+from .simplex import (
+    Budget,
+    Delta,
+    Row,
+    Simplex,
+    Undecided,
+    dmax,
+    dmin,
+    feasible,
+    int_feasible,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -316,17 +325,64 @@ def equiv_conj(a: ConstraintConj, b: ConstraintConj) -> bool:
 
 
 def _drop_redundant(c: ConstraintConj) -> ConstraintConj:
-    """Drop constraints entailed by the rest.  Rational, so sound."""
+    """Drop constraints entailed by the rest.  Rational, so sound.
+
+    The constraints are visited in sorted order, and each one entailed by
+    the others still kept is dropped for good.  All the queries share one
+    tableau with a slack per distinct coefficient row, bounded by the kept
+    constraints on that row.  Asking whether the rest entails k replaces
+    the bounds of k's row by those of the other kept constraints on it,
+    meet the strict negation of k (each side in turn for an equality), and
+    re-checks from the last assignment: k is entailed iff that is
+    infeasible.  `c` comes from `make_conj`, so no constraint is ground.
+    """
     if c.is_false() or len(c) <= 1:
         return c
+    index = _index_vars(c)
+    sx = Simplex(len(index))
+    slacks: dict[tuple[tuple[int, int], ...], int] = {}
+    row_of: dict[LinConstraint, int] = {}
+    on_row: dict[int, list[LinConstraint]] = {}
+    for k in c:
+        combo = _to_row(k, index)[0]
+        if combo not in slacks:
+            slacks[combo] = sx.add_slack(dict(combo))
+        row_of[k] = slacks[combo]
+        on_row.setdefault(row_of[k], []).append(k)
+    for s, ks in on_row.items():
+        sx.set_bounds(s, *_row_bounds(ks))
     kept = list(c.constraints)
     for k in sorted(c.constraints):
-        if k not in kept:
-            continue
-        rest = [j for j in kept if j != k]
-        if entails(ConstraintConj(tuple(rest)), ConstraintConj((k,))):
-            kept = rest
+        s = row_of[k]
+        others = [j for j in on_row[s] if j is not k]
+        lo, hi = _row_bounds(others)
+        # the slack's value is -k.const on k's boundary; above it k fails,
+        # and for an equality so it does below
+        sides = [(dmax(lo, (-k.const, 1)), hi)]
+        if k.rel == "=":
+            sides.append((lo, dmin(hi, (-k.const, -1))))
+        entailed = True
+        for side in sides:
+            sx.set_bounds(s, *side)
+            if sx.check():
+                entailed = False
+                break
+        if entailed:
+            on_row[s] = others
+            kept.remove(k)
+        sx.set_bounds(s, *_row_bounds(on_row[s]))
     return make_conj(kept)
+
+
+def _row_bounds(ks: list[LinConstraint]) -> tuple[Optional[Delta], Optional[Delta]]:
+    """Bounds on the slack `sum(coeffs)` that constraints on one row impose."""
+    lo = hi = None
+    for k in ks:
+        edge = (-k.const, 0)
+        if k.rel == "=":
+            lo = dmax(lo, edge)
+        hi = dmin(hi, edge)
+    return lo, hi
 
 
 def simplify(c: ConstraintConj) -> ConstraintConj:

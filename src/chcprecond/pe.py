@@ -146,19 +146,34 @@ def _unfold(
         clauses = p.clauses_for(pred)
     out: list[tuple[ConstraintConj, tuple[Atom, ...]]] = []
 
+    def resolvents(constr: ConstraintConj, atoms: tuple[Atom, ...], i: int):
+        """The satisfiable resolvents on atom i, renamed apart as they are drawn."""
+        a = atoms[i]
+        taken = {v.name for v in conj_vars(constr)}
+        for at in atoms:
+            taken.update(v.name for v in at.args)
+        for dcl in p.clauses_for(a.pred):
+            dconstr, dbody = rename_clause(dcl, a.args, fresh, taken)
+            merged = conj_and(constr, dconstr)
+            if satisfiable(merged):
+                yield merged, atoms[:i] + dbody + atoms[i + 1 :]
+
     def expand(constr: ConstraintConj, atoms: tuple[Atom, ...]) -> None:
-        for i, a in enumerate(atoms):
-            if unfoldable(a.pred):
-                taken = {v.name for v in conj_vars(constr)}
-                for at in atoms:
-                    taken.update(v.name for v in at.args)
-                for dcl in p.clauses_for(a.pred):
-                    dconstr, dbody = rename_clause(dcl, a.args, fresh, taken)
-                    merged = conj_and(constr, dconstr)
-                    if satisfiable(merged):
-                        expand(merged, atoms[:i] + dbody + atoms[i + 1 :])
-                return
-        out.append((constr, atoms))
+        # depth first, with one lazy iterator per unfolded atom on an explicit
+        # stack: a resolvent is renamed only after its elder sibling has been
+        # expanded completely, so fresh names come in recursion order
+        stack = [iter(((constr, atoms),))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                continue
+            constr, atoms = nxt
+            i = next((i for i, a in enumerate(atoms) if unfoldable(a.pred)), None)
+            if i is None:
+                out.append((constr, atoms))
+            else:
+                stack.append(resolvents(constr, atoms, i))
 
     for cl in clauses:
         expected = canon.get(pred)

@@ -1,27 +1,35 @@
 """Exact rational feasibility checking for linear constraint systems.
 
-Everything here runs on `fractions.Fraction`; no floating point is involved
-anywhere.  The solver is a bounds-form simplex in the style used by SMT
-solvers: every constraint `sum(c_i * x_i) REL k` becomes a slack variable
-defined by the pure linear part with `REL k` turned into bounds on the slack.
-Bland's rule makes the pivot loop terminate.
+No floating point is involved anywhere.  Values are Python `int`s while
+they are integral and become `fractions.Fraction`s only when a division in
+a pivot is inexact; every sum, product and quotient that comes out
+integral goes back to `int`.  The systems met here are small and their
+values almost always integral, so most arithmetic runs on machine
+integers, with the same values (and so the same pivots) as all-Fraction
+arithmetic would give.
+
+The solver is a bounds-form simplex in the style used by SMT solvers
+(Dutertre & de Moura, CAV 2006): every constraint `sum(c_i * x_i) REL k`
+becomes a slack variable defined by the pure linear part with `REL k`
+turned into bounds on the slack.  Bland's rule makes the pivot loop
+terminate.
 
 Bound values are "delta-rationals" `(r, d)` meaning `r + d * delta` for an
 infinitesimal positive delta.  They let us express strict inequalities
 exactly, which the entailment check in `linarith` needs when it negates a
-non-strict constraint over the rationals.  Plain tuples of Fractions compare
+non-strict constraint over the rationals.  Plain tuples of numbers compare
 lexicographically, which is exactly the right order for delta-rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
-Delta = tuple[Fraction, Fraction]
+Num = Union[int, Fraction]
+Delta = tuple[Num, Num]
 
-ZERO = Fraction(0)
-DZERO: Delta = (ZERO, ZERO)
+DZERO: Delta = (0, 0)
 
 
 class Undecided(Exception):
@@ -40,26 +48,44 @@ class Budget:
             raise Undecided("branch-and-bound node budget exhausted")
 
 
+def _int(x: Num) -> Num:
+    """x, or the int it equals when it is an integral Fraction."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _div(a: Num, b: Num) -> Num:
+    """The exact quotient a / b: an int when b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return q if r == 0 else Fraction(a, b)
+    # at least one side is a Fraction, so `/` is exact
+    return _int(a / b)
+
+
 def _dadd(a: Delta, b: Delta) -> Delta:
-    return (a[0] + b[0], a[1] + b[1])
+    return (_int(a[0] + b[0]), _int(a[1] + b[1]))
 
 
 def _dsub(a: Delta, b: Delta) -> Delta:
-    return (a[0] - b[0], a[1] - b[1])
+    return (_int(a[0] - b[0]), _int(a[1] - b[1]))
 
 
-def _dscale(a: Delta, f: Fraction) -> Delta:
-    return (a[0] * f, a[1] * f)
+def _dscale(a: Delta, f: Num) -> Delta:
+    return (_int(a[0] * f), _int(a[1] * f))
 
 
 class Simplex:
     """Feasibility checker for conjunctions of linear bounds.
 
     Usage: construct with the number of problem variables, add slack rows
-    for linear combinations, tighten bounds, then call `check()`.  The
-    instance is single-shot with respect to `check`; bounds may be tightened
-    between checks only through fresh copies (the branch-and-bound below
-    simply rebuilds, which is cheap at the sizes we deal with).
+    for linear combinations, tighten bounds, then call `check()`.  Bounds
+    may be replaced between checks with `set_bounds`, looser or tighter, and
+    the next `check()` repairs the assignment the last one left instead of
+    starting over; `linarith`'s redundancy sweep asks all its queries of
+    one tableau that way.  The branch-and-bound below still builds a fresh
+    tableau per node, which keeps its node count independent of pivots.
     """
 
     def __init__(self, nvars: int):
@@ -68,7 +94,7 @@ class Simplex:
         self.ub: list[Optional[Delta]] = [None] * nvars
         self.assign: list[Delta] = [DZERO] * nvars
         # basic var -> {nonbasic var -> coefficient}
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, Num]] = {}
         # nonbasic var -> set of basic vars whose row mentions it
         self.cols: dict[int, set[int]] = {}
 
@@ -78,7 +104,7 @@ class Simplex:
         self.assign.append(DZERO)
         return len(self.lb) - 1
 
-    def add_slack(self, combo: dict[int, Fraction]) -> int:
+    def add_slack(self, combo: dict[int, Num]) -> int:
         """Introduce s = sum(combo) as a new basic variable and return it."""
         s = self.add_var()
         row = {v: c for v, c in combo.items() if c != 0}
@@ -107,6 +133,11 @@ class Simplex:
             return False
         return True
 
+    def set_bounds(self, v: int, lo: Optional[Delta], hi: Optional[Delta]) -> None:
+        """Replace both bounds of v; an empty interval makes `check()` fail."""
+        self.lb[v] = lo
+        self.ub[v] = hi
+
     # -- the solving machinery ------------------------------------------------
 
     def _update_nonbasic(self, v: int, value: Delta) -> None:
@@ -123,10 +154,10 @@ class Simplex:
         a = row.pop(nj)
         self.cols[nj].discard(bi)
         # nj = (bi - sum of the rest) / a
-        new_row = {bi: Fraction(1) / a}
+        new_row = {bi: _div(1, a)}
         self.cols.setdefault(bi, set()).add(nj)
         for v, c in row.items():
-            new_row[v] = -c / a
+            new_row[v] = _div(-c, a)
             self.cols[v].discard(bi)
             self.cols[v].add(nj)
         self.rows[nj] = new_row
@@ -135,7 +166,7 @@ class Simplex:
             r = self.rows[b]
             factor = r.pop(nj)
             for v, c in new_row.items():
-                merged = r.get(v, ZERO) + factor * c
+                merged = _int(r.get(v, 0) + factor * c)
                 if merged == 0:
                     if v in r:
                         del r[v]
@@ -148,7 +179,8 @@ class Simplex:
 
     def _pivot_and_update(self, bi: int, nj: int, target: Delta) -> None:
         a = self.rows[bi][nj]
-        theta = _dscale(_dsub(target, self.assign[bi]), Fraction(1) / a)
+        gap = _dsub(target, self.assign[bi])
+        theta = (_div(gap[0], a), _div(gap[1], a))
         self.assign[bi] = target
         self.assign[nj] = _dadd(self.assign[nj], theta)
         for b in self.cols.get(nj, ()):
@@ -160,11 +192,11 @@ class Simplex:
         """True iff the bounds admit a solution.  Leaves a model in `assign`."""
         # snap nonbasic variables into their intervals first
         for v in range(len(self.assign)):
-            if v in self.rows:
-                continue
             lo, hi = self.lb[v], self.ub[v]
             if lo is not None and hi is not None and lo > hi:
                 return False
+            if v in self.rows:
+                continue
             if lo is not None and self.assign[v] < lo:
                 self._update_nonbasic(v, lo)
             elif hi is not None and self.assign[v] > hi:
@@ -233,19 +265,18 @@ def _solver_for(nvars: int, rows: list[Row], extra_bounds: dict[int, tuple[Optio
                 return None
             continue
         if combo not in merged:
-            merged[combo] = sx.add_slack({v: Fraction(c) for v, c in combo})
+            merged[combo] = sx.add_slack(dict(combo))
         s = merged[combo]
-        k = Fraction(const)
         if rel == "=":
-            if not sx.tighten_lower(s, (-k, ZERO)):
+            if not sx.tighten_lower(s, (-const, 0)):
                 return None
-            if not sx.tighten_upper(s, (-k, ZERO)):
+            if not sx.tighten_upper(s, (-const, 0)):
                 return None
         elif rel == "<=":
-            if not sx.tighten_upper(s, (-k, ZERO)):
+            if not sx.tighten_upper(s, (-const, 0)):
                 return None
         else:  # strict
-            if not sx.tighten_upper(s, (-k, Fraction(-1))):
+            if not sx.tighten_upper(s, (-const, -1)):
                 return None
     return sx
 
@@ -253,10 +284,6 @@ def _solver_for(nvars: int, rows: list[Row], extra_bounds: dict[int, tuple[Optio
 def feasible(nvars: int, rows: list[Row], extra_bounds=None) -> bool:
     sx = _solver_for(nvars, rows, extra_bounds)
     return sx is not None and sx.check()
-
-
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
 
 
 def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:
@@ -280,24 +307,26 @@ def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:
                 # cannot happen for non-strict systems, but guard anyway
                 raise AssertionError("delta component in integer search")
             if r.denominator != 1:
-                fractional = (v, _floor(r))
+                fractional = (v, r.numerator // r.denominator)
                 break
         if fractional is None:
             return True
         v, lo = fractional
         cur = bounds.get(v, (None, None))
         above = dict(bounds)
-        above[v] = (_max_opt(cur[0], (Fraction(lo + 1), ZERO)), cur[1])
+        above[v] = (dmax(cur[0], (lo + 1, 0)), cur[1])
         below = dict(bounds)
-        below[v] = (cur[0], _min_opt(cur[1], (Fraction(lo), ZERO)))
+        below[v] = (cur[0], dmin(cur[1], (lo, 0)))
         stack.append(above)
         stack.append(below)
     return False
 
 
-def _min_opt(a: Optional[Delta], b: Delta) -> Delta:
+def dmin(a: Optional[Delta], b: Delta) -> Delta:
+    """The smaller of two bounds, where None is no bound."""
     return b if a is None or b < a else a
 
 
-def _max_opt(a: Optional[Delta], b: Delta) -> Delta:
+def dmax(a: Optional[Delta], b: Delta) -> Delta:
+    """The larger of two bounds, where None is no bound."""
     return b if a is None or b > a else a

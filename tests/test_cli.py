@@ -61,6 +61,14 @@ def test_json_report(capsys):
     eq = next(k for k in disjunct if k["rel"] == "=")
     assert eq["coeffs"] in ({"A": 1, "B": 1, "N": -3}, {"A": -1, "B": -1, "N": 3})
     assert doc["precondition_text"]
+    assert doc["final_seconds"] >= 0 and doc["classify_seconds"] >= 0
+
+
+def test_text_report_times_the_work_after_the_steps(capsys):
+    code, out, _ = run(capsys, "analyze", path("counter_loop.chc"), "--iterations", "1")
+    assert code == 0
+    (line,) = [l for l in out.splitlines() if l.startswith("after the steps:")]
+    assert "final " in line and "classify " in line
 
 
 def test_missing_file(capsys):

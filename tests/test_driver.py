@@ -1,5 +1,7 @@
 """End-to-end pipeline behaviour: iteration, early stop, timeout fallback."""
 
+import time
+
 import pytest
 
 import chcprecond.driver as driver_mod
@@ -46,6 +48,16 @@ def test_zero_iterations_is_propagation_only():
     assert r.steps[0].swp.is_false()
     assert r.iterations_used == 0
     assert len(r.precondition) == 6
+
+
+@pytest.mark.parametrize("name,iterations", [("fig1.chc", 2), ("counter_loop.chc", 3)])
+def test_time_after_the_step_loop_is_reported(name, iterations):
+    p = load(name)
+    t0 = time.monotonic()
+    r = run_pipeline(p, PipelineConfig(iterations=iterations))
+    wall = time.monotonic() - t0
+    assert r.final_seconds >= 0 and r.classify_seconds >= 0
+    assert sum(s.seconds for s in r.steps) + r.final_seconds + r.classify_seconds <= wall
 
 
 def test_round_step_accounting():

@@ -1,0 +1,139 @@
+"""Golden precondition texts for the generated two-variable programs.
+
+The sixteen programs in `fixtures/gen_multivar_seed1.txt` are the ones
+`python3 bench/gen.py --seed 1 --count 16` prints, separated by blank
+lines; the benchmark's gen-multivar workload runs them at 1 iteration.
+The texts below were produced before the exact kernel moved off
+`fractions.Fraction`, so a kernel speed-up cannot alter what a user reads.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from chcprecond.driver import PipelineConfig, run_pipeline
+from chcprecond.parser import parse_program
+
+FIXTURE = Path(__file__).parent / "fixtures" / "gen_multivar_seed1.txt"
+
+AT_ONE_ITERATION = [
+    (
+        "(A =< 1, A =< 0, A =< -1, A + B =< -1) ; "
+        "(B >= -1, B >= 0) ; "
+        "(B =< -2, B =< -3)"
+    ),
+    (
+        "(A - B >= 1, B =< 5, B =< 1) ; "
+        "(A =< 1, B =< 5, B =< 1) ; "
+        "(A - B =< -2)"
+    ),
+    "true",
+    (
+        "(A >= -1) ; "
+        "(A - B >= 0)"
+    ),
+    (
+        "(A + B >= 6) ; "
+        "(A + B =< 4) ; "
+        "(B >= 4) ; "
+        "(B =< 2)"
+    ),
+    (
+        "(A >= -1, A - B =< 0, A + B =< 8, A + B =< 6) ; "
+        "(A >= -1, A + B =< 8, A + B =< 6, A + B =< 4) ; "
+        "(A >= -1, B =< 0) ; "
+        "(A + B >= 0, A + B >= 6, A + B = 8) ; "
+        "(A + B >= 0, A + B >= 6, B >= 4) ; "
+        "(A + B >= 0, A - B =< 0, A + B =< 8, A + B =< 6) ; "
+        "(A + B >= 0, A - B =< 0, B >= 4) ; "
+        "(A + B >= 0, A + B =< 8, A + B =< 6, A + B =< 4) ; "
+        "(A + B >= 0, A + B =< 8, A + B = 6) ; "
+        "(A + B =< 8, A + B =< 6, A + B =< 4, A + B =< -2)"
+    ),
+    (
+        "(A >= -1) ; "
+        "(A =< -3) ; "
+        "(B >= 3) ; "
+        "(B =< 1)"
+    ),
+    (
+        "(A >= 0, A >= 2, A >= 3, A >= 4, A >= 5, A >= 7, B >= 3, B >= 4) ; "
+        "(A >= 0, A >= 2, A >= 3, A >= 4, A >= 5, A - B =< 3, B >= 3, B >= 4) ; "
+        "(A >= 0, A >= 2, A >= 4, A - B =< 3, A - B =< 1, B >= 3) ; "
+        "(A >= 0, A >= 2, A - B =< 3, A - B =< 1, A - B =< -1, B >= 3) ; "
+        "(A - B =< 5, A - B =< 3, A - B =< 1, A - B =< -1, A - B =< -2) ; "
+        "(A - B =< 5, A - B =< 3, A - B =< 1, B =< -2) ; "
+        "(B =< -2, B =< -3)"
+    ),
+    (
+        "(A - B >= -3) ; "
+        "(B >= 0) ; "
+        "(B =< -4)"
+    ),
+    (
+        "(A >= 2, A + B =< 9, A + B =< 7) ; "
+        "(A >= 2, B =< 4, B =< 3) ; "
+        "(A + B >= 7, A + B >= 9, A + B = 9) ; "
+        "(A + B >= 7, A + B >= 9, B >= 6, B >= 7) ; "
+        "(A + B >= 7, A - B =< -1, B >= 6, B >= 7) ; "
+        "(A =< 0, A - B =< -1, B >= 6, B >= 7) ; "
+        "(A =< 0, A + B =< 9, A + B =< 7) ; "
+        "(A + B =< 9, A + B =< 7, A + B =< 5) ; "
+        "(A + B =< 9, A + B = 7)"
+    ),
+    (
+        "(A - B >= -4, A - B >= -3) ; "
+        "(A =< 2, A =< 1)"
+    ),
+    (
+        "(A >= 4, A + B >= -1, A + B >= 1, A = 5, A + 5*B =< -1) ; "
+        "(A >= 4, A + B >= -1, A + B >= 1, A + 5*B =< -1, B >= -3) ; "
+        "(A + B >= -1, A =< 5, A =< 3, B =< -2) ; "
+        "(A + B >= -1, A = 5, B =< -2) ; "
+        "(A + B >= -1, B >= -3, B =< -2) ; "
+        "(A + B >= 1, A =< 2, A + 5*B =< -1, B >= -3, B >= -1) ; "
+        "(A + B >= 1, B >= -3, B >= -1, B >= 0) ; "
+        "(A =< 5, A =< 3, A =< 2, A + B =< -1, A + B =< -3, A + 5*B =< -1) ; "
+        "(A =< 5, A =< 3, A + B =< -3, B =< -2) ; "
+        "(A =< 2, A + B =< -1, A + 5*B =< -1, B >= -3, B >= -1) ; "
+        "(A =< 2, A + B = -1, A + 5*B =< -1, B >= -3) ; "
+        "(A + B =< -1, B >= -3, B >= -1, B >= 0) ; "
+        "(B >= -3, B >= -1, B >= 0, B >= 2) ; "
+        "(B =< -2, B =< -5)"
+    ),
+    "true",
+    (
+        "(A - B >= -2, A - B >= -1, B =< 4, B =< 1) ; "
+        "(A =< 3, A =< 2, A =< 0, A =< -1)"
+    ),
+    (
+        "(A + B >= 1, A + B >= 2, A = 5) ; "
+        "(A + B >= 1, A + B >= 2, B >= -1) ; "
+        "(A + B >= 1, A =< 5, A =< 3, B =< -1) ; "
+        "(A + B >= 1, A = 5, B =< -1) ; "
+        "(A + B >= 1, B >= -1, B >= 6) ; "
+        "(A + B >= 1, B = -1) ; "
+        "(A =< 5, A =< 3, A - B =< -3, A + B =< 0) ; "
+        "(A =< 5, A =< 3, A + B =< 0, A + B =< -1) ; "
+        "(A - B =< -3, B >= -1, B >= 6) ; "
+        "(B =< -1, B =< -3)"
+    ),
+    (
+        "(A =< 1, A =< 0, A =< -1, A =< -4) ; "
+        "(B =< 2, B =< -1)"
+    ),
+]
+
+
+def _programs() -> list[str]:
+    return [t + "\n" for t in FIXTURE.read_text().strip().split("\n\n")]
+
+
+def test_fixture_holds_sixteen_programs():
+    assert len(_programs()) == len(AT_ONE_ITERATION) == 16
+
+
+@pytest.mark.parametrize("i", range(16))
+def test_gen_multivar_precondition_text(i):
+    r = run_pipeline(parse_program(_programs()[i]), PipelineConfig(iterations=1))
+    assert str(r.precondition) == AT_ONE_ITERATION[i]

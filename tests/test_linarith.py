@@ -6,10 +6,12 @@ import pytest
 
 from chcprecond.linarith import (
     DNF,
+    ConstraintConj,
     DNF_FALSE,
     DNF_TRUE,
     TRUE_CONJ,
     Var,
+    _drop_redundant,
     dnf_of_conj,
     entails,
     equiv_conj,
@@ -180,3 +182,44 @@ def test_equal_constraints_hash_equal():
     for c in a:
         assert hash(c) == hash((c.coeffs, c.const, c.rel))
     assert len({a, b, make_conj(list(b))}) == 1
+
+
+# -- redundancy sweep ----------------------------------------------------------
+
+
+def drop_redundant_pairwise(c):
+    """The redundancy sweep as one fresh entailment query per constraint."""
+    if c.is_false() or len(c) <= 1:
+        return c
+    kept = list(c.constraints)
+    for j in sorted(c.constraints):
+        rest = [i for i in kept if i != j]
+        if entails(ConstraintConj(tuple(rest)), ConstraintConj((j,))):
+            kept = rest
+    return make_conj(kept)
+
+
+def test_drop_redundant_keeps_an_equality_beside_bounds_on_its_variable():
+    C = Var("C")
+    c = make_conj([k({B: 2, C: -2}, 1, "="), k({C: 1}, 0), k({C: 2}, 3)])
+    assert _drop_redundant(c) == drop_redundant_pairwise(c)
+    assert str(_drop_redundant(c)) == "2*B - 2*C = -1, 2*C =< -3"
+
+
+def test_drop_redundant_matches_pairwise_entailment():
+    rng = random.Random(31)
+    z = Var("z")
+    # a small pool of rows, so several constraints often share one
+    pool = [{x: 1}, {y: 1}, {x: -1}, {x: 1, y: 1}, {x: 1, y: -1}, {x: 2, z: 1},
+            {y: -2, z: 3}, {z: 1}, {x: 1, y: 1, z: -1}]
+    shrunk = 0
+    for _ in range(1200):
+        ks = [
+            k(rng.choice(pool), rng.randint(-4, 4), "=" if rng.random() < 0.2 else "<=")
+            for _ in range(rng.randint(2, 6))
+        ]
+        c = make_conj(ks)
+        got = _drop_redundant(c)
+        assert got == drop_redundant_pairwise(c), c
+        shrunk += len(got) < len(c)
+    assert shrunk > 200

@@ -6,6 +6,7 @@ import pytest
 
 from chcprecond.core import Pred
 from chcprecond.derivation import find_counterexample
+from chcprecond.driver import PipelineConfig, run_pipeline
 from chcprecond.linarith import Var, equiv_conj, implies_dnf
 from chcprecond.parser import parse_program
 import chcprecond.pe as pe_mod
@@ -147,3 +148,16 @@ def test_feasible_counterexample_parity(name):
     had = before is not None and before[1]
     has = after is not None and after[1]
     assert had == has
+
+
+def test_long_chain_of_single_clause_predicates_unfolds_without_recursion():
+    # p1 .. p1499 each have one clause and are unfolded into the goal; the
+    # chain is deeper than Python's default recursion limit
+    n = 1500
+    lines = [":- initial(p0/1).", "p0(A) :- A >= 0."]
+    lines += [f"p{i}(A) :- p{i - 1}(A)." for i in range(1, n)]
+    lines.append(f"false :- A >= 5, p{n - 1}(A).")
+    p = parse_program("\n".join(lines) + "\n")
+    out = pe_run(p).program
+    assert [str(a.pred) for cl in out.clauses for a in cl.body] == ["p0_1/1"]
+    assert str(run_pipeline(p, PipelineConfig(iterations=1)).precondition) == "A =< 4"

@@ -1,0 +1,194 @@
+"""The exact simplex kernel, checked against references written here.
+
+Rational feasibility is compared with a Fourier-Motzkin decision over
+`Fraction`s, integer feasibility with enumeration of a box, and every
+model `check()` reports is evaluated against its rows in delta-rational
+arithmetic.  The type checks pin the kernel's arithmetic: values stay
+`int` while integral, and a `Fraction` in the tableau is never integral.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from chcprecond.simplex import Budget, Simplex, _solver_for, feasible, int_feasible
+
+RELS = ("=", "<=", "<")
+
+
+def fm_feasible(nvars, rows):
+    """Fourier-Motzkin decision of `sum(c * x) + const REL 0` rows."""
+    # each row as ({var: coeff}, const, strict) meaning sum + const < 0 or <= 0
+    work = []
+    for combo, const, rel in rows:
+        coeffs = {v: Fraction(c) for v, c in combo}
+        if rel == "=":
+            work.append((coeffs, Fraction(const), False))
+            work.append(({v: -c for v, c in coeffs.items()}, Fraction(-const), False))
+        else:
+            work.append((coeffs, Fraction(const), rel == "<"))
+    for v in range(nvars):
+        pos = [r for r in work if r[0].get(v, 0) > 0]
+        neg = [r for r in work if r[0].get(v, 0) < 0]
+        nxt = [r for r in work if r[0].get(v, 0) == 0]
+        for pc, pk, ps in pos:
+            for nc, nk, ns in neg:
+                a, b = pc[v], -nc[v]
+                coeffs = {}
+                for w in set(pc) | set(nc):
+                    c = b * pc.get(w, 0) + a * nc.get(w, 0)
+                    if w != v and c != 0:
+                        coeffs[w] = c
+                nxt.append((coeffs, b * pk + a * nk, ps or ns))
+        work = nxt
+    return all(const < 0 if strict else const <= 0 for _, const, strict in work)
+
+
+def holds(row, model):
+    """The row's truth at a delta-rational model, for every small delta."""
+    combo, const, rel = row
+    r = const + sum(c * model[v][0] for v, c in combo)
+    d = sum(c * model[v][1] for v, c in combo)
+    value = (r, d)
+    if rel == "=":
+        return value == (0, 0)
+    if rel == "<=":
+        return value <= (0, 0)
+    return value < (0, 0)
+
+
+def random_rows(rng, nvars, nrows, rels=RELS, span=3):
+    rows = []
+    for _ in range(nrows):
+        vs = sorted(rng.sample(range(nvars), rng.randint(0 if rng.random() < 0.05 else 1, nvars)))
+        combo = tuple((v, rng.choice([c for c in range(-span, span + 1) if c])) for v in vs)
+        rows.append((combo, rng.randint(-5, 5), rng.choice(rels)))
+    return rows
+
+
+def values(sx):
+    """Every number the tableau holds: coefficients, bounds, assignment."""
+    out = [c for row in sx.rows.values() for c in row.values()]
+    for b in sx.lb + sx.ub + sx.assign:
+        if b is not None:
+            out.extend(b)
+    return out
+
+
+def test_feasible_matches_fourier_motzkin():
+    rng = random.Random(2024)
+    feasible_seen = infeasible_seen = 0
+    for _ in range(600):
+        nvars = rng.randint(1, 3)
+        rows = random_rows(rng, nvars, rng.randint(1, 6))
+        expected = fm_feasible(nvars, rows)
+        assert feasible(nvars, rows) == expected, rows
+        feasible_seen += expected
+        infeasible_seen += not expected
+    # both answers are exercised
+    assert feasible_seen > 100 and infeasible_seen > 100
+
+
+def test_models_satisfy_every_row():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(600):
+        nvars = rng.randint(1, 3)
+        rows = random_rows(rng, nvars, rng.randint(1, 6))
+        sx = _solver_for(nvars, rows)
+        if sx is None or not sx.check():
+            continue
+        model = sx.model()
+        for row in rows:
+            assert holds(row, model), (rows, model)
+        checked += 1
+    assert checked > 200
+
+
+def test_fractions_in_the_tableau_are_never_integral():
+    rng = random.Random(11)
+    fractions_seen = 0
+    for _ in range(600):
+        nvars = rng.randint(1, 3)
+        sx = _solver_for(nvars, random_rows(rng, nvars, rng.randint(1, 6)))
+        if sx is None:
+            continue
+        sx.check()
+        for x in values(sx):
+            assert type(x) in (int, Fraction)
+            if type(x) is Fraction:
+                assert x.denominator != 1
+                fractions_seen += 1
+    # inexact divisions do happen, and they are the only source of Fractions
+    assert fractions_seen > 0
+
+
+def test_unit_coefficients_keep_the_tableau_integral():
+    # x <= -1, x + y >= 3, x - y + z = 0: check() pivots, all divisions exact
+    rows = [
+        (((0, 1),), 1, "<="),
+        (((0, -1), (1, -1)), 3, "<="),
+        (((0, 1), (1, -1), (2, 1)), 0, "="),
+    ]
+    sx = _solver_for(3, rows)
+    assert sx.check()
+    assert any(v < 3 for v in sx.rows), "no problem variable became basic"
+    assert all(type(x) is int for x in values(sx))
+    for row in rows:
+        assert holds(row, sx.model())
+
+
+def test_inexact_division_gives_a_fraction_model():
+    # 2x = 1
+    sx = _solver_for(1, [(((0, 2),), -1, "=")])
+    assert sx.check()
+    assert sx.model() == [(Fraction(1, 2), 0)]
+
+
+def test_int_feasible_matches_box_enumeration():
+    rng = random.Random(5)
+    box = 4
+    sat = unsat = 0
+    for _ in range(500):
+        nvars = rng.randint(1, 3)
+        rows = random_rows(rng, nvars, rng.randint(1, 4), rels=("=", "<="))
+        for v in range(nvars):
+            rows.append((((v, 1),), -box, "<="))
+            rows.append((((v, -1),), -box, "<="))
+        expected = any(
+            all(holds(row, [(x, 0) for x in point]) for row in rows)
+            for point in itertools.product(range(-box, box + 1), repeat=nvars)
+        )
+        assert int_feasible(nvars, rows, Budget(10_000)) == expected, rows
+        sat += expected
+        unsat += not expected
+    assert sat > 50 and unsat > 50
+
+
+def test_set_bounds_loosens_and_rechecks_from_the_last_assignment():
+    sx = Simplex(2)
+    s = sx.add_slack({0: 1, 1: 1})
+    t = sx.add_slack({0: 1, 1: -1})
+    sx.set_bounds(s, (3, 0), (3, 0))
+    sx.set_bounds(t, None, (-5, 0))
+    assert sx.check()
+    # an empty interval on a basic or a nonbasic variable is infeasible
+    sx.set_bounds(s, (4, 0), (3, 0))
+    assert not sx.check()
+    sx.set_bounds(s, (3, 0), (3, 0))
+    sx.set_bounds(t, (-5, 1), (-5, 0))
+    assert not sx.check()
+    sx.set_bounds(t, (-5, 0), None)
+    assert sx.check()
+    (x, dx), (y, dy) = sx.model()
+    assert dx == dy == 0
+    assert x + y == 3 and x - y >= -5
+
+
+@pytest.mark.parametrize("rel", RELS)
+def test_ground_rows(rel):
+    for const in (-1, 0, 1):
+        expected = {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]
+        assert feasible(1, [((), const, rel)]) == expected
