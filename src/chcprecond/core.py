@@ -16,6 +16,7 @@ preconditions read in the user's variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional
 
 from .linarith import (
@@ -96,17 +97,29 @@ class Program:
                 seen.setdefault(a.pred)
         return list(seen)
 
+    # clauses by head predicate (the goal `false` under FALSE_PRED) and by
+    # id, each built on first use; a Program never changes after that
+    @cached_property
+    def _by_head(self) -> dict[Pred, tuple[Clause, ...]]:
+        out: dict[Pred, list[Clause]] = {}
+        for c in self.clauses:
+            out.setdefault(c.head_pred(), []).append(c)
+        return {pred: tuple(cs) for pred, cs in out.items()}
+
+    @cached_property
+    def _by_id(self) -> dict[str, Clause]:
+        # reversed, so the first clause with an id wins
+        return {c.cid: c for c in reversed(self.clauses)}
+
     def clauses_for(self, pred: Pred) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.head is not None and c.head.pred == pred)
+        """The clauses with head `pred`; FALSE_PRED gives the goal clauses."""
+        return self._by_head.get(pred, ())
 
     def goal_clauses(self) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.head is None)
+        return self.clauses_for(FALSE_PRED)
 
     def clause_by_id(self, cid: str) -> Clause:
-        for c in self.clauses:
-            if c.cid == cid:
-                return c
-        raise KeyError(cid)
+        return self._by_id[cid]
 
     def is_initial(self, pred: Pred) -> bool:
         return pred in self.initial_preds

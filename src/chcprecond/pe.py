@@ -140,10 +140,6 @@ def _unfold(
 
     Returns the satisfiable resultants as (constraint, remaining body atoms).
     """
-    if pred == FALSE_PRED:
-        clauses = p.goal_clauses()
-    else:
-        clauses = p.clauses_for(pred)
     out: list[tuple[ConstraintConj, tuple[Atom, ...]]] = []
 
     def resolvents(constr: ConstraintConj, atoms: tuple[Atom, ...], i: int):
@@ -175,7 +171,7 @@ def _unfold(
             else:
                 stack.append(resolvents(constr, atoms, i))
 
-    for cl in clauses:
+    for cl in p.clauses_for(pred):
         expected = canon.get(pred)
         taken = {v.name for v in expected} if expected else set()
         taken.update(v.name for v in conj_vars(theta))

@@ -68,6 +68,7 @@ def extract_swp(p: Program) -> DNF:
 
 def prune_disjuncts(d: DNF) -> DNF:
     """Drop disjuncts entailed by another disjunct; of equivalent pairs one stays."""
+    # beyond make_dnf's syntactic absorption: fig1's output would keep ~2x the disjuncts
     kept = list(d)
     out: list[ConstraintConj] = []
     for i, c in enumerate(kept):

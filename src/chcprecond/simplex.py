@@ -80,8 +80,8 @@ class Simplex:
     """Feasibility checker for conjunctions of linear bounds.
 
     Usage: construct with the number of problem variables, add slack rows
-    for linear combinations, tighten bounds, then call `check()`.  Bounds
-    may be replaced between checks with `set_bounds`, looser or tighter, and
+    for linear combinations, set bounds, then call `check()`.  Bounds may
+    be replaced between checks with `set_bounds`, looser or tighter, and
     the next `check()` repairs the assignment the last one left instead of
     starting over; `linarith`'s redundancy sweep asks all its queries of
     one tableau that way.  The branch-and-bound below still builds a fresh
@@ -115,23 +115,6 @@ class Simplex:
         self.rows[s] = row
         self.assign[s] = val
         return s
-
-    def tighten_lower(self, v: int, bound: Delta) -> bool:
-        """Raise the lower bound of v.  Returns False on an empty interval."""
-        cur = self.lb[v]
-        if cur is None or bound > cur:
-            self.lb[v] = bound
-        if self.ub[v] is not None and self.lb[v] is not None and self.lb[v] > self.ub[v]:
-            return False
-        return True
-
-    def tighten_upper(self, v: int, bound: Delta) -> bool:
-        cur = self.ub[v]
-        if cur is None or bound < cur:
-            self.ub[v] = bound
-        if self.ub[v] is not None and self.lb[v] is not None and self.lb[v] > self.ub[v]:
-            return False
-        return True
 
     def set_bounds(self, v: int, lo: Optional[Delta], hi: Optional[Delta]) -> None:
         """Replace both bounds of v; an empty interval makes `check()` fail."""
@@ -244,45 +227,38 @@ Row = tuple[tuple[tuple[int, int], ...], int, str]
 # meaning: sum(coeff * x) + constant  REL  0
 
 
-def _solver_for(nvars: int, rows: list[Row], extra_bounds: dict[int, tuple[Optional[Delta], Optional[Delta]]] | None = None) -> Optional[Simplex]:
-    """Build a Simplex for the given rows; None means trivially unsat."""
+def _solver_for(
+    nvars: int,
+    rows: list[Row],
+    bounds: Optional[dict[int, tuple[Optional[Delta], Optional[Delta]]]] = None,
+) -> Optional[Simplex]:
+    """Build a Simplex for the rows under extra variable bounds.
+
+    None means a false ground row.  Rows with one combination share a
+    slack, which gets the meet of their bounds; an empty meet makes
+    `check()` fail.
+    """
     sx = Simplex(nvars)
-    if extra_bounds:
-        for v, (lo, hi) in extra_bounds.items():
-            if lo is not None and not sx.tighten_lower(v, lo):
-                return None
-            if hi is not None and not sx.tighten_upper(v, hi):
-                return None
+    for v, (lo, hi) in (bounds or {}).items():
+        sx.set_bounds(v, lo, hi)
     merged: dict[tuple[tuple[int, int], ...], int] = {}
     for combo, const, rel in rows:
         if not combo:
-            # ground fact
-            if rel == "=" and const != 0:
-                return None
-            if rel == "<=" and const > 0:
-                return None
-            if rel == "<" and const >= 0:
+            # a ground row holds or fails outright
+            if not {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]:
                 return None
             continue
         if combo not in merged:
             merged[combo] = sx.add_slack(dict(combo))
         s = merged[combo]
-        if rel == "=":
-            if not sx.tighten_lower(s, (-const, 0)):
-                return None
-            if not sx.tighten_upper(s, (-const, 0)):
-                return None
-        elif rel == "<=":
-            if not sx.tighten_upper(s, (-const, 0)):
-                return None
-        else:  # strict
-            if not sx.tighten_upper(s, (-const, -1)):
-                return None
+        edge = (-const, -1 if rel == "<" else 0)
+        lo = dmax(sx.lb[s], edge) if rel == "=" else sx.lb[s]
+        sx.set_bounds(s, lo, dmin(sx.ub[s], edge))
     return sx
 
 
-def feasible(nvars: int, rows: list[Row], extra_bounds=None) -> bool:
-    sx = _solver_for(nvars, rows, extra_bounds)
+def feasible(nvars: int, rows: list[Row]) -> bool:
+    sx = _solver_for(nvars, rows)
     return sx is not None and sx.check()
 
 

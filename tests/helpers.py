@@ -9,6 +9,7 @@ clause comparison goes through projection onto the visible arguments.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -16,6 +17,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from chcprecond.core import FALSE_PRED, Clause, Pred, Program
 from chcprecond.linarith import (
     DNF,
+    DNF_FALSE,
+    DNF_TRUE,
     ConstraintConj,
     LinConstraint,
     Var,
@@ -191,3 +194,18 @@ def programs_equivalent(
 
 def conj_from(pairs: Iterable[tuple[dict[Var, int], int, str]]) -> ConstraintConj:
     return make_conj(make_constraint(c, const, rel) for c, const, rel in pairs)
+
+
+def parse_dnf(text: str) -> DNF:
+    """A printed precondition read back through the parser.
+
+    Each disjunct becomes one initial fact over the text's variables, so the
+    program's `original_init` is the DNF the text prints.
+    """
+    if text in ("true", "false"):
+        return DNF_TRUE if text == "true" else DNF_FALSE
+    names = ",".join(sorted(set(re.findall(r"\b[A-Z]\w*", text))))
+    arity = names.count(",") + 1
+    facts = "".join(f"p({names}) :- {d.strip('()')}.\n" for d in text.split(" ; "))
+    program = parse_program(f":- initial(p/{arity}).\n{facts}false :- p({names}).\n")
+    return program.original_init

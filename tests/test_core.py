@@ -1,4 +1,4 @@
-"""Program model: dependency structure, coverage, recursion detection."""
+"""Program model: clause lookup, dependency structure, coverage, recursion detection."""
 
 import random
 
@@ -15,10 +15,11 @@ from chcprecond.core import (
     reachable,
     recursive_preds,
 )
+from chcprecond.driver import run_pipeline
 from chcprecond.linarith import TRUE_CONJ, Var
 from chcprecond.parser import parse_program
 
-from helpers import load
+from helpers import corpus_files, load
 
 
 def test_atom_rejects_repeated_args():
@@ -142,3 +143,18 @@ def test_initial_clauses_and_versions():
     p = load("two_inits.chc")
     assert len(p.initial_clauses()) == 2
     assert all(cl.is_fact() for cl in p.initial_clauses())
+
+
+@pytest.mark.parametrize("name", corpus_files())
+def test_clause_indexes_match_a_linear_scan(name):
+    # the input and every program the pipeline's steps produce
+    for step in run_pipeline(load(name)).steps:
+        p = step.program
+        for pred in p.preds() + [FALSE_PRED, Pred("absent", 0)]:
+            scan = tuple(cl for cl in p.clauses if cl.head_pred() == pred)
+            assert p.clauses_for(pred) == scan
+        assert p.goal_clauses() == tuple(cl for cl in p.clauses if cl.head is None)
+        for cl in p.clauses:
+            assert p.clause_by_id(cl.cid) is next(c for c in p.clauses if c.cid == cl.cid)
+        with pytest.raises(KeyError):
+            p.clause_by_id("absent")

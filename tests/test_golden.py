@@ -1,17 +1,20 @@
 """Golden precondition texts.
 
 The reported precondition is pinned byte for byte, so a change that only
-speeds up the algebra underneath cannot alter what a user reads.  The
-texts were produced before the precondition layer was optimised.
+speeds up the algebra underneath cannot alter what a user reads.  A text
+may change only to an integer-equivalent one: the text it replaces is kept
+as a `BEFORE_*` entry, and `equiv_dnf` must hold between the two.
 """
 
 import pytest
 
 from chcprecond.driver import PipelineConfig, run_pipeline
+from chcprecond.linarith import equiv_dnf
 
-from helpers import load
+from helpers import load, parse_dnf
 
-FIG1_AT_3 = (
+# the texts before conjunctions kept one interval per coefficient row
+BEFORE_FIG1_AT_3 = (
     "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
     "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
     "(A >= 101, B =< 7, B =< 5, B =< 3, B =< 1) ; "
@@ -24,7 +27,7 @@ FIG1_AT_3 = (
     "(B =< 7, B =< 5, B =< 3, B =< 1, B =< -1)"
 )
 
-FIG1_AT_4 = (
+BEFORE_FIG1_AT_4 = (
     "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
     "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
     "(A >= 101, B =< 9, B =< 7, B =< 5, B =< 3, B =< 1) ; "
@@ -38,12 +41,36 @@ FIG1_AT_4 = (
     "(B =< 9, B =< 7, B =< 5, B =< 3, B =< 1, B =< -1)"
 )
 
+BEFORE_AT_DEFAULTS = {
+    "branch_split.chc": "(A >= 6, A >= 36) ; (A >= 6, A =< 34) ; (A =< 34, A =< 4)",
+    "counter_loop.chc": "A =< 3, A =< 2, A =< 1, A =< 0, A =< -1",
+    "fig1.chc": BEFORE_FIG1_AT_3,
+}
+
+FIG1_AT_3 = (
+    "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
+    "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
+    "(A >= 101, B =< 1) ; "
+    "(A =< 99, 2*A - B =< 199, 2*A + B =< 199) ; "
+    "(A =< 99, B =< 1) ; "
+    "(B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
+)
+
+FIG1_AT_4 = (
+    "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
+    "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
+    "(A >= 101, B =< 1) ; "
+    "(A =< 99, 2*A - B =< 199, 2*A + B =< 199) ; "
+    "(A =< 99, B =< 1) ; "
+    "(B = 9) ; (B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
+)
+
 # every corpus program at the default settings
 AT_DEFAULTS = {
     "already_safe.chc": "true",
-    "branch_split.chc": "(A >= 6, A >= 36) ; (A >= 6, A =< 34) ; (A =< 34, A =< 4)",
+    "branch_split.chc": "(A >= 6, A =< 34) ; (A >= 36) ; (A =< 4)",
     "chain_skip.chc": "A >= -9, A =< 9",
-    "counter_loop.chc": "A =< 3, A =< 2, A =< 1, A =< 0, A =< -1",
+    "counter_loop.chc": "A =< -1",
     "cs_example.chc": "(A - B >= 1) ; (A =< -1) ; (A - B =< -1)",
     "example_t4.chc": "A + B - 3*N = 0, I - N >= 0",
     "example_t4_cs0.chc": "A - D >= 0, B + C - 3*D = 0",
@@ -62,3 +89,15 @@ def test_fig1_at_four_iterations_text():
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=4))
     assert r.iterations_used == 4
     assert str(r.precondition) == FIG1_AT_4
+
+
+# each changed text against the one it replaced
+CHANGED = {name: (BEFORE_AT_DEFAULTS[name], AT_DEFAULTS[name]) for name in BEFORE_AT_DEFAULTS}
+CHANGED["fig1.chc at 4 iterations"] = (BEFORE_FIG1_AT_4, FIG1_AT_4)
+
+
+@pytest.mark.parametrize("name", sorted(CHANGED))
+def test_changed_text_is_integer_equivalent_to_the_one_before(name):
+    before, now = CHANGED[name]
+    assert before != now
+    assert equiv_dnf(parse_dnf(before), parse_dnf(now))

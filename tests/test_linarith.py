@@ -9,6 +9,7 @@ from chcprecond.linarith import (
     ConstraintConj,
     DNF_FALSE,
     DNF_TRUE,
+    FALSE_CONJ,
     TRUE_CONJ,
     Var,
     _drop_redundant,
@@ -27,6 +28,7 @@ from chcprecond.linarith import (
     satisfiable,
     simplify,
 )
+from chcprecond.precond import classify
 from chcprecond.simplex import Budget, Undecided
 
 from helpers import holds_conj, holds_dnf
@@ -223,3 +225,64 @@ def test_drop_redundant_matches_pairwise_entailment():
         assert got == drop_redundant_pairwise(c), c
         shrunk += len(got) < len(c)
     assert shrunk > 200
+
+
+# -- canonical conjunctions ----------------------------------------------------
+
+
+def _row(k):
+    """k's coefficient row, sign-normalised so the first coefficient is positive."""
+    if k.coeffs[0][1] > 0:
+        return k.coeffs
+    return tuple((v, -c) for v, c in k.coeffs)
+
+
+def test_make_conj_keeps_one_interval_per_row():
+    rng = random.Random(53)
+    z = Var("z")
+    # rows and their mirrors, and a scaled copy that stays a row of its own
+    pool = [{x: 1}, {x: -1}, {x: 2}, {x: 1, y: 1}, {x: -1, y: -1}, {x: 1, y: -2},
+            {x: -1, y: 2}, {y: 3, z: -1}, {y: -3, z: 1}]
+    merged = false_seen = 0
+    for _ in range(1000):
+        ks = [
+            k(rng.choice(pool), rng.randint(-4, 4), rng.choice(("<=", "<=", ">=", "=")))
+            for _ in range(rng.randint(1, 7))
+        ]
+        raw = ConstraintConj(tuple(ks))
+        got = make_conj(ks)
+        # false exactly when the constraints on one row contradict each other
+        by_row = {}
+        for j in ks:
+            by_row.setdefault(_row(j), []).append(j)
+        row_false = any(not satisfiable(ConstraintConj(tuple(g))) for g in by_row.values())
+        assert (got == FALSE_CONJ) == row_false, ks
+        if got == FALSE_CONJ:
+            assert not satisfiable(raw)
+            false_seen += 1
+        else:
+            assert equiv_conj(got, raw), ks
+            # per row one equality, or at most one bound on each side
+            rels = {}
+            for j in got:
+                rels.setdefault(_row(j), []).append(j.rel)
+            for rs in rels.values():
+                assert rs in (["="], ["<="], ["<=", "<="]), got
+            # no two constraints share a signed row
+            assert len({j.coeffs for j in got}) == len(got), got
+            merged += len(got) < len(set(ks))
+        assert make_conj(got) == got
+        shuffled = list(ks)
+        rng.shuffle(shuffled)
+        assert make_conj(shuffled) == got
+    assert merged > 200 and false_seen > 100
+
+
+def test_implies_dnf_walks_thousands_of_disjuncts_without_recursion():
+    b = make_dnf(make_conj([k({A: 1}, -i, "=")]) for i in range(1200))
+    wide = dnf_of_conj(make_conj([k({A: -1}, 0), k({A: 1}, -5000)]))
+    covered = dnf_of_conj(make_conj([k({A: -1}, 0), k({A: 1}, -1199)]))
+    assert not implies_dnf(wide, b)
+    assert implies_dnf(covered, b)
+    assert classify(b, wide) == "non-trivial"
+    assert classify(b, covered) == "more-general"

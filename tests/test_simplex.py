@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from chcprecond.simplex import Budget, Simplex, _solver_for, feasible, int_feasible
+from chcprecond.simplex import Budget, Simplex, Undecided, _solver_for, feasible, int_feasible
 
 RELS = ("=", "<=", "<")
 
@@ -192,3 +192,35 @@ def test_ground_rows(rel):
     for const in (-1, 0, 1):
         expected = {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]
         assert feasible(1, [((), const, rel)]) == expected
+
+
+# (variables, rows, feasible, nodes spent); the counts were taken before the
+# bounds of `_solver_for` went through `set_bounds`
+PINNED_NODES = [
+    # 2x = 1
+    (1, [(((0, 2),), -1, "=")], False, 3),
+    # 3x + 5y = 1 in the unit box
+    (2, [(((0, 3), (1, 5)), -1, "="), (((0, -1),), 0, "<="), (((1, -1),), 0, "<="),
+         (((0, 1),), -1, "<="), (((1, 1),), -1, "<=")], False, 5),
+    # 2x + 3y = 7 with x, y >= 0
+    (2, [(((0, 2), (1, 3)), -7, "="), (((0, -1),), 0, "<="), (((1, -1),), 0, "<=")], True, 4),
+    # -2x + 2y + 5 = 0, -3x - 2y <= 3 in the box [-6, 6]^2
+    (2, [(((0, -2), (1, 2)), 5, "="), (((0, -3), (1, -2)), -3, "<="),
+         (((0, 1),), -6, "<="), (((0, -1),), -6, "<="), (((1, 1),), -6, "<="),
+         (((1, -1),), -6, "<=")], False, 25),
+]
+
+
+@pytest.mark.parametrize("nvars, rows, expected, nodes", PINNED_NODES)
+def test_branch_and_bound_spends_the_pinned_nodes(nvars, rows, expected, nodes):
+    budget = Budget(1_000)
+    assert int_feasible(nvars, rows, budget) == expected
+    assert 1_000 - budget.remaining == nodes
+
+
+def test_unbounded_gap_exhausts_the_budget_after_the_pinned_nodes():
+    # 2x - 2y = 1 has no integer point, and branching never closes the gap
+    budget = Budget(50)
+    with pytest.raises(Undecided):
+        int_feasible(2, [(((0, 2), (1, -2)), -1, "=")], budget)
+    assert budget.remaining == -1
