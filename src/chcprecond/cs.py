@@ -97,9 +97,10 @@ def analyze(qa: Program) -> dict[Pred, Polyhedron]:
             continue
         head = cl.head.pred
         old = state.get(head, bottom_poly(sp.dims))
-        new = join(old, sp)
-        if includes(old, new):
+        # the hull of old with a subset of itself is old, so skip the join
+        if includes(old, sp):
             continue
+        new = join(old, sp)
         if head in cyclic and joins.get(head, 0) >= WIDENING_DELAY:
             new = widen(old, new)
         joins[head] = joins.get(head, 0) + 1

@@ -16,6 +16,7 @@ monotone along a feasible derivation.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -25,6 +26,7 @@ from .linarith import (
     TRUE_CONJ,
     Var,
     conj_and,
+    make_conj,
     satisfiable,
 )
 
@@ -35,56 +37,42 @@ class TraceTree:
     children: tuple["TraceTree", ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return sum(1 for _ in iter_nodes(self))
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.cid
-        return f"{self.cid}({','.join(str(c) for c in self.children)})"
+        return _fold(self, lambda t, kids: f"{t.cid}({','.join(kids)})" if kids else t.cid)
 
 
 def parse_trace(text: str) -> TraceTree:
-    """Parse term notation, e.g. `c1(c10,c2(c8,c6))`."""
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        if start == pos:
+    """Parse term notation, e.g. `c1(c10,c2(c8,c6))`, on an explicit stack."""
+    tokens = [(m.start(), m.group(), m.lastindex == 1) for m in re.finditer(r"(\w+)|\S", text)]
+    tokens.append((len(text), "", False))
+    # the nodes whose `(` is open: clause id and the children read so far;
+    # the first entry collects the whole tree
+    open_: list[tuple[str, list[TraceTree]]] = [("", [])]
+    i = 0
+    while True:
+        pos, cid, is_id = tokens[i]
+        if not is_id:
             raise ValueError(f"trace syntax error at position {pos}")
-        return text[start:pos]
-
-    def node() -> TraceTree:
-        nonlocal pos
-        skip_ws()
-        cid = ident()
-        skip_ws()
-        children = []
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            children.append(node())
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(node())
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise ValueError(f"expected ')' at position {pos}")
-            pos += 1
-        return TraceTree(cid, tuple(children))
-
-    t = node()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError(f"trailing input at position {pos}")
-    return t
+        if tokens[i + 1][1] == "(":
+            open_.append((cid, []))
+            i += 2
+            continue
+        open_[-1][1].append(TraceTree(cid))
+        i += 1
+        while tokens[i][1] == ")" and len(open_) > 1:
+            cid, kids = open_.pop()
+            open_[-1][1].append(TraceTree(cid, tuple(kids)))
+            i += 1
+        pos, tok, _ = tokens[i]
+        if len(open_) == 1:
+            if tok:
+                raise ValueError(f"trailing input at position {pos}")
+            return open_[0][1][0]
+        if tok != ",":
+            raise ValueError(f"expected ')' at position {pos}")
+        i += 1
 
 
 @dataclass(frozen=True)
@@ -95,45 +83,64 @@ class AndTree:
     children: tuple["AndTree", ...] = ()
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        return sum(1 for _ in iter_nodes(self))
 
     def trace(self) -> TraceTree:
-        return TraceTree(self.clause_id, tuple(c.trace() for c in self.children))
+        return _fold(self, lambda t, kids: TraceTree(t.clause_id, tuple(kids)))
 
     def __str__(self) -> str:
         return str(self.trace())
 
 
 def constr_of(t: AndTree) -> ConstraintConj:
-    acc = t.constr
-    for c in t.children:
-        acc = conj_and(acc, constr_of(c))
-    return acc
+    # `make_conj` is canonical, so one call over all nodes equals the fold
+    return make_conj(k for node in iter_nodes(t) for k in node.constr)
 
 
 def feasible(t: AndTree) -> bool:
     return satisfiable(constr_of(t))
 
 
-def iter_nodes(t: AndTree) -> Iterator[AndTree]:
-    """Preorder walk: the node itself, then children left to right."""
-    yield t
-    for c in t.children:
-        yield from iter_nodes(c)
+def iter_nodes(t):
+    """Preorder walk of an AND-tree or trace tree, on an explicit stack."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def _fold(t, make):
+    """Bottom up, `make(node, its children's results)`, on an explicit stack.
+
+    Reversed preorder meets every child before its parent.
+    """
+    done = []
+    for node in reversed(list(iter_nodes(t))):
+        done.append(make(node, [done.pop() for _ in node.children]))
+    return done[0]
 
 
 def instantiate(p: Program, tt: TraceTree) -> AndTree:
-    """Build the AND-tree for a trace, with variables renamed apart."""
+    """Build the AND-tree for a trace, renaming clauses apart in preorder."""
     counter = itertools.count(1)
 
     def fresh() -> Var:
         return Var(f"T{next(counter)}")
 
-    def build(node: TraceTree, atom: Optional[Atom]) -> AndTree:
+    # the atoms the nodes still to visit derive, in preorder; only the root
+    # finds it empty and draws fresh names for its head
+    atoms: list[Optional[Atom]] = []
+    parts = []
+    for node in iter_nodes(tt):
         try:
             cl = p.clause_by_id(node.cid)
         except KeyError:
             raise ValueError(f"unknown clause id {node.cid!r}") from None
+        if atoms:
+            atom = atoms.pop()
+        else:
+            atom = None if cl.head is None else Atom(cl.head.pred, tuple(fresh() for _ in cl.head.args))
         if len(node.children) != len(cl.body):
             raise ValueError(f"arity mismatch at clause {node.cid}")
         expected = atom.args if atom is not None else None
@@ -142,19 +149,10 @@ def instantiate(p: Program, tt: TraceTree) -> AndTree:
         ):
             raise ValueError(f"head mismatch at clause {node.cid}")
         constr, body = rename_clause(cl, expected, fresh)
-        children = tuple(build(c, a) for c, a in zip(node.children, body))
-        return AndTree(node.cid, atom, constr, children)
-
-    try:
-        root = p.clause_by_id(tt.cid)
-    except KeyError:
-        raise ValueError(f"unknown clause id {tt.cid!r}") from None
-    return build(tt, None if root.head is None else _root_atom(p, tt, fresh))
-
-
-def _root_atom(p: Program, tt: TraceTree, fresh) -> Atom:
-    cl = p.clause_by_id(tt.cid)
-    return Atom(cl.head.pred, tuple(fresh() for _ in cl.head.args))
+        parts.append((atom, constr))
+        atoms.extend(reversed(body))
+    rest = reversed(parts)
+    return _fold(tt, lambda node, kids: AndTree(node.cid, *next(rest), tuple(kids)))
 
 
 def initial_nodes(p: Program, t: AndTree) -> list[AndTree]:

@@ -14,6 +14,12 @@ equality when `lo == hi`, as at most two inequalities `row <= hi` and
 `-row <= -lo` otherwise, or as false when the interval is empty.  Rows that
 differ by a scale factor stay apart; the redundancy sweep catches those.
 
+The kernel builds, hashes, sorts and compares variables and constraints
+millions of times per run, so both are C-backed values.  A `Var` is a `str`
+subclass: it hashes, compares and sorts as its name, and so equals the
+plain `str` of its name.  A `LinConstraint` is a named tuple of
+`(coeffs, const, rel)`, ordered field by field.
+
 Satisfiability and entailment over the rationals go through the simplex
 module; integer satisfiability layers preprocessing and branch-and-bound on
 top and may raise `Undecided` when the node budget runs out.  Projection is
@@ -27,7 +33,7 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .simplex import (
     Budget,
@@ -45,15 +51,21 @@ PROJECTION_CAP = 2000
 NEGATION_CAP = 4096
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    name: str
+class Var(str):
+    """A variable: a `str` subclass, so hashing, equality and ordering run in C.
+
+    A `str` caches its own hash, and a `Var` sorts by its name.  A `Var`
+    equals the plain `str` of its name and hashes like it, so a dict or set
+    that mixed the two would merge `Var("A")` with `"A"`; none does, and the
+    sets of taken names used when renaming apart hold names only.
+    """
+
+    __slots__ = ()
+
+    name = property(str.__str__, doc="The name as a plain `str`.")
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
@@ -101,22 +113,15 @@ def t_scale(a: LinTerm, k: int) -> LinTerm:
     return LinTerm(tuple((v, c * k) for v, c in a.coeffs), a.const * k)
 
 
-@dataclass(frozen=True, order=True)
-class LinConstraint:
-    """Canonical atomic constraint: coeffs . vars + const REL 0."""
+class LinConstraint(NamedTuple):
+    """Canonical atomic constraint: coeffs . vars + const REL 0.
+
+    A tuple, so hashing and ordering run in C, field by field.
+    """
 
     coeffs: tuple[tuple[Var, int], ...]
     const: int
     rel: str  # "=" or "<="
-
-    # Constraints are hashed in every set, dict and `satisfiable` cache
-    # lookup, so the hash of the fields is computed once and kept
-    # (Filliatre & Conchon, "Type-safe modular hash-consing", 2006).
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.coeffs, self.const, self.rel)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return format_constraint(self)
@@ -214,7 +219,8 @@ class ConstraintConj:
 
     constraints: tuple[LinConstraint, ...]
 
-    # the hash of the fields, cached as in LinConstraint
+    # conjunctions are hashed in every `satisfiable` cache lookup and DNF
+    # set, so the hash of the fields is computed once and kept
     def __post_init__(self) -> None:
         object.__setattr__(self, "_hash", hash((self.constraints,)))
 
@@ -295,18 +301,18 @@ def rename_conj(c: ConstraintConj, mapping: Mapping[Var, Var]) -> ConstraintConj
 # -- rational reasoning --------------------------------------------------------
 
 
-def _index_vars(c: ConstraintConj, extra: Iterable[LinConstraint] = ()) -> dict[Var, int]:
+def _index_vars(constraints: Iterable[LinConstraint]) -> dict[Var, int]:
     seen: dict[Var, int] = {}
-    for k in list(c.constraints) + list(extra):
+    for k in constraints:
         for v, _ in k.coeffs:
             if v not in seen:
                 seen[v] = len(seen)
     return seen
 
 
-def _to_row(k: LinConstraint, index: Mapping[Var, int], rel: Optional[str] = None) -> Row:
+def _to_row(k: LinConstraint, index: Mapping[Var, int]) -> Row:
     combo = tuple(sorted((index[v], c) for v, c in k.coeffs))
-    return (combo, k.const, rel or k.rel)
+    return (combo, k.const, k.rel)
 
 
 @lru_cache(maxsize=65536)
@@ -334,17 +340,15 @@ def entails(c: ConstraintConj, d: ConstraintConj) -> bool:
 
 
 def _entails_one(c: ConstraintConj, k: LinConstraint) -> bool:
-    index = _index_vars(c, (k,))
+    index = _index_vars((*c, k))
     rows = [_to_row(j, index) for j in c]
-    neg_combo = tuple(sorted((index[v], -cf) for v, cf in k.coeffs))
-    pos_combo = tuple(sorted((index[v], cf) for v, cf in k.coeffs))
-    if k.rel == "<=":
-        # negation is a strict inequality over the rationals
-        return not feasible(len(index), rows + [(neg_combo, -k.const, "<")])
-    above = feasible(len(index), rows + [(neg_combo, -k.const, "<")])
-    if above:
-        return False
-    return not feasible(len(index), rows + [(pos_combo, k.const, "<")])
+    combo = _to_row(k, index)[0]
+    # k fails where its negation, a strict inequality over the rationals,
+    # holds; an equality fails on either side
+    sides = [(tuple((i, -cf) for i, cf in combo), -k.const, "<")]
+    if k.rel == "=":
+        sides.append((combo, k.const, "<"))
+    return not any(feasible(len(index), rows + [side]) for side in sides)
 
 
 def equiv_conj(a: ConstraintConj, b: ConstraintConj) -> bool:
@@ -479,11 +483,7 @@ def int_satisfiable(c: ConstraintConj, budget: Optional[Budget] = None) -> bool:
     decided, residual = _int_preprocess(c.constraints)
     if decided is not None:
         return decided
-    index: dict[Var, int] = {}
-    for k in residual:
-        for v, _ in k.coeffs:
-            if v not in index:
-                index[v] = len(index)
+    index = _index_vars(residual)
     rows = [_to_row(k, index) for k in residual]
     if budget is None:
         budget = Budget(DEFAULT_BUDGET_NODES)

@@ -42,6 +42,12 @@ def corpus_files() -> list[str]:
     return sorted(f.name for f in CORPUS.glob("*.chc"))
 
 
+def gen_multivar_texts() -> list[str]:
+    """The sixteen programs of `bench/gen.py --seed 1 --count 16`."""
+    text = (Path(__file__).parent / "fixtures" / "gen_multivar_seed1.txt").read_text()
+    return [t + "\n" for t in text.strip().split("\n\n")]
+
+
 # -- point evaluation ------------------------------------------------------------
 #
 # Evaluates the canonical form sum(coeffs) + const REL 0 directly, so it

@@ -2,6 +2,7 @@
 
 import pytest
 
+from chcprecond import cs
 from chcprecond.core import Pred, Program
 from chcprecond.cs import constraint_specialise, invariants_for, strengthen
 from chcprecond.derivation import iter_and_trees
@@ -21,6 +22,7 @@ from helpers import (
     clauses_equivalent,
     conj_from,
     corpus_files,
+    gen_multivar_texts,
     load,
     programs_equivalent,
 )
@@ -185,3 +187,33 @@ def test_strengthen_separately_matches_bundle():
     r = constraint_specialise(p)
     assert deleted == r.deleted
     assert programs_equivalent(out, r.program)
+
+
+def test_analyze_joins_only_what_it_keeps(monkeypatch):
+    # cs runs on pe's output in the pipeline; the corpus and the generated
+    # programs at that point
+    programs = [pe_run(load(n)).program for n in corpus_files()]
+    programs += [pe_run(parse_program(t)).program for t in gen_multivar_texts()]
+    plain = [invariants_for(p).dump() for p in programs]
+    real_join, real_includes = cs.join, cs.includes
+    joined, skipped = [], []
+
+    def spy_includes(old, sp):
+        inside = real_includes(old, sp)
+        if inside:
+            skipped.append((old, sp))
+        return inside
+
+    def spy_join(old, sp):
+        assert not real_includes(old, sp)
+        joined.append((old, sp))
+        return real_join(old, sp)
+
+    monkeypatch.setattr(cs, "includes", spy_includes)
+    monkeypatch.setattr(cs, "join", spy_join)
+    assert [invariants_for(p).dump() for p in programs] == plain
+    assert joined and skipped
+    # each skipped join gives back a hull inside old, which a join-first
+    # loop would have discarded too
+    for old, sp in skipped:
+        assert real_includes(old, real_join(old, sp))

@@ -18,9 +18,10 @@ from chcprecond.derivation import (
     initial_nodes,
     instantiate,
     iter_and_trees,
+    iter_nodes,
     parse_trace,
 )
-from chcprecond.linarith import Var, equiv_conj, project, rename_conj
+from chcprecond.linarith import Var, equiv_conj, format_conj, project, rename_conj
 from chcprecond.parser import parse_program
 
 from helpers import conj_from, load, skeleton_language
@@ -177,3 +178,24 @@ def test_instantiate_names_do_not_depend_on_hash_seed():
         " T5 >= 1, T6 >= 2, T7 =< 4\n"
     )
     assert outs == [want, want]
+
+
+def test_trace_deeper_than_the_recursion_limit():
+    # c1 is p0's fact, c<i+1> unfolds p<i> into p<i-1>, and the goal clause
+    # closes the chain; every walk over the 3,001-node trace uses a stack
+    n = 3000
+    lines = [":- initial(p0/1).", "p0(A) :- A >= 0."]
+    lines += [f"p{i}(A) :- p{i - 1}(A)." for i in range(1, n)]
+    lines.append(f"false :- A >= 5, p{n - 1}(A).")
+    p = parse_program("\n".join(lines) + "\n")
+    text = "".join(f"c{i}(" for i in range(n + 1, 1, -1)) + "c1" + ")" * n
+    tt = parse_trace(text)
+    assert str(tt) == text and tt.size() == n + 1
+    t = instantiate(p, tt)
+    assert t.size() == n + 1 and str(t) == text
+    assert [node.clause_id for node in iter_nodes(t)] == [f"c{i}" for i in range(n + 1, 0, -1)]
+    # head and body share A, so the whole chain runs over T1 alone
+    assert format_conj(constr_of(t)) == "T1 >= 5"
+    assert feasible(t)
+    (init,) = initial_nodes(p, t)
+    assert init.clause_id == "c1" and init.atom.args == (Var("T1"),)

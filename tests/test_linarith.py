@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chcprecond.cli import _dnf_json
 from chcprecond.linarith import (
     DNF,
     ConstraintConj,
@@ -286,3 +287,38 @@ def test_implies_dnf_walks_thousands_of_disjuncts_without_recursion():
     assert implies_dnf(covered, b)
     assert classify(b, wide) == "non-trivial"
     assert classify(b, covered) == "more-general"
+
+
+# -- value types -----------------------------------------------------------------
+
+
+def test_constraint_order_is_field_order_by_name():
+    rng = random.Random(7)
+    vs = [Var(n) for n in ("A", "B", "T1", "T10", "T2", "$a0", "x")]
+    for _ in range(1000):
+        ks = [
+            k({v: rng.randint(-3, 3) for v in rng.sample(vs, rng.randint(1, 3))},
+              rng.randint(-5, 5), rng.choice(("<=", "=", ">=")))
+            for _ in range(rng.randint(2, 8))
+        ]
+        by_fields = sorted(
+            ks, key=lambda j: (tuple((v.name, c) for v, c in j.coeffs), j.const, j.rel)
+        )
+        assert sorted(ks) == by_fields
+
+
+def test_var_orders_prints_and_names_as_its_name():
+    names = ["b", "A", "T10", "T2", "$a1", "a"]
+    assert [v.name for v in sorted(Var(n) for n in names)] == sorted(names)
+    v = Var("A")
+    assert (str(v), repr(v), v.name) == ("A", "Var('A')", "A")
+    assert type(v.name) is str and type(str(v)) is str
+    # a Var is its name's str, so a mixed set would merge the two
+    assert v == "A" and hash(v) == hash("A")
+
+
+def test_json_coefficient_keys_are_plain_str():
+    d = dnf_of_conj(make_conj([k({A: 1, B: -2}, 3), k({x: 1}, 0, "=")]))
+    keys = [key for conj in _dnf_json(d) for j in conj for key in j["coeffs"]]
+    assert sorted(keys) == ["A", "B", "x"]
+    assert all(type(key) is str for key in keys)
