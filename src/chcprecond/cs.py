@@ -33,7 +33,6 @@ from .polyhedra import (
     constr_at,
     includes,
     join,
-    make_poly,
     widen,
 )
 from .qa import answer_pred, qa_transform, query_pred
@@ -124,8 +123,9 @@ def _clause_post(cl: Clause, state: dict[Pred, Polyhedron]):
     if not satisfiable(acc):
         return None
     dims = _dims(len(cl.head.args))
+    # acc is satisfiable, so its projection is too
     over_args = project(acc, set(cl.head.args))
-    return make_poly(dims, rename_conj(over_args, dict(zip(cl.head.args, dims))))
+    return Polyhedron(dims, rename_conj(over_args, dict(zip(cl.head.args, dims))))
 
 
 def invariants_for(p: Program) -> InvariantMap:

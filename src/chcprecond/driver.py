@@ -22,7 +22,7 @@ from typing import Optional
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, TRUE_CONJ
+from .linarith import DNF, RUN, TRUE_CONJ, Run
 from .pe import pe_run
 from .precond import PrecondState, classify, extract_swp, final_precondition
 from .te import eliminate_trace
@@ -117,16 +117,20 @@ def run_pipeline(p: Program, cfg: Optional[PipelineConfig] = None) -> PipelineRe
     """Run the full specialisation pipeline and read off the precondition.
 
     Per-step timings make two reports differ byte-for-byte even on equal
-    inputs; everything else in the report is deterministic.
+    inputs; everything else in the report is deterministic.  The run's
+    kernel answers are remembered in a `Run` held in `linarith.RUN` until
+    the call returns or raises.
     """
     if cfg is None:
         cfg = PipelineConfig()
     trap = _WarningTrap()
     root = logging.getLogger(__package__)
     root.addHandler(trap)
+    token = RUN.set(Run())
     try:
         return _run(p, cfg, trap)
     finally:
+        RUN.reset(token)
         root.removeHandler(trap)
 
 

@@ -25,11 +25,27 @@ module; integer satisfiability layers preprocessing and branch-and-bound on
 top and may raise `Undecided` when the node budget runs out.  Projection is
 exact Fourier-Motzkin over the rationals with Gaussian elimination through
 equalities first, which keeps the common cases small.
+
+Entailment and the redundancy sweep first try two certificates read off the
+constraints' syntax, and build a tableau only when neither settles the
+question.  A bound on the same signed row at least as tight entails a
+constraint outright.  And by Farkas' lemma a satisfiable conjunction entails
+`a.x + b <= 0` only if some row carries each variable of `a` with the sign
+`a` gives it, an equality carrying both; when one is missing, the answer is
+that of `satisfiable`, whose cache has usually seen the conjunction.
+
+Within one `run_pipeline` call, `project`, `_drop_redundant` and
+`_entails_one` remember their answers in the `Run` that `RUN` holds, since
+each round re-specialises a program that changed little.  Outside a run
+they compute directly, and `satisfiable`'s cache is the only one that
+outlives a run.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -298,6 +314,31 @@ def rename_conj(c: ConstraintConj, mapping: Mapping[Var, Var]) -> ConstraintConj
     return make_conj(rename_constraint(k, mapping) for k in c)
 
 
+# -- the run context -----------------------------------------------------------
+
+
+class Run:
+    """Kernel answers remembered for the length of one pipeline run.
+
+    The analysis re-specialises programs that change little from round to
+    round, so one run asks the same kernel questions many times.
+    `run_pipeline` installs a fresh `Run` in `RUN` and resets it when the run
+    ends, so no answer outlives its run or reaches another thread's.  Each
+    dict maps a call's arguments to its result.  Outside a run `RUN` holds
+    None and every function computes directly.
+    """
+
+    __slots__ = ("project", "drop_redundant", "entails_one")
+
+    def __init__(self) -> None:
+        self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
+        self.drop_redundant: dict[ConstraintConj, ConstraintConj] = {}
+        self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
+
+
+RUN: ContextVar[Optional[Run]] = ContextVar("RUN", default=None)
+
+
 # -- rational reasoning --------------------------------------------------------
 
 
@@ -340,34 +381,122 @@ def entails(c: ConstraintConj, d: ConstraintConj) -> bool:
 
 
 def _entails_one(c: ConstraintConj, k: LinConstraint) -> bool:
-    index = _index_vars((*c, k))
-    rows = [_to_row(j, index) for j in c]
-    combo = _to_row(k, index)[0]
-    # k fails where its negation, a strict inequality over the rationals,
-    # holds; an equality fails on either side
-    sides = [(tuple((i, -cf) for i, cf in combo), -k.const, "<")]
+    run = RUN.get()
+    if run is not None:
+        hit = run.entails_one.get((c, k))
+        if hit is not None:
+            return hit
+    if _same_row_bound(c, k):
+        ok = True
+    elif not _supplies(c, _signs(k)):
+        # a satisfiable c cannot entail k, and an unsatisfiable one entails
+        # everything
+        ok = not satisfiable(c)
+    else:
+        index = _index_vars((*c, k))
+        rows = [_to_row(j, index) for j in c]
+        combo = _to_row(k, index)[0]
+        # k fails where its negation, a strict inequality over the rationals,
+        # holds; an equality fails on either side
+        sides = [(tuple((i, -cf) for i, cf in combo), -k.const, "<")]
+        if k.rel == "=":
+            sides.append((combo, k.const, "<"))
+        ok = not any(feasible(len(index), rows + [side]) for side in sides)
+    if run is not None:
+        run.entails_one[(c, k)] = ok
+    return ok
+
+
+def _same_row_bound(c: ConstraintConj, k: LinConstraint) -> bool:
+    """True when c holds k, or a bound on k's signed row at least as tight.
+
+    `c` is canonical, so it holds at most one constraint on k's signed row:
+    an inequality `row + e <= 0`, or an equality, which is sign-normalised
+    and so may be written on the negated row.
+    """
     if k.rel == "=":
-        sides.append((combo, k.const, "<"))
-    return not any(feasible(len(index), rows + [side]) for side in sides)
+        return k in c.constraints
+    row = k.coeffs
+    neg = tuple((v, -cf) for v, cf in row) if row and row[0][1] < 0 else None
+    for j in c:
+        if j.coeffs == row:
+            # row <= -j.const, and k asks for row <= -k.const
+            return j.const >= k.const
+        if j.coeffs == neg and j.rel == "=":
+            # row == j.const
+            return j.const + k.const <= 0
+    return False
+
+
+def _signs(k: LinConstraint) -> list[tuple[Var, bool]]:
+    """The (variable, sign) pairs that k supplies to a Farkas combination.
+
+    By Farkas' lemma a satisfiable set of rows entails `a.x + b <= 0` only
+    if `a` is a sum of its rows, each inequality taken with a non-negative
+    multiplier and each equality with any.  So for every variable the
+    entailed row mentions, some row must carry it with the same sign.  An
+    inequality supplies the signs of its own coefficients, and an equality
+    both; an entailed equality is two inequalities and needs both too.  So
+    the pairs k supplies are also the pairs entailing k needs.
+    """
+    if k.rel == "=":
+        return [(v, s) for v, _ in k.coeffs for s in (True, False)]
+    return [(v, cf > 0) for v, cf in k.coeffs]
+
+
+def _supplies(c: ConstraintConj, pairs: list[tuple[Var, bool]]) -> bool:
+    """True when the rows of c supply every (variable, sign) pair given."""
+    have = {p for j in c for p in _signs(j)}
+    return all(p in have for p in pairs)
 
 
 def equiv_conj(a: ConstraintConj, b: ConstraintConj) -> bool:
     return entails(a, b) and entails(b, a)
 
 
-def _drop_redundant(c: ConstraintConj) -> ConstraintConj:
+def _drop_redundant(c: ConstraintConj, known_sat: bool = False) -> ConstraintConj:
     """Drop constraints entailed by the rest.  Rational, so sound.
 
     The constraints are visited in sorted order, and each one entailed by
-    the others still kept is dropped for good.  All the queries share one
-    tableau.  `c` comes from `make_conj`, so no constraint is ground and no
-    two share a signed row: each has a slack of its own, bounded by it.
-    Asking whether the rest entails k swaps the bounds of k's slack for the
-    strict negation of k (each side in turn for an equality) and re-checks
-    from the last assignment: k is entailed iff that is infeasible.  A
-    dropped constraint leaves its slack unbounded.
+    the others still kept is dropped for good.  The answer is remembered for
+    the rest of the run.  A caller that knows c is satisfiable says so with
+    `known_sat`, which spares the check the sign test needs (see `_sweep`).
     """
     if c.is_false() or len(c) <= 1:
+        return c
+    run = RUN.get()
+    if run is not None:
+        hit = run.drop_redundant.get(c)
+        if hit is not None:
+            return hit
+    out = _sweep(c, known_sat)
+    if run is not None:
+        run.drop_redundant[c] = out
+    return out
+
+
+def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
+    """The redundancy sweep of `_drop_redundant`, on one tableau.
+
+    A constraint the rest lacks a (variable, sign) pair for (see `_signs`)
+    is not entailed when the rest is satisfiable, and is kept without a
+    query.  The rest is part of c, so that test is used only when c is
+    satisfiable; an unsatisfiable c gets every query.
+
+    All the queries share one tableau.  `c` comes from `make_conj`, so no
+    constraint is ground and no two share a signed row: each has a slack of
+    its own, bounded by it.  Asking whether the rest entails k swaps the
+    bounds of k's slack for the strict negation of k (each side in turn for
+    an equality) and re-checks from the last assignment: k is entailed iff
+    that is infeasible.  A dropped constraint leaves its slack unbounded.
+    """
+    signs = [_signs(k) for k in c]
+    # how many of the constraints still kept supply each pair
+    supply: Optional[Counter] = Counter(p for ps in signs for p in ps)
+    open_ = [all(supply[p] > 1 for p in ps) for ps in signs]
+    if all(open_) or not (known_sat or satisfiable(c)):
+        supply = None
+    elif not any(open_):
         return c
     index = _index_vars(c)
     sx = Simplex(len(index))
@@ -378,7 +507,10 @@ def _drop_redundant(c: ConstraintConj) -> ConstraintConj:
         slacks.append((s, edge if k.rel == "=" else None, edge))
         sx.set_bounds(*slacks[-1])
     kept = []
-    for k, (s, lo, hi) in zip(c, slacks):
+    for k, ps, (s, lo, hi) in zip(c, signs, slacks):
+        if supply is not None and any(supply[p] < 2 for p in ps):
+            kept.append(k)
+            continue
         # the slack's value is -k.const on k's boundary; above it k fails,
         # and for an equality so it does below
         sides = [((-k.const, 1), None)]
@@ -393,6 +525,8 @@ def _drop_redundant(c: ConstraintConj) -> ConstraintConj:
                 break
         else:
             sx.set_bounds(s, None, None)
+            if supply is not None:
+                supply.subtract(ps)
     return make_conj(kept)
 
 
@@ -498,14 +632,30 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> ConstraintConj:
 
     Exact over the rationals.  If the intermediate constraint count blows
     past the cap, the largest constants get dropped first, which weakens the
-    result but never makes it wrong as an over-approximation.
+    result but never makes it wrong as an over-approximation.  Within a run
+    the answer is remembered, unless the cap was hit: such a call logs its
+    warning again each time it is made.
     """
-    keep_set = set(keep)
+    keep_set = frozenset(keep)
+    run = RUN.get()
+    if run is not None:
+        hit = run.project.get((c, keep_set))
+        if hit is not None:
+            return hit
+    result, capped = _project(c, keep_set)
+    if run is not None and not capped:
+        run.project[(c, keep_set)] = result
+    return result
+
+
+def _project(c: ConstraintConj, keep_set: frozenset[Var]) -> tuple[ConstraintConj, bool]:
+    """`project`'s result, and whether it hit `PROJECTION_CAP`."""
     if c.is_false() or not satisfiable(c):
-        return FALSE_CONJ
+        return FALSE_CONJ, False
     drop = sorted(conj_vars(c) - keep_set)
     if not drop:
-        return c
+        return c, False
+    capped = False
     work = list(c.constraints)
     # Gaussian phase: use equalities to eliminate what we can
     while True:
@@ -568,12 +718,14 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> ConstraintConj:
             )
             work.sort(key=lambda k: (abs(k.const), k))
             work = sorted(work[:PROJECTION_CAP])
+            capped = True
     result = make_conj(work)
     if len(result) <= 60:
         # entailment-based cleanup only; gcd tightening would shrink the
-        # rational shadow and projection promises exactness over rationals
-        result = _drop_redundant(result)
-    return result
+        # rational shadow and projection promises exactness over rationals.
+        # The projection of a satisfiable system is satisfiable.
+        result = _drop_redundant(result, known_sat=True)
+    return result, capped
 
 
 def _combine(a: LinConstraint, ka: int, b: LinConstraint, kb: int) -> LinConstraint:

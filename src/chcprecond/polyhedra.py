@@ -95,8 +95,9 @@ def join(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     system.append(make_constraint({l1: 1, l2: 1}, -1, "="))
     system.append(make_constraint({l1: -1}, 0, "<="))
     system.append(make_constraint({l2: -1}, 0, "<="))
-    hull = project(make_conj(system), set(p.dims))
-    return make_poly(p.dims, hull)
+    # the lifted system of two satisfiable systems is satisfiable, and so
+    # is its projection
+    return Polyhedron(p.dims, project(make_conj(system), set(p.dims)))
 
 
 def includes(p: Polyhedron, q: Polyhedron) -> bool:

@@ -11,6 +11,7 @@ whose predicates are copies of the originals.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -22,6 +23,7 @@ from .derivation import (
     feasible,
     initial_nodes,
     instantiate,
+    iter_nodes,
 )
 from .linarith import TRUE_CONJ, ConstraintConj, project, rename_conj
 
@@ -58,16 +60,15 @@ def program_to_fta(p: Program) -> FTA:
 
 def trace_to_fta(t: TraceTree) -> FTA:
     """Automaton accepting exactly the one tree, states numbered preorder."""
-    counter = itertools.count()
+    nodes = list(iter_nodes(t))
     transitions = []
-
-    def walk(node: TraceTree) -> int:
-        me = next(counter)
-        kids = tuple(walk(c) for c in node.children)
-        transitions.append(Transition(node.cid, kids, me))
-        return me
-
-    walk(t)
+    # reversed preorder meets every child before its parent; `done` holds the
+    # states of the subtrees read so far, the first child's on top
+    done: list[int] = []
+    for me in reversed(range(len(nodes))):
+        kids = tuple(done.pop() for _ in nodes[me].children)
+        transitions.append(Transition(nodes[me].cid, kids, me))
+        done.append(me)
     return FTA(
         frozenset(range(len(transitions))), frozenset({0}), frozenset(transitions)
     )
@@ -97,26 +98,32 @@ def difference(a: FTA, b: FTA) -> FTA:
     for tr in sorted(b.transitions, key=lambda t: (t.cid, str(t.target))):
         b_by_cid.setdefault(tr.cid, []).append(tr)
 
+    # a transition is read again only when one of its child states gains a
+    # b-set, not in whole passes until nothing changes, which took a pass
+    # per link of a chain; the fixpoint is the same in any order
+    users: dict[State, list[Transition]] = {}
+    for tr in a.transitions:
+        for c in set(tr.children):
+            users.setdefault(c, []).append(tr)
     found: dict[State, set[frozenset]] = {}
     prod_trans: set[Transition] = set()
-    changed = True
-    while changed:
-        changed = False
-        for tr in a.transitions:
-            options = [found.get(c, set()) for c in tr.children]
-            if any(not o for o in options):
-                continue
-            for combo in itertools.product(*[sorted(o, key=_set_key) for o in options]):
-                dset = _image(b_by_cid.get(tr.cid, []), combo)
-                target = (tr.target, dset)
-                children = tuple(zip(tr.children, combo))
-                pt = Transition(tr.cid, children, target)
-                if dset not in found.setdefault(tr.target, set()):
-                    found[tr.target].add(dset)
-                    changed = True
-                if pt not in prod_trans:
-                    prod_trans.add(pt)
-                    changed = True
+    work = deque(a.transitions)
+    queued = set(work)
+    while work:
+        tr = work.popleft()
+        queued.discard(tr)
+        options = [found.get(c, set()) for c in tr.children]
+        if any(not o for o in options):
+            continue
+        for combo in itertools.product(*[sorted(o, key=_set_key) for o in options]):
+            dset = _image(b_by_cid.get(tr.cid, []), combo)
+            prod_trans.add(Transition(tr.cid, tuple(zip(tr.children, combo)), (tr.target, dset)))
+            if dset not in found.setdefault(tr.target, set()):
+                found[tr.target].add(dset)
+                for user in users.get(tr.target, ()):
+                    if user not in queued:
+                        work.append(user)
+                        queued.add(user)
 
     final = {
         (q, d)
@@ -126,16 +133,17 @@ def difference(a: FTA, b: FTA) -> FTA:
         if not (d & b.final)
     }
 
+    by_target: dict[State, list[Transition]] = {}
+    for tr in prod_trans:
+        by_target.setdefault(tr.target, []).append(tr)
     useful: set[State] = set(final)
-    changed = True
-    while changed:
-        changed = False
-        for tr in prod_trans:
-            if tr.target in useful:
-                for c in tr.children:
-                    if c not in useful:
-                        useful.add(c)
-                        changed = True
+    stack = list(final)
+    while stack:
+        for tr in by_target.get(stack.pop(), ()):
+            for c in tr.children:
+                if c not in useful:
+                    useful.add(c)
+                    stack.append(c)
     kept = {tr for tr in prod_trans if tr.target in useful}
     return FTA(frozenset(useful), frozenset(final), frozenset(kept))
 
@@ -208,16 +216,26 @@ def fta_to_program(f: FTA, p: Program) -> Program:
 
 
 def _accepted_pred(p: Program, t: TraceTree) -> Pred:
-    try:
-        cl = p.clause_by_id(t.cid)
-    except KeyError:
-        raise ValueError("trace not in program language") from None
-    if len(t.children) != len(cl.body):
-        raise ValueError("trace not in program language")
-    for child, atom in zip(t.children, cl.body):
-        if _accepted_pred(p, child) != atom.pred:
+    """The predicate the program's skeleton automaton reads t as.
+
+    Each node is checked against its children's clause heads in one walk;
+    raises ValueError when some node does not fit.
+    """
+
+    def clause(node: TraceTree) -> Clause:
+        try:
+            return p.clause_by_id(node.cid)
+        except KeyError:
+            raise ValueError("trace not in program language") from None
+
+    for node in iter_nodes(t):
+        cl = clause(node)
+        if len(node.children) != len(cl.body):
             raise ValueError("trace not in program language")
-    return cl.head_pred()
+        for child, atom in zip(node.children, cl.body):
+            if clause(child).head_pred() != atom.pred:
+                raise ValueError("trace not in program language")
+    return clause(t).head_pred()
 
 
 def eliminate_trace(

@@ -23,6 +23,7 @@ from chcprecond.derivation import (
 )
 from chcprecond.linarith import Var, equiv_conj, format_conj, project, rename_conj
 from chcprecond.parser import parse_program
+from chcprecond.te import eliminate_trace
 
 from helpers import conj_from, load, skeleton_language
 
@@ -199,3 +200,7 @@ def test_trace_deeper_than_the_recursion_limit():
     assert feasible(t)
     (init,) = initial_nodes(p, t)
     assert init.clause_id == "c1" and init.atom.args == (Var("T1"),)
+    # the trace is the program's only goal skeleton, so eliminating it
+    # leaves no clause, and it puts A >= 5 on the initial state
+    newp, theta = eliminate_trace(p, tt)
+    assert newp.clauses == () and format_conj(theta) == "A >= 5"

@@ -1,10 +1,13 @@
 """End-to-end pipeline behaviour: iteration, early stop, timeout fallback."""
 
+import sys
+import threading
 import time
 
 import pytest
 
 import chcprecond.driver as driver_mod
+import chcprecond.linarith as linarith_mod
 import chcprecond.pe as pe_mod
 import chcprecond.precond as precond_mod
 from chcprecond.driver import (
@@ -12,7 +15,8 @@ from chcprecond.driver import (
     run_pipeline,
     strip_init,
 )
-from chcprecond.linarith import Var, dnf_of_conj, equiv_dnf, make_dnf
+from chcprecond.core import format_program
+from chcprecond.linarith import RUN, Run, Var, dnf_of_conj, equiv_dnf, make_dnf
 
 from helpers import conj_from, load
 
@@ -167,3 +171,93 @@ def test_step_swp_is_computed_only_when_read(monkeypatch):
     # a second read is served from the cache
     assert [s.swp for s in r.steps] == swps
     assert len(calls) == 1 + len(r.steps)
+
+
+# -- the run context -------------------------------------------------------------
+
+
+def _fields(r):
+    """Every field of a report except its timings, as comparable values."""
+    return (
+        r.precondition,
+        r.classification,
+        r.iterations_used,
+        r.timed_out,
+        r.early_stop,
+        [(s.label, format_program(s.program), s.feasible, s.trace) for s in r.steps],
+        r.warnings,
+        format_program(r.program),
+    )
+
+
+def test_no_run_is_left_set_after_a_run_returns_or_raises(monkeypatch):
+    seen = []
+    real = driver_mod.pe_run
+
+    def recording(p):
+        seen.append(RUN.get())
+        return real(p)
+
+    monkeypatch.setattr(driver_mod, "pe_run", recording)
+    assert RUN.get() is None
+    run_pipeline(load("counter_loop.chc"), PipelineConfig(iterations=1))
+    assert RUN.get() is None
+    # one Run serves every step of the run
+    assert len(seen) >= 2 and isinstance(seen[0], Run) and all(r is seen[0] for r in seen)
+
+    def failing(p):
+        seen.append(RUN.get())
+        raise RuntimeError("pe failed")
+
+    monkeypatch.setattr(driver_mod, "pe_run", failing)
+    with pytest.raises(RuntimeError, match="pe failed"):
+        run_pipeline(load("counter_loop.chc"), PipelineConfig(iterations=1))
+    assert isinstance(seen[-1], Run) and seen[-1] is not seen[0]
+    assert RUN.get() is None
+
+
+def test_runs_in_threads_report_what_they_report_one_after_another(monkeypatch):
+    # none of these programs logs a warning: warnings still reach the report
+    # through a handler shared by the whole process
+    names = ["cs_example.chc", "example_t4.chc", "branch_split.chc", "counter_loop.chc"]
+    cfg = PipelineConfig(iterations=1)
+    alone = [_fields(run_pipeline(load(n), cfg)) for n in names]
+    assert not any(f[6] for f in alone)
+
+    runs: dict[int, set[int]] = {}
+    real = driver_mod.pe_run
+
+    def recording(p):
+        runs.setdefault(threading.get_ident(), set()).add(id(RUN.get()))
+        return real(p)
+
+    monkeypatch.setattr(driver_mod, "pe_run", recording)
+    together: list = [None] * len(names)
+
+    def work(i: int) -> None:
+        together[i] = _fields(run_pipeline(load(names[i]), cfg))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(names))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == alone
+    # each thread saw one Run of its own
+    assert len(runs) == len(names)
+    assert all(len(ids) == 1 for ids in runs.values())
+    assert len(set().union(*runs.values())) == len(names)
+
+
+def test_every_capped_projection_warns_although_answers_are_remembered(monkeypatch):
+    # a capped projection is not remembered, so each call logs its warning;
+    # this count is what the code before the per-run memo reported
+    monkeypatch.setattr(linarith_mod, "PROJECTION_CAP", 2)
+    r = run_pipeline(load("cs_example.chc"), PipelineConfig(iterations=1))
+    assert r.warnings == ("projection exceeded 2 constraints, dropping the loosest",) * 12

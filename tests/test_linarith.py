@@ -1,19 +1,25 @@
 """Constraint layer: satisfiability, entailment, projection, DNF algebra."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from chcprecond.cli import _dnf_json
 from chcprecond.linarith import (
     DNF,
+    RUN,
     ConstraintConj,
     DNF_FALSE,
     DNF_TRUE,
     FALSE_CONJ,
     TRUE_CONJ,
+    Run,
     Var,
     _drop_redundant,
+    _same_row_bound,
+    _signs,
+    _supplies,
     dnf_of_conj,
     entails,
     equiv_conj,
@@ -30,7 +36,7 @@ from chcprecond.linarith import (
     simplify,
 )
 from chcprecond.precond import classify
-from chcprecond.simplex import Budget, Undecided
+from chcprecond.simplex import Budget, Undecided, feasible
 
 from helpers import holds_conj, holds_dnf
 
@@ -190,14 +196,14 @@ def test_equal_constraints_hash_equal():
 # -- redundancy sweep ----------------------------------------------------------
 
 
-def drop_redundant_pairwise(c):
+def drop_redundant_pairwise(c, ask=entails):
     """The redundancy sweep as one fresh entailment query per constraint."""
     if c.is_false() or len(c) <= 1:
         return c
     kept = list(c.constraints)
     for j in sorted(c.constraints):
         rest = [i for i in kept if i != j]
-        if entails(ConstraintConj(tuple(rest)), ConstraintConj((j,))):
+        if ask(ConstraintConj(tuple(rest)), ConstraintConj((j,))):
             kept = rest
     return make_conj(kept)
 
@@ -226,6 +232,69 @@ def test_drop_redundant_matches_pairwise_entailment():
         assert got == drop_redundant_pairwise(c), c
         shrunk += len(got) < len(c)
     assert shrunk > 200
+
+
+# -- entailment certificates ---------------------------------------------------
+
+
+def entails_by_simplex(c, d):
+    """Entailment with no certificate: a simplex query per side of each k in d."""
+    if c.is_false():
+        return True
+    index = {}
+    for j in (*c, *d):
+        for v, _ in j.coeffs:
+            index.setdefault(v, len(index))
+
+    def combo(j):
+        return tuple(sorted((index[v], cf) for v, cf in j.coeffs))
+
+    rows = [(combo(j), j.const, j.rel) for j in c]
+    for j in d:
+        # j fails where its strict negation holds, on either side for an equality
+        sides = [(tuple((i, -cf) for i, cf in combo(j)), -j.const, "<")]
+        if j.rel == "=":
+            sides.append((combo(j), j.const, "<"))
+        if any(feasible(len(index), rows + [side]) for side in sides):
+            return False
+    return True
+
+
+def test_certificates_agree_with_the_simplex():
+    z = Var("z")
+    # a small pool of rows over three variables, so conjunctions often share
+    # a row, lack a sign, or contradict each other across rows
+    pool = [{x: 1}, {x: -1}, {y: 1}, {y: -1}, {x: 1, y: 1}, {x: 1, y: -1},
+            {x: -1, y: -1}, {z: 1}, {y: 1, z: -2}, {x: 2, z: 1}]
+    decided = Counter()
+    for run in (None, Run()):
+        # the same draws outside a run and inside one, whose memo answers
+        # the draws that repeat
+        rng = random.Random(47)
+
+        def draw(n):
+            return make_conj(
+                k(rng.choice(pool), rng.randint(-2, 2), "=" if rng.random() < 0.2 else "<=")
+                for _ in range(n)
+            )
+
+        token = RUN.set(run)
+        try:
+            for _ in range(1500):
+                c, d = draw(rng.randint(1, 6)), draw(rng.randint(1, 2))
+                assert entails(c, d) == entails_by_simplex(c, d), (c, d)
+                assert _drop_redundant(c) == drop_redundant_pairwise(c, entails_by_simplex), c
+                if run is None and not c.is_false():
+                    for j in d:
+                        if _same_row_bound(c, j):
+                            decided["same row"] += 1
+                        elif not _supplies(c, _signs(j)):
+                            decided["sign, " + ("sat" if satisfiable(c) else "unsat")] += 1
+                        else:
+                            decided["simplex"] += 1
+        finally:
+            RUN.reset(token)
+    assert min(decided.values()) >= 20 and len(decided) == 4, decided
 
 
 # -- canonical conjunctions ----------------------------------------------------

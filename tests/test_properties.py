@@ -138,6 +138,18 @@ def test_join_is_an_upper_bound():
                 assert holds_conj(j.constr, pt), (p, q, pt)
 
 
+def test_join_builds_what_make_poly_would():
+    # join skips make_poly's satisfiability check, because the hull of two
+    # satisfiable systems is satisfiable
+    rng = random.Random(3319)
+    for _ in range(INSTANCES):
+        p, q = _rand_poly(rng), _rand_poly(rng)
+        j = join(p, q)
+        if not j.bottom:
+            assert satisfiable(j.constr), (p, q)
+            assert j == make_poly(j.dims, j.constr)
+
+
 def test_widen_keeps_a_subset_of_the_old_constraints():
     rng = random.Random(3318)
     for _ in range(INSTANCES):

@@ -53,6 +53,19 @@ def test_trace_fta_preorder_numbering():
             Transition("c1", (), 3),
         }
     )
+    # a node is numbered before its children, and a first child's whole
+    # subtree before its next sibling
+    f = trace_to_fta(parse_trace("c1(c2(c3),c4(c5,c6))"))
+    assert f.transitions == frozenset(
+        {
+            Transition("c1", (1, 3), 0),
+            Transition("c2", (2,), 1),
+            Transition("c3", (), 2),
+            Transition("c4", (4, 5), 3),
+            Transition("c5", (), 4),
+            Transition("c6", (), 5),
+        }
+    )
 
 
 def test_difference_removes_exactly_one_tree():
