@@ -39,6 +39,13 @@ Within one `run_pipeline` call, `project`, `_drop_redundant` and
 each round re-specialises a program that changed little.  Outside a run
 they compute directly, and `satisfiable`'s cache is the only one that
 outlives a run.
+
+The `Run` also keeps a witness point per satisfiable conjunction: the model
+the tableau that decided it leaves in its assignment, exact and rational.
+A conjunction `conj_and` made inherits a point of one of its operands only
+after all of its own constraints hold at that point, and a premise whose
+point violates a constraint does not entail it.  The points live only in
+the run, like the memo.
 """
 
 from __future__ import annotations
@@ -53,11 +60,13 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .simplex import (
     Budget,
+    Num,
     Row,
     Simplex,
     Undecided,
     feasible,
     int_feasible,
+    solve,
 )
 
 logger = logging.getLogger(__name__)
@@ -303,7 +312,12 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
 
 
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
-    return make_conj(a.constraints + b.constraints)
+    c = make_conj(a.constraints + b.constraints)
+    run = RUN.get()
+    if run is not None:
+        # a point of a or b may lie in c too; `satisfiable` tries them
+        run.parents[c] = (a, b)
+    return c
 
 
 def conj_vars(c: ConstraintConj) -> frozenset[Var]:
@@ -311,7 +325,24 @@ def conj_vars(c: ConstraintConj) -> frozenset[Var]:
 
 
 def rename_conj(c: ConstraintConj, mapping: Mapping[Var, Var]) -> ConstraintConj:
-    return make_conj(rename_constraint(k, mapping) for k in c)
+    """c with each variable renamed by `mapping`; unmapped ones stay.
+
+    A renaming that is injective on c's variables keeps every constraint
+    canonical up to the order of its coefficients and the sign of an
+    equality, and keeps the rows of c apart, so the result is c's
+    constraints re-sorted, with no `make_conj`.
+    """
+    image = {v: mapping.get(v, v) for k in c for v, _ in k.coeffs}
+    if len(set(image.values())) < len(image):
+        return make_conj(rename_constraint(k, mapping) for k in c)
+    out = []
+    for k in c:
+        coeffs, const = sorted((image[v], cf) for v, cf in k.coeffs), k.const
+        if k.rel == "=" and coeffs[0][1] < 0:
+            coeffs, const = [(v, -cf) for v, cf in coeffs], -const
+        out.append(LinConstraint(tuple(coeffs), const, k.rel))
+    out.sort()
+    return ConstraintConj(tuple(out))
 
 
 # -- the run context -----------------------------------------------------------
@@ -323,17 +354,23 @@ class Run:
     The analysis re-specialises programs that change little from round to
     round, so one run asks the same kernel questions many times.
     `run_pipeline` installs a fresh `Run` in `RUN` and resets it when the run
-    ends, so no answer outlives its run or reaches another thread's.  Each
-    dict maps a call's arguments to its result.  Outside a run `RUN` holds
-    None and every function computes directly.
+    ends, so no answer outlives its run or reaches another thread's.  Outside
+    a run `RUN` holds None and every function computes directly.
+
+    `project`, `drop_redundant` and `entails_one` map a call's arguments to
+    its result.  `models` maps a satisfiable conjunction to a point of it
+    (see `satisfiable`), and `parents` maps a conjunction `conj_and` made to
+    its two operands, until `satisfiable` reads it.
     """
 
-    __slots__ = ("project", "drop_redundant", "entails_one")
+    __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents")
 
     def __init__(self) -> None:
         self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
         self.drop_redundant: dict[ConstraintConj, ConstraintConj] = {}
         self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
+        self.models: dict[ConstraintConj, dict[Var, Num]] = {}
+        self.parents: dict[ConstraintConj, tuple[ConstraintConj, ConstraintConj]] = {}
 
 
 RUN: ContextVar[Optional[Run]] = ContextVar("RUN", default=None)
@@ -358,14 +395,42 @@ def _to_row(k: LinConstraint, index: Mapping[Var, int]) -> Row:
 
 @lru_cache(maxsize=65536)
 def satisfiable(c: ConstraintConj) -> bool:
-    """Rational satisfiability, exact."""
+    """Rational satisfiability, exact.
+
+    One constraint that is not false is satisfiable.  Within a run a point
+    of either operand `conj_and` made c from answers too, once c holds at
+    it; otherwise the tableau decides, and its model is remembered as the
+    point of c.
+    """
     if c.is_false():
         return False
-    if c.is_true():
+    if len(c) <= 1:
         return True
+    run = RUN.get()
+    if run is not None:
+        for parent in run.parents.pop(c, ()):
+            point = run.models.get(parent)
+            if point is not None and all(_holds_at(k, point) for k in c):
+                run.models[c] = point
+                return True
     index = _index_vars(c)
-    rows = [_to_row(k, index) for k in c]
-    return feasible(len(index), rows)
+    model = solve(len(index), [_to_row(k, index) for k in c])
+    if model is None:
+        return False
+    if run is not None:
+        # the rows are non-strict, so the model has no delta part
+        run.models[c] = {v: model[i][0] for v, i in index.items() if model[i][0]}
+    return True
+
+
+def _holds_at(k: LinConstraint, point: Mapping[Var, Num]) -> bool:
+    """True when k holds at the point, where unmentioned variables are 0."""
+    total = k.const
+    for v, cf in k.coeffs:
+        x = point.get(v)
+        if x:
+            total += cf * x
+    return total == 0 if k.rel == "=" else total <= 0
 
 
 def entails(c: ConstraintConj, d: ConstraintConj) -> bool:
@@ -386,12 +451,16 @@ def _entails_one(c: ConstraintConj, k: LinConstraint) -> bool:
         hit = run.entails_one.get((c, k))
         if hit is not None:
             return hit
+    point = None if run is None else run.models.get(c)
     if _same_row_bound(c, k):
         ok = True
     elif not _supplies(c, _signs(k)):
         # a satisfiable c cannot entail k, and an unsatisfiable one entails
         # everything
         ok = not satisfiable(c)
+    elif point is not None and not _holds_at(k, point):
+        # a point of c violates k
+        ok = False
     else:
         index = _index_vars((*c, k))
         rows = [_to_row(j, index) for j in c]
@@ -627,14 +696,15 @@ def int_satisfiable(c: ConstraintConj, budget: Optional[Budget] = None) -> bool:
 # -- projection ----------------------------------------------------------------
 
 
-def project(c: ConstraintConj, keep: Iterable[Var]) -> ConstraintConj:
+def project(c: ConstraintConj, keep: Iterable[Var], known_sat: bool = False) -> ConstraintConj:
     """Existentially quantify away every variable not in `keep`.
 
     Exact over the rationals.  If the intermediate constraint count blows
     past the cap, the largest constants get dropped first, which weakens the
     result but never makes it wrong as an over-approximation.  Within a run
     the answer is remembered, unless the cap was hit: such a call logs its
-    warning again each time it is made.
+    warning again each time it is made.  A caller that knows c is
+    satisfiable says so with `known_sat`, which spares the check.
     """
     keep_set = frozenset(keep)
     run = RUN.get()
@@ -642,30 +712,30 @@ def project(c: ConstraintConj, keep: Iterable[Var]) -> ConstraintConj:
         hit = run.project.get((c, keep_set))
         if hit is not None:
             return hit
-    result, capped = _project(c, keep_set)
+    result, capped = _project(c, keep_set, known_sat)
     if run is not None and not capped:
         run.project[(c, keep_set)] = result
     return result
 
 
-def _project(c: ConstraintConj, keep_set: frozenset[Var]) -> tuple[ConstraintConj, bool]:
+def _project(
+    c: ConstraintConj, keep_set: frozenset[Var], known_sat: bool
+) -> tuple[ConstraintConj, bool]:
     """`project`'s result, and whether it hit `PROJECTION_CAP`."""
-    if c.is_false() or not satisfiable(c):
+    if c.is_false() or not (known_sat or satisfiable(c)):
         return FALSE_CONJ, False
     drop = sorted(conj_vars(c) - keep_set)
     if not drop:
         return c, False
     capped = False
     work = list(c.constraints)
-    # Gaussian phase: use equalities to eliminate what we can
+    # Gaussian phase: use equalities to eliminate what we can; each step
+    # reads every constraint's coefficients from one dict
     while True:
+        rows = [(k, dict(k.coeffs)) for k in work]
         chosen = None
         for v in drop:
-            candidates = [
-                (abs(dict(k.coeffs)[v]), k)
-                for k in work
-                if k.rel == "=" and v in dict(k.coeffs)
-            ]
+            candidates = [(abs(d[v]), k) for k, d in rows if k.rel == "=" and v in d]
             if candidates:
                 chosen = (v, min(candidates)[1])
                 break
@@ -674,10 +744,10 @@ def _project(c: ConstraintConj, keep_set: frozenset[Var]) -> tuple[ConstraintCon
         v, eq = chosen
         a = dict(eq.coeffs)[v]
         out = []
-        for k in work:
+        for k, d in rows:
             if k is eq:
                 continue
-            b = dict(k.coeffs).get(v, 0)
+            b = d.get(v, 0)
             if b == 0:
                 out.append(k)
                 continue
@@ -688,16 +758,17 @@ def _project(c: ConstraintConj, keep_set: frozenset[Var]) -> tuple[ConstraintCon
         drop.remove(v)
     # Fourier-Motzkin phase for the rest
     while drop:
+        rows = [(k, dict(k.coeffs)) for k in work]
         counts = {}
         for v in drop:
-            pos = sum(1 for k in work if dict(k.coeffs).get(v, 0) > 0)
-            neg = sum(1 for k in work if dict(k.coeffs).get(v, 0) < 0)
+            pos = sum(1 for _, d in rows if d.get(v, 0) > 0)
+            neg = sum(1 for _, d in rows if d.get(v, 0) < 0)
             counts[v] = (pos * neg, v.name)
         v = min(drop, key=lambda w: counts[w])
         drop.remove(v)
         pos, neg, rest = [], [], []
-        for k in work:
-            cf = dict(k.coeffs).get(v, 0)
+        for k, d in rows:
+            cf = d.get(v, 0)
             if cf > 0:
                 pos.append((cf, k))
             elif cf < 0:

@@ -97,7 +97,7 @@ def join(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     system.append(make_constraint({l2: -1}, 0, "<="))
     # the lifted system of two satisfiable systems is satisfiable, and so
     # is its projection
-    return Polyhedron(p.dims, project(make_conj(system), set(p.dims)))
+    return Polyhedron(p.dims, project(make_conj(system), set(p.dims), known_sat=True))
 
 
 def includes(p: Polyhedron, q: Polyhedron) -> bool:

@@ -64,18 +64,6 @@ def _div(a: Num, b: Num) -> Num:
     return _int(a / b)
 
 
-def _dadd(a: Delta, b: Delta) -> Delta:
-    return (_int(a[0] + b[0]), _int(a[1] + b[1]))
-
-
-def _dsub(a: Delta, b: Delta) -> Delta:
-    return (_int(a[0] - b[0]), _int(a[1] - b[1]))
-
-
-def _dscale(a: Delta, f: Num) -> Delta:
-    return (_int(a[0] * f), _int(a[1] * f))
-
-
 class Simplex:
     """Feasibility checker for conjunctions of linear bounds.
 
@@ -86,6 +74,10 @@ class Simplex:
     starting over; `linarith`'s redundancy sweep asks all its queries of
     one tableau that way.  The branch-and-bound below still builds a fresh
     tableau per node, which keeps its node count independent of pivots.
+
+    The tableau is `rows` alone, a map from each basic variable to its row.
+    The systems are small, a handful of rows, so a pivot finds the rows that
+    mention a variable by scanning them rather than keeping a column index.
     """
 
     def __init__(self, nvars: int):
@@ -95,8 +87,6 @@ class Simplex:
         self.assign: list[Delta] = [DZERO] * nvars
         # basic var -> {nonbasic var -> coefficient}
         self.rows: dict[int, dict[int, Num]] = {}
-        # nonbasic var -> set of basic vars whose row mentions it
-        self.cols: dict[int, set[int]] = {}
 
     def add_var(self) -> int:
         self.lb.append(None)
@@ -108,12 +98,13 @@ class Simplex:
         """Introduce s = sum(combo) as a new basic variable and return it."""
         s = self.add_var()
         row = {v: c for v, c in combo.items() if c != 0}
-        val = DZERO
+        r = d = 0
         for v, c in row.items():
-            self.cols.setdefault(v, set()).add(s)
-            val = _dadd(val, _dscale(self.assign[v], c))
+            vr, vd = self.assign[v]
+            r += vr * c
+            d += vd * c
         self.rows[s] = row
-        self.assign[s] = val
+        self.assign[s] = (_int(r), _int(d))
         return s
 
     def set_bounds(self, v: int, lo: Optional[Delta], hi: Optional[Delta]) -> None:
@@ -124,97 +115,90 @@ class Simplex:
     # -- the solving machinery ------------------------------------------------
 
     def _update_nonbasic(self, v: int, value: Delta) -> None:
-        delta = _dsub(value, self.assign[v])
-        if delta == DZERO:
+        assign = self.assign
+        dr = value[0] - assign[v][0]
+        dd = value[1] - assign[v][1]
+        if not dr and not dd:
             return
-        self.assign[v] = value
-        for b in self.cols.get(v, ()):
-            self.assign[b] = _dadd(self.assign[b], _dscale(delta, self.rows[b][v]))
-
-    def _pivot(self, bi: int, nj: int) -> None:
-        """Swap basic bi with nonbasic nj."""
-        row = self.rows.pop(bi)
-        a = row.pop(nj)
-        self.cols[nj].discard(bi)
-        # nj = (bi - sum of the rest) / a
-        new_row = {bi: _div(1, a)}
-        self.cols.setdefault(bi, set()).add(nj)
-        for v, c in row.items():
-            new_row[v] = _div(-c, a)
-            self.cols[v].discard(bi)
-            self.cols[v].add(nj)
-        self.rows[nj] = new_row
-        # substitute nj away in every other row
-        for b in list(self.cols.get(nj, ())):
-            r = self.rows[b]
-            factor = r.pop(nj)
-            for v, c in new_row.items():
-                merged = _int(r.get(v, 0) + factor * c)
-                if merged == 0:
-                    if v in r:
-                        del r[v]
-                        self.cols[v].discard(b)
-                else:
-                    if v not in r:
-                        self.cols.setdefault(v, set()).add(b)
-                    r[v] = merged
-        self.cols[nj] = set()
+        assign[v] = value
+        for b, row in self.rows.items():
+            c = row.get(v)
+            if c is not None:
+                br, bd = assign[b]
+                assign[b] = (_int(br + dr * c), _int(bd + dd * c))
 
     def _pivot_and_update(self, bi: int, nj: int, target: Delta) -> None:
-        a = self.rows[bi][nj]
-        gap = _dsub(target, self.assign[bi])
-        theta = (_div(gap[0], a), _div(gap[1], a))
-        self.assign[bi] = target
-        self.assign[nj] = _dadd(self.assign[nj], theta)
-        for b in self.cols.get(nj, ()):
-            if b != bi:
-                self.assign[b] = _dadd(self.assign[b], _dscale(theta, self.rows[b][nj]))
-        self._pivot(bi, nj)
+        """Move basic bi to target through nonbasic nj, then swap the two."""
+        assign, rows = self.assign, self.rows
+        row = rows.pop(bi)
+        a = row.pop(nj)
+        br, bd = assign[bi]
+        # nj moves by theta, and every other basic variable by theta times
+        # its row's coefficient of nj
+        tr, td = _div(target[0] - br, a), _div(target[1] - bd, a)
+        assign[bi] = target
+        nr, nd = assign[nj]
+        assign[nj] = (_int(nr + tr), _int(nd + td))
+        # nj = (bi - sum of the rest) / a
+        new_row = {bi: _div(1, a)}
+        for v, c in row.items():
+            new_row[v] = _div(-c, a)
+        # substitute nj away in every other row
+        for b, r in rows.items():
+            f = r.pop(nj, None)
+            if f is None:
+                continue
+            br, bd = assign[b]
+            assign[b] = (_int(br + tr * f), bd if not td else _int(bd + td * f))
+            for v, c in new_row.items():
+                merged = _int(r.get(v, 0) + f * c)
+                if merged == 0:
+                    r.pop(v, None)
+                else:
+                    r[v] = merged
+        rows[nj] = new_row
 
     def check(self) -> bool:
-        """True iff the bounds admit a solution.  Leaves a model in `assign`."""
+        """True iff the bounds admit a solution.  Leaves a model in `assign`.
+
+        Bland's rule: the lowest-numbered basic variable out of its bounds
+        leaves, and the lowest-numbered nonbasic variable of its row that can
+        move it toward them enters.
+        """
+        assign, lb, ub, rows = self.assign, self.lb, self.ub, self.rows
         # snap nonbasic variables into their intervals first
-        for v in range(len(self.assign)):
-            lo, hi = self.lb[v], self.ub[v]
+        for v in range(len(assign)):
+            lo, hi = lb[v], ub[v]
             if lo is not None and hi is not None and lo > hi:
                 return False
-            if v in self.rows:
+            if v in rows:
                 continue
-            if lo is not None and self.assign[v] < lo:
+            if lo is not None and assign[v] < lo:
                 self._update_nonbasic(v, lo)
-            elif hi is not None and self.assign[v] > hi:
+            elif hi is not None and assign[v] > hi:
                 self._update_nonbasic(v, hi)
         while True:
-            broken = None
-            for b in sorted(self.rows):
-                lo, hi = self.lb[b], self.ub[b]
-                if lo is not None and self.assign[b] < lo:
-                    broken = (b, lo, True)
+            for b in sorted(rows):
+                lo, hi = lb[b], ub[b]
+                if lo is not None and assign[b] < lo:
+                    target, up = lo, True
                     break
-                if hi is not None and self.assign[b] > hi:
-                    broken = (b, hi, False)
+                if hi is not None and assign[b] > hi:
+                    target, up = hi, False
                     break
-            if broken is None:
+            else:
                 return True
-            b, target, need_increase = broken
-            row = self.rows[b]
-            entering = None
+            row = rows[b]
             for v in sorted(row):
-                c = row[v]
-                if need_increase:
-                    ok = (c > 0 and (self.ub[v] is None or self.assign[v] < self.ub[v])) or (
-                        c < 0 and (self.lb[v] is None or self.assign[v] > self.lb[v])
-                    )
-                else:
-                    ok = (c < 0 and (self.ub[v] is None or self.assign[v] < self.ub[v])) or (
-                        c > 0 and (self.lb[v] is None or self.assign[v] > self.lb[v])
-                    )
-                if ok:
-                    entering = v
+                # b moves up with v when their coefficient is positive
+                if (row[v] > 0) == up:
+                    if ub[v] is None or assign[v] < ub[v]:
+                        break
+                elif lb[v] is None or assign[v] > lb[v]:
                     break
-            if entering is None:
+            else:
                 return False
-            self._pivot_and_update(b, entering, target)
+            self._pivot_and_update(b, v, target)
 
     def model(self) -> list[Delta]:
         return self.assign[: self.n]
@@ -257,9 +241,16 @@ def _solver_for(
     return sx
 
 
-def feasible(nvars: int, rows: list[Row]) -> bool:
+def solve(nvars: int, rows: list[Row]) -> Optional[list[Delta]]:
+    """A model of the rows, one value per variable, or None if they are infeasible."""
     sx = _solver_for(nvars, rows)
-    return sx is not None and sx.check()
+    if sx is None or not sx.check():
+        return None
+    return sx.model()
+
+
+def feasible(nvars: int, rows: list[Row]) -> bool:
+    return solve(nvars, rows) is not None
 
 
 def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:

@@ -20,6 +20,8 @@ from chcprecond.linarith import (
     _same_row_bound,
     _signs,
     _supplies,
+    conj_and,
+    conj_vars,
     dnf_of_conj,
     entails,
     equiv_conj,
@@ -32,6 +34,8 @@ from chcprecond.linarith import (
     negate_conj,
     negate_dnf,
     project,
+    rename_conj,
+    rename_constraint,
     satisfiable,
     simplify,
 )
@@ -295,6 +299,120 @@ def test_certificates_agree_with_the_simplex():
         finally:
             RUN.reset(token)
     assert min(decided.values()) >= 20 and len(decided) == 4, decided
+
+
+# -- witness points --------------------------------------------------------------
+
+
+def chain_answers(run, seed=59):
+    """`satisfiable`, `entails` and `_drop_redundant` along seeded `conj_and` chains.
+
+    Each chain starts from a drawn conjunction and adds drawn operands one at
+    a time, so a child's operand usually has a point and the child often
+    loses it.  The draws include equalities and unsatisfiable conjunctions.
+    `satisfiable`'s cache is cleared first, so every answer is computed here.
+    Returns the answers and how many children took an operand's point.
+    """
+    z = Var("z")
+    pool = [{x: 1}, {x: -1}, {y: 1}, {y: -1}, {x: 1, y: 1}, {x: 1, y: -1},
+            {x: -1, y: -1}, {z: 1}, {y: 1, z: -2}, {x: 2, z: 1}, {x: 3, y: -2, z: 1}]
+    rng = random.Random(seed)
+
+    def draw(n):
+        return make_conj(
+            k(rng.choice(pool), rng.randint(-3, 3), "=" if rng.random() < 0.2 else "<=")
+            for _ in range(n)
+        )
+
+    answers, inherited = [], 0
+    satisfiable.cache_clear()
+    token = RUN.set(run)
+    try:
+        for _ in range(1500):
+            acc = draw(rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4)):
+                operand = draw(rng.randint(1, 3))
+                child = conj_and(acc, operand)
+                d = draw(rng.randint(1, 2))
+                answers.append((satisfiable(acc), satisfiable(operand), satisfiable(child),
+                                entails(child, d), entails(acc, d), _drop_redundant(child)))
+                if run is not None and child not in (acc, operand):
+                    point = run.models.get(child)
+                    inherited += point is not None and any(
+                        point is run.models.get(p) for p in (acc, operand)
+                    )
+                acc = child
+    finally:
+        RUN.reset(token)
+        satisfiable.cache_clear()
+    return answers, inherited
+
+
+def test_witness_points_leave_every_answer_unchanged():
+    run = Run()
+    outside, _ = chain_answers(None)
+    inside, inherited = chain_answers(run)
+    assert inside == outside
+    # operands and children take both answers, and children do take their
+    # parents' points
+    for i in (1, 2):
+        sat = Counter(a[i] for a in outside)
+        assert sat[True] > 500 and sat[False] > 100, (i, sat)
+    assert inherited > 200 and len(run.models) > 1000, (inherited, len(run.models))
+
+
+def test_every_witness_point_lies_in_its_conjunction():
+    run = Run()
+    chain_answers(run, seed=61)
+    assert len(run.models) > 1000
+    fractional = 0
+    for c, point in run.models.items():
+        assert satisfiable(c)
+        full = {v: point.get(v, 0) for v in conj_vars(c)}
+        assert holds_conj(c, full), (c, point)
+        fractional += any(type(value) is not int for value in point.values())
+    # some points are not integral, and those are exact too
+    assert fractional > 0
+
+
+def test_rename_conj_equals_renaming_each_constraint():
+    rng = random.Random(67)
+    z, w = Var("z"), Var("w")
+    names = [x, y, z, w, A, B]
+    pool = [{x: 1}, {x: -1}, {y: 2, z: -1}, {x: 1, y: 1}, {x: -1, y: 3}, {z: 1, w: -1},
+            {x: 2, y: -1, w: 1}, {w: -1}]
+    kinds = Counter()
+    for _ in range(1000):
+        c = make_conj(
+            k(rng.choice(pool), rng.randint(-3, 3), rng.choice(("<=", "<=", ">=", "=")))
+            for _ in range(rng.randint(0, 5))
+        )
+        # images drawn from c's own variables collide often
+        mapping = {v: rng.choice(names[:4]) for v in rng.sample(names, rng.randint(0, 5))}
+        image = {mapping.get(v, v) for v in conj_vars(c)}
+        kinds["injective" if len(image) == len(conj_vars(c)) else "not injective"] += 1
+        expected = make_conj(rename_constraint(j, mapping) for j in c)
+        assert rename_conj(c, mapping) == expected, (c, mapping)
+    assert kinds["injective"] > 500 and kinds["not injective"] > 200, kinds
+
+
+def test_project_known_sat_matches_the_checked_projection():
+    rng = random.Random(71)
+    z = Var("z")
+    pool = [{x: 1}, {x: -1}, {y: 1}, {x: 1, y: -1}, {x: 2, z: 1}, {y: -2, z: 3},
+            {x: 1, y: 1, z: -1}, {z: -1}]
+    compared = 0
+    for _ in range(600):
+        c = make_conj(
+            k(rng.choice(pool), rng.randint(-4, 4), "=" if rng.random() < 0.2 else "<=")
+            for _ in range(rng.randint(1, 6))
+        )
+        if not satisfiable(c):
+            continue
+        keep = set(rng.sample([x, y, z], rng.randint(0, 2)))
+        assert project(c, keep, known_sat=True) == project(c, keep), (c, keep)
+        compared += 1
+    assert compared > 300
 
 
 # -- canonical conjunctions ----------------------------------------------------

@@ -211,11 +211,48 @@ PINNED_NODES = [
 ]
 
 
+# For each system of PINNED_NODES, in the same order: the pivots its whole
+# branch-and-bound makes, and the model of every node whose relaxation is
+# feasible, in the order the nodes are visited.  Taken from the tableau that
+# kept a column index beside its rows; the tableau of rows alone must make
+# the same pivots.
+PINNED_PIVOTS = [
+    (1, ["1/2"]),
+    (4, ["1/3 0", "0 1/5"]),
+    (5, ["7/2 0", "3 1/3", "2 1"]),
+    (18, ["5/2 0", "2 -1/2", "3/2 -1", "1 -3/2", "1/2 -2", "3 1/2", "7/2 1",
+          "4 3/2", "9/2 2", "5 5/2", "11/2 3", "6 7/2"]),
+]
+
+
 @pytest.mark.parametrize("nvars, rows, expected, nodes", PINNED_NODES)
 def test_branch_and_bound_spends_the_pinned_nodes(nvars, rows, expected, nodes):
     budget = Budget(1_000)
     assert int_feasible(nvars, rows, budget) == expected
     assert 1_000 - budget.remaining == nodes
+
+
+@pytest.mark.parametrize("system, pinned", zip(PINNED_NODES, PINNED_PIVOTS))
+def test_branch_and_bound_takes_the_pinned_pivots_and_models(monkeypatch, system, pinned):
+    nvars, rows, expected, _ = system
+    pivots, models = 0, []
+    pivot, check = Simplex._pivot_and_update, Simplex.check
+
+    def counted_pivot(self, *args):
+        nonlocal pivots
+        pivots += 1
+        return pivot(self, *args)
+
+    def recorded_check(self):
+        ok = check(self)
+        if ok:
+            models.append(" ".join(str(r) for r, _ in self.model()))
+        return ok
+
+    monkeypatch.setattr(Simplex, "_pivot_and_update", counted_pivot)
+    monkeypatch.setattr(Simplex, "check", recorded_check)
+    assert int_feasible(nvars, rows, Budget(1_000)) == expected
+    assert (pivots, models) == pinned
 
 
 def test_unbounded_gap_exhausts_the_budget_after_the_pinned_nodes():
