@@ -1,7 +1,7 @@
 """Polyvariant specialisation: split predicates by the properties they satisfy.
 
 The run keeps a table of which versions and clauses were added at each
-step; `dump` prints it the way the library logs it.
+step; `dump` prints that table one step at a time.
 """
 
 from pathlib import Path

@@ -282,16 +282,14 @@ def iter_and_trees(
             yield from _trees_for_atom(p, atom, n, TRUE_CONJ, prune, fresh, masks)
 
 
-def find_counterexample(
-    p: Program, max_nodes: int = 40, root: Optional[Pred] = None
-) -> Optional[tuple[AndTree, bool]]:
+def find_counterexample(p: Program, max_nodes: int = 40) -> Optional[tuple[AndTree, bool]]:
     """Smallest feasible AND-tree for false, else smallest infeasible one.
 
     Returns None when no complete tree exists within the bound.  The second
     component tells which case was hit.
     """
-    for tree, _ in iter_and_trees(p, max_nodes, root=root, prune=True):
+    for tree, _ in iter_and_trees(p, max_nodes, prune=True):
         return tree, True
-    for tree, _ in iter_and_trees(p, max_nodes, root=root, prune=False):
+    for tree, _ in iter_and_trees(p, max_nodes, prune=False):
         return tree, False
     return None

@@ -1,9 +1,16 @@
 """Pipeline orchestration.
 
 One analysis run is pe, cs, then up to n rounds of (te, pe, cs), reading
-the precondition off the last program.  The wall clock is checked between
-transformation steps; when time runs out mid-round the partial round is
-discarded and the result falls back to the last completed one.
+the precondition off the last program.  Between rounds the run carries only
+the program and the side conditions: one negated initial-state projection
+per feasible trace eliminated, conjoined with the last program's
+precondition at the end.  The wall clock is checked between transformation
+steps; when time runs out mid-round the partial round is discarded and the
+result falls back to the last completed one.
+
+What a run gives up (a cap, an exhausted budget, a timeout fallback) is
+reported through `linarith.warn`, which appends to the run's own `Run`;
+the report's `warnings` are that list, in order.
 
 Each step keeps the program it produced, and its precondition (`swp`) is
 computed only when it is read: a run that reports just the final
@@ -13,7 +20,6 @@ alone.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,12 +28,10 @@ from typing import Optional
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, RUN, TRUE_CONJ, Run
+from .linarith import DNF, RUN, TRUE_CONJ, Run, negate_conj, warn
 from .pe import pe_run
-from .precond import PrecondState, classify, extract_swp, final_precondition
+from .precond import classify, extract_swp, final_precondition
 from .te import eliminate_trace
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,11 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.timeout <= 0:
+        # also rejects NaN, which no elapsed time would ever exceed
+        if not self.timeout > 0:
             raise ValueError("timeout must be positive")
+        if self.max_cex_nodes < 0:
+            raise ValueError("max_cex_nodes must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -104,45 +111,34 @@ def strip_init(p: Program) -> tuple[Program, DNF]:
     return p.with_clauses(clauses), initial_constraint_dnf(p)
 
 
-class _WarningTrap(logging.Handler):
-    def __init__(self) -> None:
-        super().__init__(level=logging.WARNING)
-        self.messages: list[str] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.messages.append(record.getMessage())
-
-
 def run_pipeline(p: Program, cfg: Optional[PipelineConfig] = None) -> PipelineReport:
     """Run the full specialisation pipeline and read off the precondition.
 
     Per-step timings make two reports differ byte-for-byte even on equal
     inputs; everything else in the report is deterministic.  The run's
-    kernel answers are remembered in a `Run` held in `linarith.RUN` until
-    the call returns or raises.
+    kernel answers and warnings are kept in a `Run` held in `linarith.RUN`
+    until the call returns or raises, so concurrent runs in other threads
+    neither share answers nor see each other's warnings.
     """
     if cfg is None:
         cfg = PipelineConfig()
-    trap = _WarningTrap()
-    root = logging.getLogger(__package__)
-    root.addHandler(trap)
-    token = RUN.set(Run())
+    run = Run()
+    token = RUN.set(run)
     try:
-        return _run(p, cfg, trap)
+        return _run(p, cfg, run)
     finally:
         RUN.reset(token)
-        root.removeHandler(trap)
 
 
-def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
+def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
     start = time.monotonic()
     original = p.original_init
     if cfg.strip_init:
         p, original = strip_init(p)
 
-    state = PrecondState()
+    # one side condition per feasible trace eliminated
+    psis: list[DNF] = []
     steps = [StepRecord("input", 0.0, p)]
-    state.record("input", 0)
 
     cur = p
     timed_out = early_stop = False
@@ -155,7 +151,7 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
             timed_out = True
             break
         t0 = time.monotonic()
-        cex = feasible = trace = theta = None
+        cex = feasible = trace = None
         if label == "pe":
             cur = pe_run(cur).program
         elif label == "cs":
@@ -167,23 +163,23 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
                 tt = tree.trace()
                 trace = str(tt)
                 cur, theta = eliminate_trace(cur, tt)
+                if theta is not None:
+                    psis.append(negate_conj(theta))
         steps.append(StepRecord(label, time.monotonic() - t0, cur, feasible, trace))
-        state.record(label, len(steps) - 1, theta)
         if label == "te" and cex is None:
             early_stop = True
             break
         if label == "cs":
-            last_good = (cur, list(state.psis), k // 3)
+            last_good = (cur, list(psis), k // 3)
 
     # an early stop leaves the last round's result unchanged, and a timeout
     # discards the partial round
     cur, psis, iterations_used = last_good
     if timed_out:
-        log.warning("timeout: falling back to iteration %d result", iterations_used)
+        warn(f"timeout: falling back to iteration {iterations_used} result")
 
-    final_state = PrecondState(psis=psis, history=list(state.history))
     t0 = time.monotonic()
-    pre = final_precondition(final_state, cur)
+    pre = final_precondition(cur, psis)
     t1 = time.monotonic()
     cls = classify(pre, original)
     t2 = time.monotonic()
@@ -194,7 +190,7 @@ def _run(p: Program, cfg: PipelineConfig, trap: _WarningTrap) -> PipelineReport:
         timed_out=timed_out,
         early_stop=early_stop,
         steps=tuple(steps),
-        warnings=tuple(trap.messages),
+        warnings=tuple(run.warnings),
         program=cur,
         final_seconds=t1 - t0,
         classify_seconds=t2 - t1,

@@ -46,11 +46,14 @@ A conjunction `conj_and` made inherits a point of one of its operands only
 after all of its own constraints hold at that point, and a premise whose
 point violates a constraint does not entail it.  The points live only in
 the run, like the memo.
+
+Caps that weaken a result report it through `warn`, which adds the message
+to the current run's `warnings` and prints it to stderr outside a run.
 """
 
 from __future__ import annotations
 
-import logging
+import sys
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -69,7 +72,6 @@ from .simplex import (
     solve,
 )
 
-logger = logging.getLogger(__name__)
 
 DEFAULT_BUDGET_NODES = 100_000
 PROJECTION_CAP = 2000
@@ -349,21 +351,23 @@ def rename_conj(c: ConstraintConj, mapping: Mapping[Var, Var]) -> ConstraintConj
 
 
 class Run:
-    """Kernel answers remembered for the length of one pipeline run.
+    """Kernel answers and warnings kept for the length of one pipeline run.
 
     The analysis re-specialises programs that change little from round to
     round, so one run asks the same kernel questions many times.
     `run_pipeline` installs a fresh `Run` in `RUN` and resets it when the run
-    ends, so no answer outlives its run or reaches another thread's.  Outside
-    a run `RUN` holds None and every function computes directly.
+    ends, so no answer or warning outlives its run or reaches another
+    thread's.  Outside a run `RUN` holds None and every function computes
+    directly.
 
     `project`, `drop_redundant` and `entails_one` map a call's arguments to
     its result.  `models` maps a satisfiable conjunction to a point of it
     (see `satisfiable`), and `parents` maps a conjunction `conj_and` made to
-    its two operands, until `satisfiable` reads it.
+    its two operands, until `satisfiable` reads it.  `warnings` collects what
+    the run gave up, in the order `warn` was called.
     """
 
-    __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents")
+    __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents", "warnings")
 
     def __init__(self) -> None:
         self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
@@ -371,9 +375,19 @@ class Run:
         self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
         self.models: dict[ConstraintConj, dict[Var, Num]] = {}
         self.parents: dict[ConstraintConj, tuple[ConstraintConj, ConstraintConj]] = {}
+        self.warnings: list[str] = []
 
 
 RUN: ContextVar[Optional[Run]] = ContextVar("RUN", default=None)
+
+
+def warn(message: str) -> None:
+    """Report a cap, budget or timeout the current run hit; stderr outside a run."""
+    run = RUN.get()
+    if run is None:
+        print(message, file=sys.stderr)
+    else:
+        run.warnings.append(message)
 
 
 # -- rational reasoning --------------------------------------------------------
@@ -702,7 +716,7 @@ def project(c: ConstraintConj, keep: Iterable[Var], known_sat: bool = False) -> 
     Exact over the rationals.  If the intermediate constraint count blows
     past the cap, the largest constants get dropped first, which weakens the
     result but never makes it wrong as an over-approximation.  Within a run
-    the answer is remembered, unless the cap was hit: such a call logs its
+    the answer is remembered, unless the cap was hit: such a call reports its
     warning again each time it is made.  A caller that knows c is
     satisfiable says so with `known_sat`, which spares the check.
     """
@@ -783,10 +797,7 @@ def _project(
                     new.add(combined)
         work = sorted(new)
         if len(work) > PROJECTION_CAP:
-            logger.warning(
-                "projection exceeded %d constraints, dropping the loosest",
-                PROJECTION_CAP,
-            )
+            warn(f"projection exceeded {PROJECTION_CAP} constraints, dropping the loosest")
             work.sort(key=lambda k: (abs(k.const), k))
             work = sorted(work[:PROJECTION_CAP])
             capped = True
@@ -839,13 +850,13 @@ DNF_FALSE = DNF(())
 DNF_TRUE = DNF((TRUE_CONJ,))
 
 
-def make_dnf(disjuncts: Iterable[ConstraintConj], prune: bool = True) -> DNF:
+def make_dnf(disjuncts: Iterable[ConstraintConj]) -> DNF:
     seen = set()
     kept = []
     for d in disjuncts:
         if d in seen or d.is_false():
             continue
-        if prune and not satisfiable(d):
+        if not satisfiable(d):
             continue
         seen.add(d)
         kept.append(d)
@@ -889,7 +900,7 @@ def negate_dnf(d: DNF) -> DNF:
                     nxt.add(merged)
         acc = sorted(nxt)
         if len(acc) > NEGATION_CAP:
-            logger.warning("negation exceeded %d disjuncts, truncating", NEGATION_CAP)
+            warn(f"negation exceeded {NEGATION_CAP} disjuncts, truncating")
             acc = acc[:NEGATION_CAP]
     return make_dnf(acc)
 

@@ -18,7 +18,6 @@ the unfolding depend on the call context in ways that reorder versions.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from .core import (
     FALSE_PRED,
@@ -45,9 +44,9 @@ from .linarith import (
     rename_conj,
     satisfiable,
     simplify,
+    warn,
 )
 
-logger = logging.getLogger(__name__)
 
 VERSION_CAP = 1024
 
@@ -228,7 +227,7 @@ def pe_run(p: Program) -> PeResult:
         nonlocal capped
         if len(elements) >= VERSION_CAP and not capped:
             capped = True
-            logger.warning("version cap reached; keying initial versions by property subset")
+            warn("version cap reached; keying initial versions by property subset")
             key = version_key(pred, projected)
             if key in elements:
                 return elements[key]

@@ -9,9 +9,7 @@ into disjunctive normal form happens once.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Program, initial_constraint_dnf
 from .linarith import (
@@ -23,36 +21,10 @@ from .linarith import (
     equiv_dnf,
     implies_dnf,
     make_dnf,
-    negate_conj,
     negate_dnf,
+    warn,
 )
 from .simplex import Undecided
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class PrecondState:
-    """Side conditions accumulated across trace eliminations.
-
-    `psis` holds one negated projection per feasible trace removed so far;
-    their conjunction is the psi of the iteration scheme.  `history` keeps
-    one row per pipeline step for reporting: step kind, index of the
-    program snapshot it produced, and the projected constraint when the
-    step was a feasible-trace elimination.
-    """
-
-    psis: list[DNF] = field(default_factory=list)
-    history: list[tuple[str, int, Optional[ConstraintConj]]] = field(
-        default_factory=list
-    )
-
-    def record(
-        self, kind: str, snapshot: int, theta: Optional[ConstraintConj] = None
-    ) -> None:
-        self.history.append((kind, snapshot, theta))
-        if theta is not None:
-            self.psis.append(negate_conj(theta))
 
 
 def extract_swp(p: Program) -> DNF:
@@ -80,10 +52,14 @@ def prune_disjuncts(d: DNF) -> DNF:
     return make_dnf(out)
 
 
-def final_precondition(s: PrecondState, p_m: Program) -> DNF:
-    """swp of the last program conjoined with the accumulated psi, simplified."""
+def final_precondition(p_m: Program, psis: Iterable[DNF]) -> DNF:
+    """swp of the last program conjoined with the side conditions, simplified.
+
+    `psis` holds one negated projection per feasible trace removed; their
+    conjunction is the psi of the iteration scheme.
+    """
     out = extract_swp(p_m)
-    for psi in s.psis:
+    for psi in psis:
         out = dnf_and(out, psi)
     return prune_disjuncts(out)
 
@@ -103,5 +79,5 @@ def classify(derived: DNF, original: Optional[DNF] = None) -> str:
             return "more-general"
         return "non-trivial"
     except Undecided:
-        log.warning("classification undecided: integer check budget exhausted")
+        warn("classification undecided: integer check budget exhausted")
         return "undecided"

@@ -42,8 +42,8 @@ class Budget:
     def __init__(self, nodes: int):
         self.remaining = nodes
 
-    def spend(self, amount: int = 1) -> None:
-        self.remaining -= amount
+    def spend(self) -> None:
+        self.remaining -= 1
         if self.remaining < 0:
             raise Undecided("branch-and-bound node budget exhausted")
 

@@ -103,6 +103,14 @@ def test_bad_config_exit_code(capsys):
     assert "iterations" in err
 
 
+def test_negative_node_bound_is_a_config_error(capsys):
+    code, _, err = run(
+        capsys, "analyze", path("fig1.chc"), "--max-cex-nodes", "-5"
+    )
+    assert code == 2
+    assert "error: max_cex_nodes" in err
+
+
 def test_timeout_exit_code(capsys):
     code, out, _ = run(
         capsys, "analyze", path("fig1.chc"), "--timeout", "1e-9"

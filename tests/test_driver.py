@@ -28,6 +28,11 @@ def test_config_validation():
         PipelineConfig(iterations=-1)
     with pytest.raises(ValueError, match="timeout"):
         PipelineConfig(timeout=0)
+    # NaN would never be exceeded, so it would mean no bound at all
+    with pytest.raises(ValueError, match="timeout"):
+        PipelineConfig(timeout=float("nan"))
+    with pytest.raises(ValueError, match="max_cex_nodes"):
+        PipelineConfig(max_cex_nodes=-5)
 
 
 def test_one_round_splits_the_initial_state():
@@ -217,18 +222,19 @@ def test_no_run_is_left_set_after_a_run_returns_or_raises(monkeypatch):
 
 
 def test_runs_in_threads_report_what_they_report_one_after_another(monkeypatch):
-    # none of these programs logs a warning: warnings still reach the report
-    # through a handler shared by the whole process
+    # none of these programs warns; the next test runs one that does
     names = ["cs_example.chc", "example_t4.chc", "branch_split.chc", "counter_loop.chc"]
     cfg = PipelineConfig(iterations=1)
     alone = [_fields(run_pipeline(load(n), cfg)) for n in names]
     assert not any(f[6] for f in alone)
 
-    runs: dict[int, set[int]] = {}
+    # keyed by the objects themselves: a finished thread's ident, and a
+    # collected Run's id, may be handed out again
+    runs: dict[threading.Thread, set[Run]] = {}
     real = driver_mod.pe_run
 
     def recording(p):
-        runs.setdefault(threading.get_ident(), set()).add(id(RUN.get()))
+        runs.setdefault(threading.current_thread(), set()).add(RUN.get())
         return real(p)
 
     monkeypatch.setattr(driver_mod, "pe_run", recording)
@@ -251,12 +257,42 @@ def test_runs_in_threads_report_what_they_report_one_after_another(monkeypatch):
     assert together == alone
     # each thread saw one Run of its own
     assert len(runs) == len(names)
-    assert all(len(ids) == 1 for ids in runs.values())
+    assert all(len(seen) == 1 for seen in runs.values())
     assert len(set().union(*runs.values())) == len(names)
 
 
+def test_a_run_in_a_thread_reports_only_its_own_warnings():
+    quiet_cfg = PipelineConfig(iterations=2)
+    alone = _fields(run_pipeline(load("fig1.chc"), quiet_cfg))
+    assert alone[6] == ()
+    noisy_cfg = PipelineConfig(timeout=1e-9)
+    noisy: list = []
+    quiet: list = []
+
+    def fall_back() -> None:
+        for _ in range(50):
+            noisy.append(run_pipeline(load("counter_loop.chc"), noisy_cfg).warnings)
+
+    def work() -> None:
+        quiet.append(_fields(run_pipeline(load("fig1.chc"), quiet_cfg)))
+
+    threads = [threading.Thread(target=fall_back), threading.Thread(target=work)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert quiet == [alone]
+    assert noisy == [("timeout: falling back to iteration 0 result",)] * 50
+
+
 def test_every_capped_projection_warns_although_answers_are_remembered(monkeypatch):
-    # a capped projection is not remembered, so each call logs its warning;
+    # a capped projection is not remembered, so each call reports its warning;
     # this count is what the code before the per-run memo reported
     monkeypatch.setattr(linarith_mod, "PROJECTION_CAP", 2)
     r = run_pipeline(load("cs_example.chc"), PipelineConfig(iterations=1))

@@ -26,3 +26,16 @@ def test_import_loads_only_standard_library_modules():
         check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_import_does_not_load_logging():
+    # warnings belong to the run that hit them, not to a process-wide logger
+    code = "import sys, chcprecond\nprint('logging' in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

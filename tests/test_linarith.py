@@ -183,7 +183,7 @@ def test_make_dnf_absorbs_deduplicates_and_sorts():
     # the proper superset is absorbed, repeats collapse, unsat goes
     assert d == DNF(tuple(sorted([small, other])))
     assert list(d.disjuncts) == sorted(d.disjuncts)
-    assert make_dnf([big, small], prune=False) == DNF((small,))
+    assert make_dnf([big, small]) == DNF((small,))
     assert make_dnf([unsat]).is_false()
 
 

@@ -1,7 +1,5 @@
 """Polyvariant specialisation: property generation, versions, the S/R table."""
 
-import logging
-
 import pytest
 
 from chcprecond.core import Pred
@@ -123,11 +121,11 @@ def test_coverage_required():
         pe_run(p)
 
 
-def test_version_cap_falls_back_to_subset_keys(monkeypatch, caplog):
+def test_version_cap_falls_back_to_subset_keys(monkeypatch, capsys):
     monkeypatch.setattr(pe_mod, "VERSION_CAP", 2)
-    with caplog.at_level(logging.WARNING, logger="chcprecond.pe"):
-        r = pe_run(load("fig1.chc"))
-    assert any("version cap" in rec.message for rec in caplog.records)
+    r = pe_run(load("fig1.chc"))
+    # outside a run the warning goes to stderr
+    assert "version cap reached; " in capsys.readouterr().err
     assert r.program.clauses  # still terminates with a usable result
 
 

@@ -1,7 +1,5 @@
 """Precondition extraction, pruning, and classification."""
 
-import logging
-
 import pytest
 
 from chcprecond.core import Program
@@ -18,7 +16,6 @@ from chcprecond.linarith import (
 from chcprecond.parser import parse_program
 from chcprecond.pe import pe_run
 from chcprecond.precond import (
-    PrecondState,
     classify,
     extract_swp,
     final_precondition,
@@ -63,8 +60,7 @@ def test_arity_guard():
 
 def test_prune_drops_entailed_disjunct():
     d = make_dnf(
-        [conj_from([({X: 1}, -5, ">=")]), conj_from([({X: 1}, 0, ">=")])],
-        prune=False,
+        [conj_from([({X: 1}, -5, ">=")]), conj_from([({X: 1}, 0, ">=")])]
     )
     out = prune_disjuncts(d)
     assert len(out) == 1
@@ -76,34 +72,19 @@ def test_prune_keeps_one_of_an_equivalent_pair():
         [
             conj_from([({X: 1}, 0, ">="), ({X: 1}, 0, "<=")]),
             conj_from([({X: 1}, 0, "=")]),
-        ],
-        prune=False,
+        ]
     )
     out = prune_disjuncts(pair)
     assert len(out) == 1
     assert equiv_dnf(out, dnf_of_conj(conj_from([({X: 1}, 0, "=")])))
 
 
-def test_record_accumulates_blocking_conditions():
-    st = PrecondState()
-    st.record("pe", 1)
-    assert st.psis == [] and st.history == [("pe", 1, None)]
-    theta = conj_from([({A: 1}, -3, ">=")])
-    st.record("te", 2, theta)
-    assert len(st.psis) == 1
-    assert st.history[-1] == ("te", 2, theta)
-    assert st.psis[0] == negate_conj(theta)
-    assert holds_dnf(st.psis[0], {A: 2})
-    assert not holds_dnf(st.psis[0], {A: 3})
-
-
 def test_final_precondition_conjoins_side_conditions():
     p = parse_program(
         ":- initial(i/1).\nc1. i(A) :- A >= 0.\nc2. false :- i(A).\n"
     )
-    st = PrecondState()
-    st.record("te", 0, conj_from([({A: 1}, -3, ">=")]))
-    got = final_precondition(st, p)
+    theta = conj_from([({A: 1}, -3, ">=")])
+    got = final_precondition(p, [negate_conj(theta)])
     assert equiv_dnf(got, dnf_of_conj(conj_from([({A: 1}, 1, "<=")])))
 
 
@@ -126,9 +107,9 @@ def test_classify_against_declared_condition():
     assert classify(original, derived) == "non-trivial"
 
 
-def test_classify_reports_exhausted_budget(monkeypatch, caplog):
+def test_classify_reports_exhausted_budget(monkeypatch, capsys):
     monkeypatch.setattr(linarith, "DEFAULT_BUDGET_NODES", 0)
     derived = dnf_of_conj(conj_from([({X: 1}, 0, ">=")]))
-    with caplog.at_level(logging.WARNING, logger="chcprecond.precond"):
-        assert classify(derived) == "undecided"
-    assert any("undecided" in rec.message for rec in caplog.records)
+    assert classify(derived) == "undecided"
+    # outside a run the warning goes to stderr
+    assert "undecided" in capsys.readouterr().err
