@@ -26,7 +26,7 @@ from .linarith import (
     conj_vars,
     format_conj,
     make_dnf,
-    project,
+    project_onto,
     rename_conj,
 )
 
@@ -304,11 +304,14 @@ def initial_constraint_dnf(p: Program) -> DNF:
     the same variables.  A fact whose arity differs from `init_args` raises
     ValueError.
     """
-    disjuncts = []
-    for cl in p.initial_clauses():
-        if len(cl.head.args) != len(p.init_args):
-            raise ValueError("initial predicate arity does not match declaration")
-        c = project(cl.constr, set(cl.head.args))
-        mapping = dict(zip(cl.head.args, p.init_args))
-        disjuncts.append(rename_conj(c, mapping))
-    return make_dnf(disjuncts)
+    return make_dnf(onto_init_args(p, cl.constr, cl.head.args) for cl in p.initial_clauses())
+
+
+def onto_init_args(p: Program, c: ConstraintConj, args: tuple[Var, ...]) -> ConstraintConj:
+    """c projected onto an initial atom's `args`, renamed onto `init_args`.
+
+    Raises ValueError when the atom's arity differs from `init_args`.
+    """
+    if len(args) != len(p.init_args):
+        raise ValueError("initial predicate arity does not match declaration")
+    return project_onto(c, args, p.init_args)

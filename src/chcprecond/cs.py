@@ -6,6 +6,10 @@ every clause with the invariants of its body atoms (facts take theirs on
 the head, since they have no body).  A clause whose strengthened constraint
 can never participate in a derivation of the goal is deleted.
 
+An invariant is a conjunction over the canonical dims `$a0..$a{n-1}`,
+joined and widened by `polyhedra`; `FALSE_CONJ` is the invariant of a
+predicate that is never called or never answers.
+
 The head's call invariant is deliberately not conjoined into the output
 constraint; it only feeds the deletion test.  Conjoining it would still be
 a sound strengthening, but the body-and-fact rule is the one that matches
@@ -17,24 +21,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Clause, Pred, Program, recursive_preds
+from .core import Atom, Clause, Pred, Program, recursive_preds
 from .linarith import (
+    FALSE_CONJ,
+    ConstraintConj,
     Var,
     conj_and,
+    entails,
     format_conj,
-    project,
+    project_onto,
     rename_conj,
     satisfiable,
     simplify,
 )
-from .polyhedra import (
-    Polyhedron,
-    bottom_poly,
-    constr_at,
-    includes,
-    join,
-    widen,
-)
+from .polyhedra import join, widen
 from .qa import answer_pred, qa_transform, query_pred
 
 # joins a recursive predicate takes before widening replaces them
@@ -45,26 +45,34 @@ def _dims(arity: int) -> tuple[Var, ...]:
     return tuple(Var(f"$a{i}") for i in range(arity))
 
 
+def _at(c: ConstraintConj, atom: Atom) -> ConstraintConj:
+    """c, over the canonical dims, renamed positionally onto the atom's args."""
+    return rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
+
+
 @dataclass(frozen=True)
 class InvariantMap:
-    """Call and answer invariants per source predicate, over canonical dims."""
+    """Call and answer invariants per source predicate, over canonical dims.
 
-    call: dict[Pred, Polyhedron]
-    ans: dict[Pred, Polyhedron]
+    A predicate with no entry, or mapped to `FALSE_CONJ`, is never called
+    or never answers.
+    """
 
-    def call_inv(self, p: Pred) -> Polyhedron:
-        return self.call.get(p, bottom_poly(_dims(p.arity)))
+    call: dict[Pred, ConstraintConj]
+    ans: dict[Pred, ConstraintConj]
 
-    def ans_inv(self, p: Pred) -> Polyhedron:
-        return self.ans.get(p, bottom_poly(_dims(p.arity)))
+    def call_inv(self, p: Pred) -> ConstraintConj:
+        return self.call.get(p, FALSE_CONJ)
+
+    def ans_inv(self, p: Pred) -> ConstraintConj:
+        return self.ans.get(p, FALSE_CONJ)
 
     def dump(self) -> str:
-        def show(poly: Polyhedron) -> str:
-            return "false" if poly.bottom else format_conj(poly.constr)
-
         lines = []
         for p in sorted(self.call, key=lambda q: (q.name, q.arity)):
-            lines.append(f"{p}: call={show(self.call_inv(p))}; ans={show(self.ans_inv(p))}")
+            lines.append(
+                f"{p}: call={format_conj(self.call_inv(p))}; ans={format_conj(self.ans_inv(p))}"
+            )
         return "\n".join(lines)
 
 
@@ -75,10 +83,14 @@ class CsResult:
     deleted: tuple[str, ...] = ()
 
 
-def analyze(qa: Program) -> dict[Pred, Polyhedron]:
-    """Least-fixpoint approximation over the QA program's predicates."""
+def analyze(qa: Program) -> dict[Pred, ConstraintConj]:
+    """Least-fixpoint approximation over the QA program's predicates.
+
+    Every conjunction in the state is satisfiable; a predicate with none is
+    bottom.
+    """
     cyclic = recursive_preds(qa)
-    state: dict[Pred, Polyhedron] = {}
+    state: dict[Pred, ConstraintConj] = {}
     joins: dict[Pred, int] = {}
     by_body: dict[Pred, list[int]] = {}
     for i, cl in enumerate(qa.clauses):
@@ -92,16 +104,19 @@ def analyze(qa: Program) -> dict[Pred, Polyhedron]:
         queued.discard(i)
         cl = qa.clauses[i]
         sp = _clause_post(cl, state)
-        if sp is None or sp.bottom:
+        if sp is None:
             continue
         head = cl.head.pred
-        old = state.get(head, bottom_poly(sp.dims))
-        # the hull of old with a subset of itself is old, so skip the join
-        if includes(old, sp):
+        old = state.get(head)
+        if old is None:
+            new = sp
+        elif entails(sp, old):
+            # the hull of old with a subset of itself is old, so skip the join
             continue
-        new = join(old, sp)
-        if head in cyclic and joins.get(head, 0) >= WIDENING_DELAY:
-            new = widen(old, new)
+        else:
+            new = join(old, sp)
+            if head in cyclic and joins.get(head, 0) >= WIDENING_DELAY:
+                new = widen(old, new)
         joins[head] = joins.get(head, 0) + 1
         state[head] = new
         for j in by_body.get(head, ()):
@@ -111,30 +126,25 @@ def analyze(qa: Program) -> dict[Pred, Polyhedron]:
     return state
 
 
-def _clause_post(cl: Clause, state: dict[Pred, Polyhedron]):
+def _clause_post(cl: Clause, state: dict[Pred, ConstraintConj]):
     """Strongest postcondition of one QA clause under the current state."""
     acc = cl.constr
     for b in cl.body:
-        poly = state.get(b.pred)
-        if poly is None or poly.bottom:
+        c = state.get(b.pred)
+        if c is None:
             return None
-        if not poly.is_top():
-            acc = conj_and(acc, constr_at(poly, b.args))
+        if not c.is_true():
+            acc = conj_and(acc, _at(c, b))
     if not satisfiable(acc):
         return None
-    dims = _dims(len(cl.head.args))
     # acc is satisfiable, so its projection is too
-    over_args = project(acc, set(cl.head.args))
-    return Polyhedron(dims, rename_conj(over_args, dict(zip(cl.head.args, dims))))
+    return project_onto(acc, cl.head.args, _dims(len(cl.head.args)))
 
 
 def invariants_for(p: Program) -> InvariantMap:
     state = analyze(qa_transform(p))
-    call: dict[Pred, Polyhedron] = {}
-    ans: dict[Pred, Polyhedron] = {}
-    for pred in p.preds():
-        call[pred] = state.get(query_pred(pred), bottom_poly(_dims(pred.arity)))
-        ans[pred] = state.get(answer_pred(pred), bottom_poly(_dims(pred.arity)))
+    call = {pred: state.get(query_pred(pred), FALSE_CONJ) for pred in p.preds()}
+    ans = {pred: state.get(answer_pred(pred), FALSE_CONJ) for pred in p.preds()}
     return InvariantMap(call, ans)
 
 
@@ -144,29 +154,20 @@ def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]
     deleted = []
     for cl in p.clauses:
         constr = cl.constr
-        dead = False
-        for b in cl.body:
-            cp, ap = inv.call_inv(b.pred), inv.ans_inv(b.pred)
-            if cp.bottom or ap.bottom:
-                dead = True
+        for a in cl.body if not cl.is_fact() else (cl.head,):
+            cp, ap = inv.call_inv(a.pred), inv.ans_inv(a.pred)
+            if cp.is_false() or ap.is_false():
+                constr = FALSE_CONJ
                 break
-            constr = conj_and(constr, constr_at(cp, b.args))
-            constr = conj_and(constr, constr_at(ap, b.args))
-        if not dead and not cl.body and cl.head is not None:
-            cp, ap = inv.call_inv(cl.head.pred), inv.ans_inv(cl.head.pred)
-            if cp.bottom or ap.bottom:
-                dead = True
-            else:
-                constr = conj_and(constr, constr_at(cp, cl.head.args))
-                constr = conj_and(constr, constr_at(ap, cl.head.args))
-        if dead or not satisfiable(constr):
+            constr = conj_and(conj_and(constr, _at(cp, a)), _at(ap, a))
+        if not satisfiable(constr):
             deleted.append(cl.cid)
             continue
         constr = simplify(constr)
         if cl.body and cl.head is not None:
             head_call = inv.call_inv(cl.head.pred)
-            if head_call.bottom or not satisfiable(
-                conj_and(constr, constr_at(head_call, cl.head.args))
+            if head_call.is_false() or not satisfiable(
+                conj_and(constr, _at(head_call, cl.head))
             ):
                 deleted.append(cl.cid)
                 continue

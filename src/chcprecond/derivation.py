@@ -196,12 +196,7 @@ def _size_masks(p: Program, max_nodes: int) -> dict[Pred, int]:
         for cl in p.clauses:
             if cl.head is None:
                 continue
-            comb = 1
-            for a in cl.body:
-                comb = _shift_or(comb, masks.get(a.pred, 0), cap)
-                if not comb:
-                    break
-            new = (comb << 1) & cap
+            new = (_list_mask(cl.body, masks, cap) << 1) & cap
             old = masks.get(cl.head.pred, 0)
             if new & ~old:
                 masks[cl.head.pred] = old | new

@@ -1,6 +1,8 @@
-"""Linear integer arithmetic: terms, constraints, conjunctions, DNF.
+"""Linear integer arithmetic: constraints, conjunctions, DNF.
 
-The canonical constraint form is `sum(c_i * x_i) + const REL 0` with integer
+A linear term has no type of its own: it is a coefficient map plus a
+constant, the form `make_constraint` takes and `_combine` adds in.  The
+canonical constraint form is `sum(c_i * x_i) + const REL 0` with integer
 coefficients, REL either `=` or `<=`, and gcd of all coefficients together
 with the constant equal to 1.  Strict relations are normalized away at
 construction time using integrality (`t < 0` becomes `t + 1 <= 0`), so a
@@ -95,51 +97,6 @@ class Var(str):
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
-class LinTerm:
-    """Integer linear expression: coefficient list plus constant."""
-
-    coeffs: tuple[tuple[Var, int], ...]
-    const: int
-
-    def is_constant(self) -> bool:
-        return not self.coeffs
-
-
-def term_of(coeffs: Mapping[Var, int], const: int = 0) -> LinTerm:
-    items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-    return LinTerm(items, const)
-
-
-def t_var(v: Var) -> LinTerm:
-    return LinTerm(((v, 1),), 0)
-
-
-def t_const(n: int) -> LinTerm:
-    return LinTerm((), n)
-
-
-def t_add(a: LinTerm, b: LinTerm) -> LinTerm:
-    acc = dict(a.coeffs)
-    for v, c in b.coeffs:
-        acc[v] = acc.get(v, 0) + c
-    return term_of(acc, a.const + b.const)
-
-
-def t_neg(a: LinTerm) -> LinTerm:
-    return LinTerm(tuple((v, -c) for v, c in a.coeffs), -a.const)
-
-
-def t_sub(a: LinTerm, b: LinTerm) -> LinTerm:
-    return t_add(a, t_neg(b))
-
-
-def t_scale(a: LinTerm, k: int) -> LinTerm:
-    if k == 0:
-        return t_const(0)
-    return LinTerm(tuple((v, c * k) for v, c in a.coeffs), a.const * k)
-
-
 class LinConstraint(NamedTuple):
     """Canonical atomic constraint: coeffs . vars + const REL 0.
 
@@ -197,10 +154,6 @@ def make_constraint(coeffs: Mapping[Var, int], const: int, rel: str) -> LinConst
     return LinConstraint(ordered, const, rel)
 
 
-def constraint_of_term(t: LinTerm, rel: str) -> LinConstraint:
-    return make_constraint(dict(t.coeffs), t.const, rel)
-
-
 def negate_constraint(k: LinConstraint) -> tuple[LinConstraint, ...]:
     """Integer negation.  One disjunct for <=, two for =."""
     neg = {v: -c for v, c in k.coeffs}
@@ -211,13 +164,6 @@ def negate_constraint(k: LinConstraint) -> tuple[LinConstraint, ...]:
         make_constraint(pos, k.const + 1, "<="),
         make_constraint(neg, -k.const + 1, "<="),
     )
-
-
-def subst_constraint(k: LinConstraint, mapping: Mapping[Var, LinTerm]) -> LinConstraint:
-    acc = t_const(k.const)
-    for v, c in k.coeffs:
-        acc = t_add(acc, t_scale(mapping.get(v, t_var(v)), c))
-    return constraint_of_term(acc, k.rel)
 
 
 def rename_constraint(k: LinConstraint, mapping: Mapping[Var, Var]) -> LinConstraint:
@@ -681,11 +627,9 @@ def _int_preprocess(constraints: tuple[LinConstraint, ...]):
         if pivot is None:
             break
         eq, v, c = pivot
-        # v = -(rest + const) / c with c = +-1
-        rest = {w: cf for w, cf in eq.coeffs if w != v}
-        replacement = term_of({w: -cf * c for w, cf in rest.items()}, -eq.const * c)
-        mapping = {v: replacement}
-        work = [subst_constraint(k, mapping) for k in work if k is not eq]
+        # v = -(rest + const) / c with c = +-1, so substituting it into a k
+        # that holds b*v is adding -b*c times eq, which cancels v
+        work = [_combine(k, 1, eq, -dict(k.coeffs).get(v, 0) * c) for k in work if k is not eq]
     if not work:
         return True, ()
     return None, tuple(work)
@@ -730,6 +674,13 @@ def project(c: ConstraintConj, keep: Iterable[Var], known_sat: bool = False) -> 
     if run is not None and not capped:
         run.project[(c, keep_set)] = result
     return result
+
+
+def project_onto(
+    c: ConstraintConj, args: tuple[Var, ...], onto: tuple[Var, ...]
+) -> ConstraintConj:
+    """c projected onto an atom's `args`, renamed positionally onto `onto`."""
+    return rename_conj(project(c, args), dict(zip(args, onto)))
 
 
 def _project(

@@ -12,6 +12,8 @@ Heads are `false` or `name(args)`.  Bodies mix constraints and atoms freely.
 Constraints relate two linear terms with `=`, `=<`, `>=`, `<` or `>`; terms
 are built from integer literals, variables (leading uppercase or underscore)
 and `+`, `-`, `*` with multiplication restricted to a literal on one side.
+A term is read into a coefficient map, with zero coefficients dropped, and
+a constant; constraints are built from those with `make_constraint`.
 The optional leading `c1.` style label becomes the clause identifier;
 unlabelled clauses get `c<k>` by position.
 
@@ -26,19 +28,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Atom, Clause, Pred, Program, initial_constraint_dnf
-from .linarith import (
-    ConstraintConj,
-    LinTerm,
-    Var,
-    constraint_of_term,
-    make_conj,
-    t_add,
-    t_const,
-    t_neg,
-    t_scale,
-    t_sub,
-    t_var,
-)
+from .linarith import Var, make_conj, make_constraint
+
+# a linear term: coefficients, none of them zero, and a constant
+Term = tuple[dict[Var, int], int]
+
+_ZERO: Term = ({}, 0)
+
+
+def _lin(a: Term, b: Term, k: int) -> Term:
+    """The term a + k*b."""
+    coeffs = dict(a[0])
+    for v, c in b[0].items():
+        coeffs[v] = coeffs.get(v, 0) + k * c
+    return {v: c for v, c in coeffs.items() if c}, a[1] + k * b[1]
 
 
 class ParseError(Exception):
@@ -225,47 +228,41 @@ class _Parser:
 
     # -- terms -----------------------------------------------------------
 
-    def parse_term(self) -> LinTerm:
-        negate = False
+    def parse_term(self) -> Term:
+        sign = 1
         if self.peek().text == "-":
             self.next()
-            negate = True
-        acc = self.parse_product()
-        if negate:
-            acc = t_neg(acc)
+            sign = -1
+        acc = _lin(_ZERO, self.parse_product(), sign)
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            rhs = self.parse_product()
-            acc = t_add(acc, rhs) if op == "+" else t_sub(acc, rhs)
+            acc = _lin(acc, self.parse_product(), 1 if op == "+" else -1)
         return acc
 
-    def parse_product(self) -> LinTerm:
+    def parse_product(self) -> Term:
         factors = [self.parse_factor()]
         while self.peek().text == "*":
             star = self.next()
             factors.append(self.parse_factor())
-            non_const = [f for f in factors if not f.is_constant()]
-            if len(non_const) > 1:
+            if sum(1 for f in factors if f[0]) > 1:
                 raise ParseError("nonlinear constraint", star.line, star.col)
-        acc = t_const(1)
-        scale = 1
-        variable: Optional[LinTerm] = None
+        # the one factor with variables, if any, scaled by the literals
+        scale, term = 1, ({}, 1)
         for f in factors:
-            if f.is_constant():
-                scale *= f.const
+            if f[0]:
+                term = f
             else:
-                variable = f
-        acc = t_scale(variable, scale) if variable is not None else t_const(scale)
-        return acc
+                scale *= f[1]
+        return _lin(_ZERO, term, scale)
 
-    def parse_factor(self) -> LinTerm:
+    def parse_factor(self) -> Term:
         t = self.next()
         if t.kind == "INT":
-            return t_const(int(t.text))
+            return {}, int(t.text)
         if t.kind == "VAR":
-            return t_var(Var(t.text))
+            return {Var(t.text): 1}, 0
         if t.text == "-":
-            return t_neg(self.parse_factor())
+            return _lin(_ZERO, self.parse_factor(), -1)
         raise ParseError(f"term expected, found {t.text or 'end of input'!r}", t.line, t.col)
 
 
@@ -275,17 +272,14 @@ def _normalize_clause(label, head, body, index: int):
     used: set[str] = set()
     for elem in body:
         if elem[0] == "constr":
-            for v, _ in elem[1].coeffs + elem[3].coeffs:
-                used.add(v.name)
+            used.update(v.name for v in (*elem[1][0], *elem[3][0]))
     if head is not None:
         for arg in head[1]:
-            for v, _ in arg.coeffs:
-                used.add(v.name)
+            used.update(v.name for v in arg[0])
     for elem in body:
         if elem[0] == "atom":
             for arg in elem[1][1]:
-                for v, _ in arg.coeffs:
-                    used.add(v.name)
+                used.update(v.name for v in arg[0])
     fresh_n = 0
 
     def fresh() -> Var:
@@ -297,16 +291,16 @@ def _normalize_clause(label, head, body, index: int):
                 used.add(name)
                 return Var(name)
 
-    def flatten(name: str, args: list[LinTerm], pos) -> Atom:
+    def flatten(name: str, args: list[Term], pos) -> Atom:
         out: list[Var] = []
-        for arg in args:
-            if len(arg.coeffs) == 1 and arg.coeffs[0][1] == 1 and arg.const == 0:
-                v = arg.coeffs[0][0]
+        for coeffs, const in args:
+            if const == 0 and list(coeffs.values()) == [1]:
+                (v,) = coeffs
                 if v not in out:
                     out.append(v)
                     continue
             v = fresh()
-            constraints.append(constraint_of_term(t_sub(t_var(v), arg), "="))
+            constraints.append(make_constraint(*_lin(({v: 1}, 0), (coeffs, const), -1), "="))
             out.append(v)
         return Atom(Pred(name, len(args)), tuple(out))
 
@@ -319,7 +313,7 @@ def _normalize_clause(label, head, body, index: int):
             continue
         if elem[0] == "constr":
             rel = "<=" if elem[2] == "=<" else elem[2]
-            constraints.append(constraint_of_term(t_sub(elem[1], elem[3]), rel))
+            constraints.append(make_constraint(*_lin(elem[1], elem[3], -1), rel))
         else:
             body_atoms.append(flatten(*elem[1]))
     cid = label if label is not None else f"c{index}"

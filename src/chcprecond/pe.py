@@ -40,8 +40,7 @@ from .linarith import (
     conj_vars,
     entails,
     format_conj,
-    project,
-    rename_conj,
+    project_onto,
     satisfiable,
     simplify,
     warn,
@@ -80,11 +79,10 @@ def gen_properties(p: Program) -> dict[Pred, tuple[ConstraintConj, ...]]:
         if cl.head is not None:
             targets.append(cl.head)
         for atom in targets:
-            renaming = dict(zip(atom.args, canon[atom.pred]))
-            add(atom.pred, rename_conj(project(cl.constr, set(atom.args)), renaming))
-            for j, v in enumerate(atom.args):
-                single = project(cl.constr, {v})
-                add(atom.pred, rename_conj(single, {v: canon[atom.pred][j]}))
+            onto = canon[atom.pred]
+            add(atom.pred, project_onto(cl.constr, atom.args, onto))
+            for v, w in zip(atom.args, onto):
+                add(atom.pred, project_onto(cl.constr, (v,), (w,)))
     return {pred: tuple(cs) for pred, cs in props.items()}
 
 
@@ -208,27 +206,22 @@ def pe_run(p: Program) -> PeResult:
     name_counts: dict[str, int] = {}
     capped = False
 
-    def version_key(pred: Pred, projected: ConstraintConj):
+    def version(pred: Pred, projected: ConstraintConj) -> tuple[tuple, ConstraintConj]:
+        """The key of projected's version of pred, and the constraint it stores."""
         if pred in p.initial_preds and not capped:
-            return ("init", pred, projected)
-        _, subset = rep_psi(props, pred, projected)
-        return ("psi", pred, subset)
-
-    def stored_theta(pred: Pred, projected: ConstraintConj, key) -> ConstraintConj:
-        if key[0] == "init":
-            return projected
-        abstracted, _ = rep_psi(props, pred, projected)
-        return abstracted
+            return ("init", pred, projected), projected
+        abstracted, subset = rep_psi(props, pred, projected)
+        return ("psi", pred, subset), abstracted
 
     def new_element(pred: Pred, projected: ConstraintConj, step: int) -> _Element:
-        key = version_key(pred, projected)
+        key, theta = version(pred, projected)
         if key in elements:
             return elements[key]
         nonlocal capped
         if len(elements) >= VERSION_CAP and not capped:
             capped = True
             warn("version cap reached; keying initial versions by property subset")
-            key = version_key(pred, projected)
+            key, theta = version(pred, projected)
             if key in elements:
                 return elements[key]
         if pred == FALSE_PRED:
@@ -237,7 +230,7 @@ def pe_run(p: Program) -> PeResult:
             k = name_counts.get(pred.name, 0) + 1
             name_counts[pred.name] = k
             name = f"{pred.name}_{k}"
-        elem = _Element(pred, name, stored_theta(pred, projected, key), step)
+        elem = _Element(pred, name, theta, step)
         elements[key] = elem
         queue.append(key)
         return elem
@@ -254,9 +247,7 @@ def pe_run(p: Program) -> PeResult:
         for constr, atoms in rs:
             children = []
             for a in atoms:
-                projected = rename_conj(
-                    project(constr, set(a.args)), dict(zip(a.args, canon[a.pred]))
-                )
+                projected = project_onto(constr, a.args, canon[a.pred])
                 child = new_element(a.pred, projected, elem.step + 1)
                 children.append(child.name)
             annotated.append((constr, atoms, tuple(children)))

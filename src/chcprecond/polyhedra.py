@@ -1,18 +1,16 @@
-"""Convex polyhedra over a fixed tuple of dimensions.
+"""Convex polyhedra as constraint conjunctions.
 
 Thin abstract-domain layer over the linear kernel: a polyhedron is a
-satisfiable constraint conjunction over named dimensions, plus an explicit
-bottom element.  The join computes the (closed) convex hull by projecting
-the standard lifted system, so everything stays in constraint form.
+satisfiable conjunction; `FALSE_CONJ` is bottom and `TRUE_CONJ` is top.
+The join computes the (closed) convex hull by projecting the standard
+lifted system (Benoy, King & Mesnard, TPLP 2005), so everything stays in
+constraint form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linarith import (
     ConstraintConj,
-    FALSE_CONJ,
     LinConstraint,
     TRUE_CONJ,
     Var,
@@ -21,48 +19,7 @@ from .linarith import (
     make_conj,
     make_constraint,
     project,
-    rename_conj,
-    satisfiable,
 )
-
-
-@dataclass(frozen=True)
-class Polyhedron:
-    dims: tuple[Var, ...]
-    constr: ConstraintConj
-    bottom: bool = False
-
-    def is_top(self) -> bool:
-        return not self.bottom and self.constr.is_true()
-
-    def __str__(self) -> str:
-        if self.bottom:
-            return "bottom"
-        return str(self.constr)
-
-
-def top(dims: tuple[Var, ...]) -> Polyhedron:
-    return Polyhedron(dims, TRUE_CONJ)
-
-
-def bottom_poly(dims: tuple[Var, ...]) -> Polyhedron:
-    return Polyhedron(dims, TRUE_CONJ, bottom=True)
-
-
-def make_poly(dims: tuple[Var, ...], constr: ConstraintConj) -> Polyhedron:
-    """Canonicalize: unsat collapses to bottom; extra variables are rejected."""
-    extra = conj_vars(constr) - set(dims)
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise ValueError(f"dimension mismatch: constraint mentions {names}")
-    if not satisfiable(constr):
-        return bottom_poly(dims)
-    return Polyhedron(dims, constr)
-
-
-def _same_dims(p: Polyhedron, q: Polyhedron) -> None:
-    if p.dims != q.dims:
-        raise ValueError("dimension mismatch")
 
 
 def _homogenize(constr: ConstraintConj, sub: dict[Var, Var], lam: Var) -> list[LinConstraint]:
@@ -76,20 +33,20 @@ def _homogenize(constr: ConstraintConj, sub: dict[Var, Var], lam: Var) -> list[L
     return out
 
 
-def join(p: Polyhedron, q: Polyhedron) -> Polyhedron:
-    """Convex hull via the lifted system, projected back onto dims."""
-    _same_dims(p, q)
-    if p.bottom:
+def join(p: ConstraintConj, q: ConstraintConj) -> ConstraintConj:
+    """Convex hull via the lifted system, projected back onto the variables."""
+    if p.is_false():
         return q
-    if q.bottom:
+    if q.is_false():
         return p
-    if p.is_top() or q.is_top():
-        return top(p.dims)
-    sub1 = {v: Var(f"$j1{i}") for i, v in enumerate(p.dims)}
-    sub2 = {v: Var(f"$j2{i}") for i, v in enumerate(p.dims)}
+    if p.is_true() or q.is_true():
+        return TRUE_CONJ
+    dims = sorted(conj_vars(p) | conj_vars(q))
+    sub1 = {v: Var(f"$j1{v}") for v in dims}
+    sub2 = {v: Var(f"$j2{v}") for v in dims}
     l1, l2 = Var("$l1"), Var("$l2")
-    system = _homogenize(p.constr, sub1, l1) + _homogenize(q.constr, sub2, l2)
-    for v in p.dims:
+    system = _homogenize(p, sub1, l1) + _homogenize(q, sub2, l2)
+    for v in dims:
         # v = v1 + v2
         system.append(make_constraint({v: 1, sub1[v]: -1, sub2[v]: -1}, 0, "="))
     system.append(make_constraint({l1: 1, l2: 1}, -1, "="))
@@ -97,34 +54,13 @@ def join(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     system.append(make_constraint({l2: -1}, 0, "<="))
     # the lifted system of two satisfiable systems is satisfiable, and so
     # is its projection
-    return Polyhedron(p.dims, project(make_conj(system), set(p.dims), known_sat=True))
+    return project(make_conj(system), dims, known_sat=True)
 
 
-def includes(p: Polyhedron, q: Polyhedron) -> bool:
-    """True iff q's solutions are contained in p's."""
-    _same_dims(p, q)
-    if q.bottom:
-        return True
-    if p.bottom:
-        return False
-    return entails(q.constr, p.constr)
-
-
-def widen(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+def widen(p: ConstraintConj, q: ConstraintConj) -> ConstraintConj:
     """Constraint widening: keep the constraints of p that q entails."""
-    _same_dims(p, q)
-    if p.bottom:
+    if p.is_false():
         return q
-    if q.bottom:
+    if q.is_false():
         return p
-    kept = [k for k in p.constr if entails(q.constr, make_conj([k]))]
-    return Polyhedron(p.dims, make_conj(kept))
-
-
-def constr_at(p: Polyhedron, args: tuple[Var, ...]) -> ConstraintConj:
-    """The polyhedron's constraint positionally renamed onto args."""
-    if len(args) != len(p.dims):
-        raise ValueError("dimension mismatch")
-    if p.bottom:
-        return FALSE_CONJ
-    return rename_conj(p.constr, dict(zip(p.dims, args)))
+    return make_conj(k for k in p if entails(q, make_conj([k])))

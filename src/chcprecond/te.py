@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-from .core import FALSE_PRED, Atom, Clause, Pred, Program
+from .core import FALSE_PRED, Atom, Clause, Pred, Program, onto_init_args
 from .derivation import (
     AndTree,
     TraceTree,
@@ -25,7 +25,7 @@ from .derivation import (
     instantiate,
     iter_nodes,
 )
-from .linarith import TRUE_CONJ, ConstraintConj, project, rename_conj
+from .linarith import TRUE_CONJ, ConstraintConj
 
 State = Hashable
 
@@ -258,12 +258,7 @@ def eliminate_trace(
         nodes = initial_nodes(p, at)
         if nodes:
             node: AndTree = nodes[0]
-            if len(node.atom.args) != len(p.init_args):
-                raise ValueError("initial predicate arity does not match declaration")
-            theta = rename_conj(
-                project(constr_of(at), node.atom.args),
-                dict(zip(node.atom.args, p.init_args)),
-            )
+            theta = onto_init_args(p, constr_of(at), node.atom.args)
         else:
             theta = TRUE_CONJ
     return newp, theta

@@ -146,6 +146,63 @@ def test_dump_invariants(capsys):
     assert "p_1/2: call=$a0 >= 0; ans=$a0 >= 0, $a0 - $a1 =< 0" in out
 
 
+# the whole `--dump invariants` text of each corpus program
+INVARIANT_DUMPS = {
+    "already_safe.chc": "\n",
+    "branch_split.chc": (
+        "init_1/1: call=$a0 = 5; ans=$a0 = 5\n"
+        "init_2/1: call=$a0 = 35; ans=$a0 = 35\n"
+        "p_1/1: call=$a0 = 5; ans=$a0 = 5\n"
+    ),
+    "chain_skip.chc": (
+        "init_1/1: call=$a0 >= 10; ans=$a0 >= 10\n"
+        "init_2/1: call=$a0 =< -10; ans=$a0 =< -10\n"
+    ),
+    "counter_loop.chc": (
+        "init_1/1: call=$a0 = 0; ans=$a0 = 0\n"
+        "init_2/1: call=$a0 >= 1; ans=$a0 >= 1\n"
+        "loop_1/1: call=$a0 = 0; ans=$a0 = 0\n"
+        "loop_2/1: call=$a0 >= 1; ans=$a0 >= 1\n"
+    ),
+    "cs_example.chc": "p_1/2: call=$a0 >= 0; ans=$a0 >= 0, $a0 - $a1 =< 0\n",
+    "example_t4.chc": (
+        "init_1/4: call=true; ans=true\n"
+        "l_1/4: call=true; ans=true\n"
+        "l_2/4: call=$a0 - $a3 =< 0; ans=true\n"
+    ),
+    "example_t4_cs0.chc": (
+        "init_1/4: call=$a0 - $a3 =< -1; ans=$a0 - $a3 =< -1\n"
+        "init_2/4: call=$a0 - $a3 >= 0, $a1 + $a2 - 3*$a3 >= 1; "
+        "ans=$a0 - $a3 >= 0, $a1 + $a2 - 3*$a3 >= 1\n"
+        "init_3/4: call=$a0 - $a3 >= 0, $a1 + $a2 - 3*$a3 =< -1; "
+        "ans=$a0 - $a3 >= 0, $a1 + $a2 - 3*$a3 =< -1\n"
+        "l_1_1/4: call=$a0 - $a3 =< 0; ans=true\n"
+    ),
+    "fig1.chc": (
+        "if_1/2: call=$a0 =< 0, $a1 = 0; ans=$a0 = 0, $a1 = 0\n"
+        "if_2/2: call=$a0 >= 1, 2*$a0 - $a1 = 0; ans=$a0 >= 1, 2*$a0 - $a1 = 0\n"
+        "init_1/2: call=$a0 = 100, $a1 = 0; ans=$a0 = 100, $a1 = 0\n"
+        "init_2/2: call=$a0 >= 101, 2*$a0 - $a1 = 200; ans=$a0 >= 101, 2*$a0 - $a1 = 200\n"
+        "init_3/2: call=$a0 =< 99, 2*$a0 + $a1 = 200; ans=$a0 =< 99, 2*$a0 + $a1 = 200\n"
+        "while_1/2: call=$a0 =< 0, $a1 = 0; ans=$a0 = 0, $a1 = 0\n"
+        "while_2/2: call=$a0 >= 1, 2*$a0 - $a1 = 0; ans=$a0 >= 1, 2*$a0 - $a1 = 0\n"
+    ),
+    "no_safe_states.chc": "init_1/1: call=true; ans=true\n",
+    "two_inits.chc": "init_1/1: call=$a0 = 0; ans=$a0 = 0\n",
+}
+
+
+def test_invariant_dumps_cover_the_corpus():
+    assert sorted(INVARIANT_DUMPS) == sorted(f.name for f in CORPUS.glob("*.chc"))
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_DUMPS))
+def test_dump_invariants_full_text(capsys, name):
+    code, out, _ = run(capsys, "analyze", path(name), "--dump", "invariants")
+    assert code == 0
+    assert out == INVARIANT_DUMPS[name]
+
+
 def test_dump_cs_lists_deletions(capsys):
     code, out, _ = run(capsys, "analyze", path("fig1.chc"), "--dump", "cs")
     assert code == 0

@@ -42,7 +42,7 @@ from chcprecond.linarith import (
 from chcprecond.precond import classify
 from chcprecond.simplex import Budget, Undecided, feasible
 
-from helpers import holds_conj, holds_dnf
+from helpers import grid, holds_conj, holds_dnf
 
 x, y = Var("x"), Var("y")
 A, B = Var("A"), Var("B")
@@ -142,6 +142,35 @@ def test_simplify_rejects_unsat():
 def test_int_satisfiable_gap():
     assert satisfiable(make_conj([k({x: 2}, -1, "=")]))
     assert not int_satisfiable(make_conj([k({x: 2}, -1, "=")]))
+
+
+def test_int_satisfiable_matches_enumeration_in_a_box():
+    # every variable is boxed to [-3, 3], so enumerating the box decides
+    # integer satisfiability; equalities with a unit coefficient make the
+    # preprocessing substitute a variable away before branch-and-bound
+    z = Var("z")
+    box = [k({v: s}, -3) for v in (x, y, z) for s in (1, -1)]
+    points = list(grid([x, y, z], -3, 3))
+    rng = random.Random(4242)
+    substituted = 0
+    for _ in range(1500):
+        ks = list(box)
+        for _ in range(rng.randint(1, 3)):
+            coeffs = {v: rng.randint(-3, 3) for v in (x, y, z)}
+            if rng.random() < 0.5:
+                coeffs[rng.choice((x, y, z))] = rng.choice((1, -1))
+                rel = "="
+            else:
+                rel = rng.choice(("<=", ">=", "="))
+            ks.append(k(coeffs, rng.randint(-6, 6), rel))
+        c = make_conj(ks)
+        if satisfiable(c) and any(
+            j.rel == "=" and any(abs(cf) == 1 for _, cf in j.coeffs) for j in c
+        ):
+            substituted += 1
+        want = any(holds_conj(c, pt) for pt in points)
+        assert int_satisfiable(c) == want, c
+    assert substituted > 500
 
 
 def test_implies_dnf_absorption():

@@ -28,6 +28,18 @@ def test_repeated_argument_becomes_equality():
     assert equiv_conj(cl.constr, make_conj([k({a: 1, b: -1}, 0, "=")]))
 
 
+def test_terms_that_cancel():
+    # B - B + A is the plain variable A, so no fresh argument is made; and a
+    # zero coefficient leaves its variable out of the constraint
+    p = parse_program(":- initial(p/1).\nc1. p(B - B + A).\nc2. false :- p(A).\n")
+    cl = p.clause_by_id("c1")
+    assert cl.head.args == (Var("A"),)
+    assert cl.constr.is_true()
+    p = parse_program(":- initial(p/1).\nc1. p(A) :- A = 0*B + 3.\nc2. false :- p(A).\n")
+    cl = p.clause_by_id("c1")
+    assert cl.constr == make_conj([k({Var("A"): 1}, -3, "=")])
+
+
 def test_constants_in_atom_positions():
     p = parse_program(":- initial(p/1).\nc1. p(A).\nc2. false :- p(0).\n")
     goal = p.clause_by_id("c2")

@@ -1,19 +1,17 @@
-"""Polyhedral domain: convex hull join, inclusion, widening."""
+"""Polyhedral domain over conjunctions: convex hull join and widening."""
 
-from chcprecond.linarith import Var, make_conj, make_constraint
-from chcprecond.polyhedra import (
-    bottom_poly,
-    includes,
-    join,
-    make_poly,
-    top,
-    widen,
+from chcprecond.linarith import (
+    FALSE_CONJ,
+    TRUE_CONJ,
+    Var,
+    entails,
+    equiv_conj,
+    make_conj,
+    make_constraint,
 )
-
-import pytest
+from chcprecond.polyhedra import join, widen
 
 x, y = Var("x"), Var("y")
-DIMS = (x, y)
 
 
 def k(coeffs, const, rel="<="):
@@ -21,56 +19,59 @@ def k(coeffs, const, rel="<="):
 
 
 def poly(*ks):
-    return make_poly(DIMS, make_conj(ks))
+    return make_conj(ks)
 
 
 def test_join_with_bottom_is_identity():
     q = poly(k({x: -1}, 0))
-    assert join(bottom_poly(DIMS), q) == q
-    assert join(q, bottom_poly(DIMS)) == q
+    assert join(FALSE_CONJ, q) == q
+    assert join(q, FALSE_CONJ) == q
 
 
 def test_join_containment():
     wide, narrow = poly(k({x: -1}, 0)), poly(k({x: -1}, 5))
-    j = join(wide, narrow)
-    assert includes(j, wide) and includes(wide, j)
+    assert equiv_conj(join(wide, narrow), wide)
 
 
 def test_join_of_points_is_segment():
     j = join(poly(k({x: 1}, 0, "=")), poly(k({x: 1}, -3, "=")))
-    seg = poly(k({x: -1}, 0), k({x: 1}, -3))
-    assert includes(j, seg) and includes(seg, j)
+    assert equiv_conj(j, poly(k({x: -1}, 0), k({x: 1}, -3)))
 
 
 def test_join_keeps_shared_direction():
     a = poly(k({x: 1, y: -1}, 0, "="), k({x: 1}, 0, "="))
     b = poly(k({x: 1, y: -1}, 0, "="), k({x: 1}, -4, "="))
     j = join(a, b)
-    assert includes(j, a) and includes(j, b)
-    assert includes(poly(k({x: 1, y: -1}, 0, "=")), j)
-    assert not includes(j, poly(k({x: 1, y: -1}, 0, "=")))
+    assert entails(a, j) and entails(b, j)
+    assert entails(j, poly(k({x: 1, y: -1}, 0, "=")))
+    assert not entails(poly(k({x: 1, y: -1}, 0, "=")), j)
+
+
+def test_join_over_different_variables():
+    # a variable only one side mentions is unbounded on the other, so the
+    # hull of x = 0 and y = 0 constrains neither
+    assert join(poly(k({x: 1}, 0, "=")), poly(k({y: 1}, 0, "="))) == TRUE_CONJ
+
+
+def test_join_with_top_is_top():
+    assert join(TRUE_CONJ, poly(k({x: 1}, 5))) == TRUE_CONJ
+    assert join(poly(k({x: 1}, 5)), TRUE_CONJ) == TRUE_CONJ
 
 
 def test_includes_top_and_strictness():
-    assert includes(top(DIMS), poly(k({x: 1}, 5)))
-    assert not includes(poly(k({x: -1}, 1)), poly(k({x: -1}, 0)))
+    # p includes q when q entails p
+    assert entails(poly(k({x: 1}, 5)), TRUE_CONJ)
+    assert not entails(poly(k({x: -1}, 0)), poly(k({x: -1}, 1)))
 
 
 def test_widen_drops_unstable_bound():
     p = poly(k({x: -1}, 0), k({x: 1}, -1))
     q = poly(k({x: -1}, 0), k({x: 1}, -2))
-    w = widen(p, q)
-    assert includes(w, poly(k({x: -1}, 0)))
-    assert includes(poly(k({x: -1}, 0)), w)
+    assert equiv_conj(widen(p, q), poly(k({x: -1}, 0)))
 
 
 def test_widen_identity_and_bottom():
     p = poly(k({x: -1}, 0))
     assert widen(p, p) == p
-    assert widen(bottom_poly(DIMS), p) == p
-    assert widen(p, bottom_poly(DIMS)) == p
-
-
-def test_make_poly_rejects_foreign_vars():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        make_poly((x,), make_conj([k({x: 1, y: 1}, 0)]))
+    assert widen(FALSE_CONJ, p) == p
+    assert widen(p, FALSE_CONJ) == p

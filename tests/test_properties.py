@@ -14,7 +14,9 @@ from fractions import Fraction
 from chcprecond.core import Atom, Clause, Pred, Program
 from chcprecond.derivation import TraceTree, feasible, instantiate, iter_and_trees, parse_trace
 from chcprecond.linarith import (
+    FALSE_CONJ,
     Var,
+    entails,
     equiv_conj,
     make_conj,
     make_constraint,
@@ -23,7 +25,7 @@ from chcprecond.linarith import (
     satisfiable,
 )
 from chcprecond.parser import parse_program
-from chcprecond.polyhedra import bottom_poly, includes, join, make_poly, widen
+from chcprecond.polyhedra import join, widen
 from chcprecond.qa import GOAL_ID, qa_transform
 
 from helpers import grid, holds_conj, holds_dnf, skeleton_language
@@ -116,9 +118,7 @@ def test_negation_partitions_every_point():
 
 def _rand_poly(rng):
     c = _rand_conj(rng, (X, Y), rng.randint(1, 3), coeff=2, const=5)
-    if not satisfiable(c):
-        return bottom_poly((X, Y))
-    return make_poly((X, Y), c)
+    return c if satisfiable(c) else FALSE_CONJ
 
 
 def test_join_is_an_upper_bound():
@@ -126,28 +126,25 @@ def test_join_is_an_upper_bound():
     for _ in range(INSTANCES):
         p, q = _rand_poly(rng), _rand_poly(rng)
         j = join(p, q)
-        assert includes(j, p) and includes(j, q)
-        if j.bottom:
-            assert p.bottom and q.bottom
+        assert entails(p, j) and entails(q, j)
+        if j.is_false():
+            assert p.is_false() and q.is_false()
             continue
         for pt in grid([X, Y], -4, 4):
-            in_either = (not p.bottom and holds_conj(p.constr, pt)) or (
-                not q.bottom and holds_conj(q.constr, pt)
-            )
-            if in_either:
-                assert holds_conj(j.constr, pt), (p, q, pt)
+            if holds_conj(p, pt) or holds_conj(q, pt):
+                assert holds_conj(j, pt), (p, q, pt)
 
 
-def test_join_builds_what_make_poly_would():
-    # join skips make_poly's satisfiability check, because the hull of two
+def test_join_of_satisfiable_conjunctions_is_satisfiable():
+    # join skips the satisfiability check, because the hull of two
     # satisfiable systems is satisfiable
     rng = random.Random(3319)
     for _ in range(INSTANCES):
         p, q = _rand_poly(rng), _rand_poly(rng)
         j = join(p, q)
-        if not j.bottom:
-            assert satisfiable(j.constr), (p, q)
-            assert j == make_poly(j.dims, j.constr)
+        assert j.is_false() == (p.is_false() and q.is_false()), (p, q)
+        if not j.is_false():
+            assert satisfiable(j), (p, q)
 
 
 def test_widen_keeps_a_subset_of_the_old_constraints():
@@ -155,11 +152,11 @@ def test_widen_keeps_a_subset_of_the_old_constraints():
     for _ in range(INSTANCES):
         p, q = _rand_poly(rng), _rand_poly(rng)
         w = widen(p, q)
-        assert includes(w, p) and includes(w, q)
-        if not p.bottom and not q.bottom:
-            assert set(w.constr.constraints) <= set(p.constr.constraints)
-        if not p.bottom:
-            assert widen(p, p).constr == p.constr
+        assert entails(p, w) and entails(q, w)
+        if not p.is_false() and not q.is_false():
+            assert set(w.constraints) <= set(p.constraints)
+        if not p.is_false():
+            assert widen(p, p) == p
 
 
 # -- automata difference ---------------------------------------------------------
