@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, KeysView, Mapping, Optional
 
 from .linarith import (
     DNF,
@@ -139,18 +139,22 @@ class Program:
         return format_program(self)
 
 
-def dependency_graph(p: Program) -> dict[Pred, set[Pred]]:
-    """Adjacency sets: edge q -> r iff q occurs in the body of a clause with head r."""
-    g: dict[Pred, set[Pred]] = {pred: set() for pred in p.preds()}
+def dependency_graph(p: Program) -> dict[Pred, KeysView[Pred]]:
+    """Successors: edge q -> r iff q occurs in the body of a clause with head r.
+
+    Each node's successors are the keys view of a dict, so they test and
+    compare like a set but iterate in clause order, whatever the hash seed.
+    """
+    g: dict[Pred, dict[Pred, None]] = {pred: {} for pred in p.preds()}
     if p.goal_clauses():
-        g[FALSE_PRED] = set()
+        g[FALSE_PRED] = {}
     for cl in p.clauses:
         for a in cl.body:
-            g[a.pred].add(cl.head_pred())
-    return g
+            g[a.pred][cl.head_pred()] = None
+    return {v: succs.keys() for v, succs in g.items()}
 
 
-def reachable(g: dict[Pred, set[Pred]], roots: Iterable[Pred]) -> set[Pred]:
+def reachable(g: Mapping[Pred, Iterable[Pred]], roots: Iterable[Pred]) -> set[Pred]:
     """Nodes of `g` reachable from `roots`, the roots in `g` included."""
     seen = {r for r in roots if r in g}
     todo = list(seen)
@@ -191,19 +195,21 @@ def check_initial_coverage(p: Program) -> bool:
     return True
 
 
-def recursive_preds(p: Program) -> frozenset[Pred]:
-    """Predicates in a dependency cycle, self-loops included.
+def sccs(g: Mapping[Pred, Iterable[Pred]]) -> list[list[Pred]]:
+    """Strongly connected components of `g`, each before its successors.
 
-    Tarjan's strongly connected components (Tarjan 1972), with an explicit
-    stack of successor iterators in place of recursion, so deep programs
-    cannot exhaust the interpreter's recursion limit.
+    Tarjan's algorithm (Tarjan 1972), with an explicit stack of successor
+    iterators in place of recursion, so deep programs cannot exhaust the
+    interpreter's recursion limit.  Tarjan closes a component only after
+    every component it reaches, so the reversed output is a topological
+    order: on a dependency graph, bodies before heads.  Roots and
+    successors are visited in `g`'s iteration order, which fixes the result.
     """
-    g = dependency_graph(p)
     index: dict[Pred, int] = {}
     low: dict[Pred, int] = {}
     stack: list[Pred] = []
     on_stack: set[Pred] = set()
-    out: set[Pred] = set()
+    out: list[list[Pred]] = []
     for root in g:
         if root in index:
             continue
@@ -232,9 +238,16 @@ def recursive_preds(p: Program) -> frozenset[Pred]:
                     while not scc or scc[-1] != v:
                         scc.append(stack.pop())
                         on_stack.discard(scc[-1])
-                    if len(scc) > 1 or v in g[v]:
-                        out.update(scc)
-    return frozenset(out)
+                    out.append(scc)
+    out.reverse()
+    return out
+
+
+def recursive_preds(p: Program) -> frozenset[Pred]:
+    """Predicates in a dependency cycle, self-loops included."""
+    g = dependency_graph(p)
+    cyclic = (scc for scc in sccs(g) if len(scc) > 1 or scc[0] in g[scc[0]])
+    return frozenset(v for scc in cyclic for v in scc)
 
 
 def rename_clause(

@@ -6,6 +6,16 @@ every clause with the invariants of its body atoms (facts take theirs on
 the head, since they have no body).  A clause whose strengthened constraint
 can never participate in a derivation of the goal is deleted.
 
+The fixpoint visits the QA program one strongly connected component of
+its dependency graph at a time, bodies before heads (Bourdoncle, FMPA
+1993): a worklist runs over one component's clauses, entry clauses first,
+until none of them adds anything to its head, and only then does the next
+component start.  No clause of a later component feeds an earlier one, so
+a finished component's states are final, and each component ends at a
+post-fixpoint given the final states of the components before it.
+Joining a head only once its bodies are stable keeps the hulls small and
+the widenings few.
+
 An invariant is a conjunction over the canonical dims `$a0..$a{n-1}`,
 joined and widened by `polyhedra`; `FALSE_CONJ` is the invariant of a
 predicate that is never called or never answers.
@@ -21,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Atom, Clause, Pred, Program, recursive_preds
+from .core import Atom, Clause, Pred, Program, dependency_graph, sccs
 from .linarith import (
     FALSE_CONJ,
     ConstraintConj,
@@ -86,43 +96,58 @@ class CsResult:
 def analyze(qa: Program) -> dict[Pred, ConstraintConj]:
     """Least-fixpoint approximation over the QA program's predicates.
 
-    Every conjunction in the state is satisfiable; a predicate with none is
+    Components go in `sccs` order, each by a worklist over its own clauses:
+    first the entry clauses, whose body atoms all lie in earlier components,
+    then the clauses that loop back into it, each group in clause order.
+    An entry clause reads only final states, so one visit settles it, and
+    visiting every entry first means that widening, which keeps only
+    constraints of the state it widens, starts from the hull of them all.
+    Only the heads of a component with such a loop widen.  Every
+    conjunction in the state is satisfiable; a predicate with none is
     bottom.
     """
-    cyclic = recursive_preds(qa)
-    state: dict[Pred, ConstraintConj] = {}
-    joins: dict[Pred, int] = {}
+    comps = sccs(dependency_graph(qa))
+    rank = {pred: r for r, comp in enumerate(comps) for pred in comp}
+    entries: list[list[int]] = [[] for _ in comps]
+    loops: list[list[int]] = [[] for _ in comps]
+    # the clauses to revisit when a predicate grows, all in its component
     by_body: dict[Pred, list[int]] = {}
     for i, cl in enumerate(qa.clauses):
-        for b in cl.body:
-            by_body.setdefault(b.pred, []).append(i)
+        r = rank[cl.head.pred]
+        inner = [b.pred for b in cl.body if rank[b.pred] == r]
+        (loops if inner else entries)[r].append(i)
+        for b in inner:
+            by_body.setdefault(b, []).append(i)
 
-    worklist = deque(range(len(qa.clauses)))
-    queued = set(worklist)
-    while worklist:
-        i = worklist.popleft()
-        queued.discard(i)
-        cl = qa.clauses[i]
-        sp = _clause_post(cl, state)
-        if sp is None:
-            continue
-        head = cl.head.pred
-        old = state.get(head)
-        if old is None:
-            new = sp
-        elif entails(sp, old):
-            # the hull of old with a subset of itself is old, so skip the join
-            continue
-        else:
-            new = join(old, sp)
-            if head in cyclic and joins.get(head, 0) >= WIDENING_DELAY:
-                new = widen(old, new)
-        joins[head] = joins.get(head, 0) + 1
-        state[head] = new
-        for j in by_body.get(head, ()):
-            if j not in queued:
-                worklist.append(j)
-                queued.add(j)
+    state: dict[Pred, ConstraintConj] = {}
+    joins: dict[Pred, int] = {}
+    for entry, loop in zip(entries, loops):
+        worklist = deque(entry + loop)
+        queued = set(worklist)
+        while worklist:
+            i = worklist.popleft()
+            queued.discard(i)
+            cl = qa.clauses[i]
+            sp = _clause_post(cl, state)
+            if sp is None:
+                continue
+            head = cl.head.pred
+            old = state.get(head)
+            if old is None:
+                new = sp
+            elif entails(sp, old):
+                # the hull of old with a subset of itself is old, so skip the join
+                continue
+            else:
+                new = join(old, sp)
+                if loop and joins.get(head, 0) >= WIDENING_DELAY:
+                    new = widen(old, new)
+            joins[head] = joins.get(head, 0) + 1
+            state[head] = new
+            for j in by_body.get(head, ()):
+                if j not in queued:
+                    worklist.append(j)
+                    queued.add(j)
     return state
 
 

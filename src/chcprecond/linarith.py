@@ -262,8 +262,9 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
     c = make_conj(a.constraints + b.constraints)
     run = RUN.get()
-    if run is not None:
-        # a point of a or b may lie in c too; `satisfiable` tries them
+    if run is not None and c not in run.models:
+        # a point of a or b may lie in c too; `satisfiable` tries them.  A c
+        # with a point of its own was answered, and its answer is cached
         run.parents[c] = (a, b)
     return c
 
@@ -308,9 +309,10 @@ class Run:
 
     `project`, `drop_redundant` and `entails_one` map a call's arguments to
     its result.  `models` maps a satisfiable conjunction to a point of it
-    (see `satisfiable`), and `parents` maps a conjunction `conj_and` made to
-    its two operands, until `satisfiable` reads it.  `warnings` collects what
-    the run gave up, in the order `warn` was called.
+    (see `satisfiable`), and `parents` maps a conjunction `conj_and` made,
+    and that has no point yet, to its two operands, until `satisfiable`
+    reads it.  `warnings` collects what the run gave up, in the order `warn`
+    was called.
     """
 
     __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents", "warnings")

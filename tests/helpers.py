@@ -42,10 +42,19 @@ def corpus_files() -> list[str]:
     return sorted(f.name for f in CORPUS.glob("*.chc"))
 
 
+def _fixture_texts(name: str) -> list[str]:
+    text = (Path(__file__).parent / "fixtures" / name).read_text()
+    return [t + "\n" for t in text.strip().split("\n\n")]
+
+
 def gen_multivar_texts() -> list[str]:
     """The sixteen programs of `bench/gen.py --seed 1 --count 16`."""
-    text = (Path(__file__).parent / "fixtures" / "gen_multivar_seed1.txt").read_text()
-    return [t + "\n" for t in text.strip().split("\n\n")]
+    return _fixture_texts("gen_multivar_seed1.txt")
+
+
+def gen_twoloop_texts() -> list[str]:
+    """The twelve programs of `bench/gen.py --seed 1 --count 12 --loops 2`."""
+    return _fixture_texts("gen_twoloop_seed1.txt")
 
 
 # -- point evaluation ------------------------------------------------------------

@@ -14,12 +14,15 @@ from chcprecond.core import (
     dependency_graph,
     reachable,
     recursive_preds,
+    sccs,
 )
 from chcprecond.driver import run_pipeline
 from chcprecond.linarith import TRUE_CONJ, Var
 from chcprecond.parser import parse_program
+from chcprecond.pe import pe_run
+from chcprecond.qa import qa_transform
 
-from helpers import corpus_files, load
+from helpers import corpus_files, gen_multivar_texts, load
 
 
 def test_atom_rejects_repeated_args():
@@ -98,6 +101,54 @@ def test_graph_code_matches_transitive_closure(seed):
     assert got == {preds[j] for j in range(n) if j in roots or any(reach[r][j] for r in roots)}
 
 
+def _check_components(g):
+    """`sccs(g)` partitions g's nodes, each edge points no earlier in it,
+    and a component closes under paths both ways."""
+    comps = sccs(g)
+    rank = {v: r for r, comp in enumerate(comps) for v in comp}
+    assert sorted(rank) == sorted(g) and sum(map(len, comps)) == len(g)
+    for v in g:
+        assert all(rank[v] <= rank[w] for w in g[v])
+    for comp in comps:
+        # every member reaches every other, within the component alone
+        inside = {v: [w for w in g[v] if rank[w] == rank[v]] for v in comp}
+        assert reachable(inside, comp[:1]) == set(comp)
+    return rank
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_components_come_in_topological_order(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+    p, preds = _graph_program(n, edges)
+    rank = _check_components(dependency_graph(p))
+    reach = _closure(n, edges)
+    for u in range(n):
+        for v in range(n):
+            same = u == v or (reach[u][v] and reach[v][u])
+            assert (rank[preds[u]] == rank[preds[v]]) == same
+
+
+def test_clause_bodies_come_no_later_than_heads():
+    sources = [load(n) for n in corpus_files()]
+    sources += [parse_program(t) for t in gen_multivar_texts()]
+    for p in sources + [qa_transform(pe_run(q).program) for q in sources]:
+        rank = _check_components(dependency_graph(p))
+        for cl in p.clauses:
+            assert all(rank[b.pred] <= rank[cl.head_pred()] for b in cl.body), cl
+
+
+def test_component_order_follows_clause_order():
+    # p1 and p2 both hang off p0 and feed nothing else, so either order is
+    # topological; the clause order, not the hash seed, picks one: Tarjan
+    # enters the first clause's head first, closes it first, and the
+    # reversal puts it last
+    for first, second in ((1, 2), (2, 1)):
+        p, preds = _graph_program(3, [(0, first), (0, second)])
+        assert sccs(dependency_graph(p)) == [[preds[0]], [preds[second]], [preds[first]]]
+
+
 def test_graph_code_on_self_loop_and_absent_predicate():
     p, (a, b) = _graph_program(2, [(0, 0), (0, 1)])
     assert recursive_preds(p) == frozenset({a})
@@ -112,8 +163,11 @@ def test_deep_chain_does_not_recurse():
     p, preds = _graph_program(n, chain)
     assert recursive_preds(p) == frozenset()
     assert reachable(dependency_graph(p), [preds[0]]) == set(preds)
+    assert sccs(dependency_graph(p)) == [[q] for q in preds]
     ring, _ = _graph_program(n, chain + [(n - 1, 0)])
     assert recursive_preds(ring) == frozenset(preds)
+    (comp,) = sccs(dependency_graph(ring))
+    assert sorted(comp) == sorted(preds)
 
 
 def test_coverage_holds_on_corpus():

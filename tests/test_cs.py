@@ -1,12 +1,16 @@
 """Constraint specialisation: invariants, strengthening, a worked loop replay."""
 
+from collections import deque
+
 import pytest
 
 from chcprecond import cs
-from chcprecond.core import Pred, Program
+from chcprecond.core import Pred, Program, recursive_preds
 from chcprecond.cs import constraint_specialise, invariants_for, strengthen
 from chcprecond.derivation import iter_and_trees
+from chcprecond.driver import PipelineConfig, run_pipeline
 from chcprecond.linarith import (
+    FALSE_CONJ,
     Var,
     conj_and,
     entails,
@@ -17,12 +21,14 @@ from chcprecond.linarith import (
 from chcprecond.parser import parse_program
 from chcprecond.pe import pe_run
 from chcprecond.precond import extract_swp
+from chcprecond.qa import qa_transform
 
 from helpers import (
     clauses_equivalent,
     conj_from,
     corpus_files,
     gen_multivar_texts,
+    gen_twoloop_texts,
     load,
     programs_equivalent,
 )
@@ -217,3 +223,68 @@ def test_analyze_joins_only_what_it_keeps(monkeypatch):
     # loop would have discarded too
     for old, sp in skipped:
         assert real_entails(real_join(old, sp), old)
+
+
+def test_analyze_ends_at_a_post_fixpoint():
+    # whatever order the clauses are visited in, no clause can add to its
+    # head's final state
+    programs = [load(n) for n in corpus_files()]
+    programs += [parse_program(t) for t in gen_multivar_texts() + gen_twoloop_texts()]
+    for p in programs:
+        qa = qa_transform(pe_run(p).program)
+        state = cs.analyze(qa)
+        for cl in qa.clauses:
+            sp = cs._clause_post(cl, state)
+            assert sp is None or entails(sp, state[cl.head.pred]), cl
+
+
+def _one_global_worklist(qa):
+    """The fixpoint as it ran before components: every clause on one FIFO."""
+    cyclic = recursive_preds(qa)
+    state, joins, by_body = {}, {}, {}
+    for i, cl in enumerate(qa.clauses):
+        for b in cl.body:
+            by_body.setdefault(b.pred, []).append(i)
+    worklist = deque(range(len(qa.clauses)))
+    queued = set(worklist)
+    while worklist:
+        i = worklist.popleft()
+        queued.discard(i)
+        cl = qa.clauses[i]
+        sp = cs._clause_post(cl, state)
+        head = cl.head.pred
+        if sp is None or (head in state and entails(sp, state[head])):
+            continue
+        new = sp
+        if head in state:
+            new = cs.join(state[head], sp)
+            if head in cyclic and joins.get(head, 0) >= cs.WIDENING_DELAY:
+                new = cs.widen(state[head], new)
+        joins[head] = joins.get(head, 0) + 1
+        state[head] = new
+        for j in by_body.get(head, ()):
+            if j not in queued:
+                worklist.append(j)
+                queued.add(j)
+    return state
+
+
+def test_no_invariant_is_weaker_than_one_global_worklist_gives():
+    # on the programs every cs step of the pipeline sees; draw 11 of the
+    # two-loop shape is left out, as one global worklist does not finish it
+    runs = [(load(n), PipelineConfig()) for n in corpus_files()]
+    texts = gen_multivar_texts() + gen_twoloop_texts()[:11]
+    runs += [(parse_program(t), PipelineConfig(iterations=1)) for t in texts]
+    stronger = 0
+    for p, cfg in runs:
+        steps = run_pipeline(p, cfg).steps
+        for before, step in zip(steps, steps[1:]):
+            if step.label != "cs":
+                continue
+            qa = qa_transform(before.program)
+            now, then = cs.analyze(qa), _one_global_worklist(qa)
+            for pred, old in then.items():
+                new = now.get(pred, FALSE_CONJ)
+                assert entails(new, old), (pred, old, new)
+                stronger += not entails(old, new)
+    assert stronger

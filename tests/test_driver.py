@@ -297,3 +297,23 @@ def test_every_capped_projection_warns_although_answers_are_remembered(monkeypat
     monkeypatch.setattr(linarith_mod, "PROJECTION_CAP", 2)
     r = run_pipeline(load("cs_example.chc"), PipelineConfig(iterations=1))
     assert r.warnings == ("projection exceeded 2 constraints, dropping the loosest",) * 12
+
+
+def test_a_run_keeps_operands_only_for_conjunctions_without_a_point():
+    # a conjunction with a point was answered by `satisfiable`, whose cache
+    # answers it again, so its operands would never be read; on fig1 at 10
+    # iterations 553 of the 701 entries left over were of that kind
+    p, cfg = load("fig1.chc"), PipelineConfig(iterations=10)
+    linarith_mod.satisfiable.cache_clear()
+    run = Run()
+    token = RUN.set(run)
+    try:
+        report = driver_mod._run(p, cfg, run)
+    finally:
+        RUN.reset(token)
+    assert not run.parents.keys() & run.models.keys()
+    assert len(run.parents) < 200
+    # with no run installed every kernel answer is computed afresh, and the
+    # report is the same
+    linarith_mod.satisfiable.cache_clear()
+    assert _fields(driver_mod._run(p, cfg, Run())) == _fields(report)

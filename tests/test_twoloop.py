@@ -1,0 +1,98 @@
+"""The generator's two-loop shape at one iteration, checked by an independent oracle.
+
+`fixtures/gen_twoloop_seed1.txt` holds the twelve programs that
+`python3 bench/gen.py --seed 1 --count 12 --loops 2` prints.  A child
+interpreter runs all twelve, so a run that does not end fails the test
+instead of hanging the suite; draw 11, whose convex hulls once grew for
+minutes, also has a time bound of its own.  Every accepted point of the box
+-6..6 x -6..6 is then checked with the benchmark's derivation search
+(`bench/oracle.py`, depth 16, window 16), which calls neither `linarith`
+nor `simplex`.
+"""
+
+import importlib.util
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chcprecond
+from chcprecond.linarith import Var
+from chcprecond.parser import parse_program
+
+from helpers import gen_twoloop_texts, parse_dnf
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+_spec = importlib.util.spec_from_file_location("bench_oracle", BENCH / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+# seconds for all twelve programs, and for draw 11 alone; both run in well
+# under a second on a 2-CPU x86_64 machine
+ALL_BOUND = 60.0
+DRAW_11_BOUND = 10.0
+
+SCRIPT = """
+import json, sys, time
+from chcprecond.driver import PipelineConfig, run_pipeline
+from chcprecond.parser import parse_program
+for text in sys.argv[1:]:
+    t0 = time.perf_counter()
+    r = run_pipeline(parse_program(text), PipelineConfig(iterations=1))
+    print(json.dumps([time.perf_counter() - t0, str(r.precondition)]), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def runs():
+    src = str(Path(chcprecond.__file__).resolve().parents[1])
+    try:
+        out = subprocess.run(
+            [sys.executable, "-c", SCRIPT, *gen_twoloop_texts()],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=ALL_BOUND,
+        ).stdout
+    except subprocess.TimeoutExpired as e:
+        done = len((e.stdout or b"").splitlines())
+        pytest.fail(f"{done} of the twelve two-loop programs finished in {ALL_BOUND} s")
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_all_twelve_draws_finish(runs):
+    assert len(runs) == len(gen_twoloop_texts()) == 12
+
+
+def test_draw_eleven_stays_within_its_bound(runs):
+    seconds, _ = runs[11]
+    assert seconds < DRAW_11_BOUND
+
+
+BOX = list(itertools.product(range(-6, 7), repeat=2))
+
+
+def _accepted(runs, i):
+    """The box points draw i's reported precondition accepts."""
+    pre = parse_dnf(runs[i][1])
+    a, b = Var("A"), Var("B")
+    return [pt for pt in BOX if oracle.holds_dnf(pre, {a: pt[0], b: pt[1]})]
+
+
+@pytest.mark.parametrize("i", range(12))
+def test_every_accepted_point_is_safe(runs, i):
+    program = parse_program(gen_twoloop_texts()[i])
+    assert program.init_args == (Var("A"), Var("B"))
+    search = oracle.DerivationSearch(program, depth=16, window=16)
+    for pt in _accepted(runs, i):
+        assert not search.reaches_false(pt), pt
+
+
+def test_no_fewer_points_are_accepted(runs):
+    # 1,639 of the 12 x 169 points when this shape joined the suite
+    assert sum(len(_accepted(runs, i)) for i in range(12)) >= 1639
