@@ -11,13 +11,19 @@ declared explicitly, but transformations split it into versions; every
 version stays registered here so precondition extraction can find all
 initial clauses.  `init_args` keeps the original argument names so reported
 preconditions read in the user's variables.
+
+The records are named tuples, so building, hashing, comparing and sorting
+them runs in C.  A record therefore equals the plain tuple of its fields
+and hashes like it, as a `Var` equals the `str` of its name: no dict or set
+may mix the two.  `Atom` checks its arguments when built, and `Program`
+keeps its clause indexes in its instance dict, so each is a subclass of a
+private named tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, KeysView, Mapping, Optional
+from typing import Callable, Iterable, KeysView, Mapping, NamedTuple, Optional
 
 from .linarith import (
     DNF,
@@ -31,8 +37,7 @@ from .linarith import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Pred:
+class Pred(NamedTuple):
     name: str
     arity: int
 
@@ -44,16 +49,23 @@ class Pred:
 FALSE_PRED = Pred("false", 0)
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class _AtomFields(NamedTuple):
     pred: Pred
     args: tuple[Var, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.pred.arity:
-            raise ValueError(f"atom {self.pred} with {len(self.args)} args")
-        if len(set(self.args)) != len(self.args):
-            raise ValueError(f"atom {self.pred} has repeated arguments")
+
+class Atom(_AtomFields):
+    """A predicate applied to pairwise distinct variables, one per argument."""
+
+    __slots__ = ()
+
+    def __new__(cls, pred: Pred, args: tuple[Var, ...]) -> Atom:
+        self = tuple.__new__(cls, (pred, args))
+        if len(args) != pred.arity:
+            raise ValueError(f"atom {pred} with {len(args)} args")
+        if len(set(args)) != len(args):
+            raise ValueError(f"atom {pred} has repeated arguments")
+        return self
 
     def __str__(self) -> str:
         inner = ",".join(v.name for v in self.args)
@@ -64,8 +76,7 @@ def rename_atom(a: Atom, mapping: Mapping[Var, Var]) -> Atom:
     return Atom(a.pred, tuple(mapping.get(v, v) for v in a.args))
 
 
-@dataclass(frozen=True, order=True)
-class Clause:
+class Clause(NamedTuple):
     cid: str
     head: Optional[Atom]
     constr: ConstraintConj
@@ -81,12 +92,18 @@ class Clause:
         return format_clause(self)
 
 
-@dataclass(frozen=True)
-class Program:
+class _ProgramFields(NamedTuple):
     clauses: tuple[Clause, ...]
     initial_preds: frozenset[Pred]
     init_args: tuple[Var, ...]
     original_init: Optional[DNF] = None
+
+
+class Program(_ProgramFields):
+    """Clauses with their initial predicates and declared initial arguments.
+
+    No `__slots__`: the instance dict holds the clause indexes.
+    """
 
     def preds(self) -> list[Pred]:
         seen: dict[Pred, None] = {}
@@ -130,10 +147,9 @@ class Program:
         )
 
     def with_clauses(self, clauses: Iterable[Clause], initial_preds=None) -> "Program":
-        out = replace(self, clauses=tuple(clauses))
-        if initial_preds is not None:
-            out = replace(out, initial_preds=frozenset(initial_preds))
-        return out
+        if initial_preds is None:
+            return self._replace(clauses=tuple(clauses))
+        return self._replace(clauses=tuple(clauses), initial_preds=frozenset(initial_preds))
 
     def __str__(self) -> str:
         return format_program(self)

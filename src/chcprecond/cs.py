@@ -29,7 +29,7 @@ the worked examples this code is tested against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Atom, Clause, Pred, Program, dependency_graph, sccs
 from .linarith import (
@@ -60,8 +60,7 @@ def _at(c: ConstraintConj, atom: Atom) -> ConstraintConj:
     return rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
 
 
-@dataclass(frozen=True)
-class InvariantMap:
+class InvariantMap(NamedTuple):
     """Call and answer invariants per source predicate, over canonical dims.
 
     A predicate with no entry, or mapped to `FALSE_CONJ`, is never called
@@ -86,8 +85,7 @@ class InvariantMap:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CsResult:
+class CsResult(NamedTuple):
     program: Program
     invariants: InvariantMap
     deleted: tuple[str, ...] = ()

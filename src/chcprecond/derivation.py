@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import Atom, Pred, Program, rename_clause
 from .linarith import (
@@ -31,8 +30,7 @@ from .linarith import (
 )
 
 
-@dataclass(frozen=True)
-class TraceTree:
+class TraceTree(NamedTuple):
     cid: str
     children: tuple["TraceTree", ...] = ()
 
@@ -75,8 +73,7 @@ def parse_trace(text: str) -> TraceTree:
         i += 1
 
 
-@dataclass(frozen=True)
-class AndTree:
+class AndTree(NamedTuple):
     clause_id: str
     atom: Optional[Atom]
     constr: ConstraintConj

@@ -21,9 +21,8 @@ alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
@@ -34,14 +33,20 @@ from .precond import classify, extract_swp, final_precondition
 from .te import eliminate_trace
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
     iterations: int = 3
     timeout: float = 300.0
     max_cex_nodes: int = 40
     strip_init: bool = False
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig(_PipelineConfigFields):
+    """Run settings, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> PipelineConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
         # also rejects NaN, which no elapsed time would ever exceed
@@ -49,32 +54,40 @@ class PipelineConfig:
             raise ValueError("timeout must be positive")
         if self.max_cex_nodes < 0:
             raise ValueError("max_cex_nodes must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class _StepRecordFields(NamedTuple):
+    label: str
+    seconds: float
+    program: Program
+    feasible: Optional[bool] = None
+    trace: Optional[str] = None
+
+
+class StepRecord(_StepRecordFields):
     """One transformation step: its duration and the program it produced.
 
     `swp`, the precondition read off that program, is computed on first
-    access and then cached.  For trace-elimination steps `feasible` tells
-    whether the removed trace was feasible and `trace` holds its term
-    notation; a round where no counterexample exists within the node bound
-    records neither.
+    access and then cached in the instance dict, so the class has no
+    `__slots__`.  For trace-elimination steps `feasible` tells whether the
+    removed trace was feasible and `trace` holds its term notation; a round
+    where no counterexample exists within the node bound records neither.
+    The repr leaves the program out.
     """
 
-    label: str
-    seconds: float
-    program: Program = field(repr=False)
-    feasible: Optional[bool] = None
-    trace: Optional[str] = None
+    def __repr__(self) -> str:
+        return (
+            f"StepRecord(label={self.label!r}, seconds={self.seconds!r}, "
+            f"feasible={self.feasible!r}, trace={self.trace!r})"
+        )
 
     @cached_property
     def swp(self) -> DNF:
         return extract_swp(self.program)
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     """What one run found, and where its time went.
 
     `steps` times the transformations; `final_seconds` is the time to read

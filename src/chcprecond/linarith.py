@@ -58,8 +58,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -78,6 +77,8 @@ from .simplex import (
 DEFAULT_BUDGET_NODES = 100_000
 PROJECTION_CAP = 2000
 NEGATION_CAP = 4096
+# later disjuncts `implies_dnf` tries to cover a piece with
+COVER_WINDOW = 32
 
 
 class Var(str):
@@ -181,24 +182,37 @@ def constraint_vars(k: LinConstraint) -> tuple[Var, ...]:
 # -- conjunctions --------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class ConstraintConj:
     """Canonical conjunction, built by `make_conj`.  Empty tuple means true.
 
     Per sign-normalised coefficient row it holds one equality, or at most
     one upper bound `row <= hi` and one lower bound `-row <= -lo`, so no two
     constraints share a signed row.  The constraints are sorted.
+
+    A conjunction equals only another conjunction, and conjunctions order
+    by their constraint tuples.  They are hashed in every `satisfiable`
+    cache lookup and DNF set, so the hash is computed once and kept.
     """
 
-    constraints: tuple[LinConstraint, ...]
+    __slots__ = ("constraints", "_hash")
 
-    # conjunctions are hashed in every `satisfiable` cache lookup and DNF
-    # set, so the hash of the fields is computed once and kept
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.constraints,)))
+    def __init__(self, constraints: tuple[LinConstraint, ...]) -> None:
+        self.constraints = constraints
+        self._hash = hash((constraints,))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is ConstraintConj:
+            return self.constraints == other.constraints
+        return NotImplemented
+
+    def __lt__(self, other: ConstraintConj) -> bool:
+        if other.__class__ is ConstraintConj:
+            return self.constraints < other.constraints
+        return NotImplemented
 
     def is_false(self) -> bool:
         return any(is_false_constraint(k) for k in self.constraints)
@@ -211,6 +225,9 @@ class ConstraintConj:
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    def __repr__(self) -> str:
+        return f"ConstraintConj(constraints={self.constraints!r})"
 
     def __str__(self) -> str:
         return format_conj(self)
@@ -375,14 +392,34 @@ def satisfiable(c: ConstraintConj) -> bool:
             if point is not None and all(_holds_at(k, point) for k in c):
                 run.models[c] = point
                 return True
+    point = _solve_point(c)
+    if point is None:
+        return False
+    if run is not None:
+        run.models[c] = point
+    return True
+
+
+def _solve_point(c: ConstraintConj) -> Optional[dict[Var, Num]]:
+    """The model of c the tableau finds, or None when c has none.
+
+    Variables at 0 are left out.  The rows are non-strict, so the model has
+    no delta part.
+    """
     index = _index_vars(c)
     model = solve(len(index), [_to_row(k, index) for k in c])
     if model is None:
-        return False
-    if run is not None:
-        # the rows are non-strict, so the model has no delta part
-        run.models[c] = {v: model[i][0] for v, i in index.items() if model[i][0]}
-    return True
+        return None
+    return {v: model[i][0] for v, i in index.items() if model[i][0]}
+
+
+def _point(c: ConstraintConj) -> Optional[dict[Var, Num]]:
+    """A point of c, the run's witness if it has one; None when c is unsatisfiable."""
+    if not satisfiable(c):
+        return None
+    run = RUN.get()
+    point = None if run is None else run.models.get(c)
+    return _solve_point(c) if point is None else point
 
 
 def _holds_at(k: LinConstraint, point: Mapping[Var, Num]) -> bool:
@@ -558,7 +595,8 @@ def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
             sx.set_bounds(s, None, None)
             if supply is not None:
                 supply.subtract(ps)
-    return make_conj(kept)
+    # a subset of a canonical conjunction is canonical, and still sorted
+    return ConstraintConj(tuple(kept))
 
 
 def simplify(c: ConstraintConj) -> ConstraintConj:
@@ -777,11 +815,31 @@ def _combine(a: LinConstraint, ka: int, b: LinConstraint, kb: int) -> LinConstra
 # -- disjunctive normal form ---------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class DNF:
-    """Disjunction of conjunctions.  Empty tuple means false."""
+    """Disjunction of conjunctions.  Empty tuple means false.
 
-    disjuncts: tuple[ConstraintConj, ...]
+    Compared, ordered and hashed like `ConstraintConj`, by its disjuncts.
+    """
+
+    __slots__ = ("disjuncts", "_hash")
+
+    def __init__(self, disjuncts: tuple[ConstraintConj, ...]) -> None:
+        self.disjuncts = disjuncts
+        self._hash = hash((disjuncts,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is DNF:
+            return self.disjuncts == other.disjuncts
+        return NotImplemented
+
+    def __lt__(self, other: DNF) -> bool:
+        if other.__class__ is DNF:
+            return self.disjuncts < other.disjuncts
+        return NotImplemented
 
     def is_false(self) -> bool:
         return not self.disjuncts
@@ -794,6 +852,9 @@ class DNF:
 
     def __len__(self) -> int:
         return len(self.disjuncts)
+
+    def __repr__(self) -> str:
+        return f"DNF(disjuncts={self.disjuncts!r})"
 
     def __str__(self) -> str:
         return format_dnf(self)
@@ -863,13 +924,26 @@ def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
 
     Each disjunct of a is split, depth first, by the negation of each of b's
     disjuncts in turn, on an explicit stack rather than one Python frame per
-    disjunct of b; a lies in b iff no piece is left integer-feasible.
+    disjunct of b; a lies in b iff no piece is left integer-feasible.  A
+    piece split by b's first i disjuncts that entails one of the rest over
+    the rationals lies in b, since rational entailment implies integer
+    inclusion, and is dropped before any integer check.  Only the next
+    `COVER_WINDOW` disjuncts are tried, and a disjunct is asked about only
+    when it holds at a point of the piece.  The check drops only pieces
+    that lie in b, so the window bounds its cost on a long b and keeps the
+    answer sound; it also spares budget nodes.
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET_NODES)
     stack = [(d, 0) for d in reversed(a.disjuncts)]
     while stack:
         conj, i = stack.pop()
+        point = _point(conj)
+        if point is None:
+            continue
+        window = b.disjuncts[i : i + COVER_WINDOW]
+        if any(all(_holds_at(k, point) for k in d) and entails(conj, d) for d in window):
+            continue
         if not int_satisfiable(conj, budget):
             continue
         if i == len(b.disjuncts):

@@ -24,8 +24,8 @@ with `X = V1` conjoined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from typing import NamedTuple, Optional
 
 from .core import Atom, Clause, Pred, Program, initial_constraint_dnf
 from .linarith import Var, make_conj, make_constraint
@@ -52,68 +52,68 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT VAR INT PUNCT EOF
     text: str
     line: int
     col: int
 
 
-_PUNCT = (":-", "=<", ">=", "(", ")", ",", ".", "=", "<", ">", "+", "-", "*", "/")
+# Blanks, then one alternative per token kind, tried in order; a `%`
+# comment matches unnamed.  Identifiers start with a letter (`str.isalpha`)
+# or `_` and go on with letters, digits (`str.isalnum`) and `_`, which is
+# what `\w` matches.  An ASCII start settles the kind in the pattern;
+# otherwise `WORD` matches and the kind is read off the first character.
+# Integers are runs of decimal digits, the ones `int` reads.  No
+# alternative starts with a blank, so a match never gives blanks back.
+_TOKEN = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+      (?P<NL>\n)
+    | %[^\n]*
+    | (?P<PUNCT>:-|=<|>=|[(),.=<>+\-*/])
+    | (?P<INT>\d+)
+    | (?P<VAR>[A-Z_]\w*)
+    | (?P<IDENT>[a-z]\w*)
+    | (?P<WORD>[^\W\d]\w*)
+    | (?P<BAD>[^ \t\r])
+    )
+    """,
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending with EOF; positions count from 1.
+
+    Every character but a newline takes one column, and a `%` comment runs
+    to the end of its line.  The EOF token sits after the last blank, or at
+    the `%` of a comment that ends the text.
+    """
     toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        matched = None
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                matched = p
-                break
-        if matched:
-            toks.append(Token("PUNCT", matched, line, start_col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "VAR" if (ch == "_" or ch.isupper()) else "IDENT"
-            toks.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    toks.append(Token("EOF", "", line, col))
+        word = m.group(kind)
+        col = m.start(kind) - line_start + 1
+        if kind == "WORD":
+            if not word[0].isalpha():
+                kind = "BAD"
+                word = word[0]
+            else:
+                kind = "VAR" if word[0].isupper() else "IDENT"
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        toks.append(Token(kind, word, line, col))
+    last = text[line_start:].split("%", 1)[0]
+    toks.append(Token("EOF", "", line, len(last) + 1))
     return toks
 
 

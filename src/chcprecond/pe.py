@@ -18,7 +18,8 @@ the unfolding depend on the call context in ways that reorder versions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .core import (
     FALSE_PRED,
     Atom,
@@ -99,8 +100,7 @@ def rep_psi(
     return acc, frozenset(sat)
 
 
-@dataclass(frozen=True)
-class _Element:
+class _Element(NamedTuple):
     """One member of S: a predicate version with its stored constraint."""
 
     pred: Pred
@@ -109,8 +109,7 @@ class _Element:
     step: int
 
 
-@dataclass(frozen=True)
-class PeResult:
+class PeResult(NamedTuple):
     program: Program
     table: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, NamedTuple, Optional
 
 from .core import FALSE_PRED, Atom, Clause, Pred, Program, onto_init_args
 from .derivation import (
@@ -30,8 +29,7 @@ from .linarith import TRUE_CONJ, ConstraintConj
 State = Hashable
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One rule cid(q1,...,qk) -> q, written bottom-up."""
 
     cid: str
@@ -39,8 +37,7 @@ class Transition:
     target: State
 
 
-@dataclass(frozen=True)
-class FTA:
+class FTA(NamedTuple):
     states: frozenset
     final: frozenset
     transitions: frozenset

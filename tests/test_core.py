@@ -16,8 +16,9 @@ from chcprecond.core import (
     recursive_preds,
     sccs,
 )
-from chcprecond.driver import run_pipeline
-from chcprecond.linarith import TRUE_CONJ, Var
+from chcprecond import driver
+from chcprecond.driver import StepRecord, run_pipeline
+from chcprecond.linarith import TRUE_CONJ, ConstraintConj, Var, make_conj, make_constraint
 from chcprecond.parser import parse_program
 from chcprecond.pe import pe_run
 from chcprecond.qa import qa_transform
@@ -28,6 +29,46 @@ from helpers import corpus_files, gen_multivar_texts, load
 def test_atom_rejects_repeated_args():
     with pytest.raises(ValueError, match="repeated"):
         Atom(Pred("p", 2), (Var("A"), Var("A")))
+
+
+def test_records_hash_compare_and_order_by_their_fields(monkeypatch):
+    A, B = Var("A"), Var("B")
+    p1, p2, q1 = Pred("p", 1), Pred("p", 2), Pred("q", 1)
+    assert p1 == Pred("p", 1) and hash(p1) == hash(Pred("p", 1)) == hash(("p", 1))
+    assert sorted([q1, p2, p1]) == [p1, p2, q1]
+    atoms = [Atom(q1, (A,)), Atom(p2, (B, A)), Atom(p1, (B,)), Atom(p1, (A,))]
+    assert sorted(atoms) == [atoms[3], atoms[2], atoms[1], atoms[0]]
+    assert atoms[3] == Atom(p1, (A,)) and hash(atoms[3]) == hash((p1, (A,)))
+    assert repr(atoms[3]) == "Atom(pred=Pred(name='p', arity=1), args=(Var('A'),))"
+    with pytest.raises(ValueError, match="with 2 args"):
+        Atom(p1, (A, B))
+    c = make_conj([make_constraint({A: 1}, -3, "<=")])
+    c1, c2 = Clause("c1", atoms[3], c, ()), Clause("c2", None, TRUE_CONJ, (atoms[2],))
+    assert sorted([c2, c1]) == [c1, c2]
+    assert c1 == Clause("c1", Atom(p1, (A,)), make_conj([make_constraint({A: 1}, -3, "<=")]), ())
+    assert hash(c1) == hash(("c1", atoms[3], c, ()))
+    # a conjunction equals only a conjunction, and orders by its constraints
+    assert c != c.constraints and ConstraintConj(c.constraints) == c
+    assert sorted([c, TRUE_CONJ]) == [TRUE_CONJ, c]
+
+    # a step's precondition is extracted once, and kept
+    calls = []
+    monkeypatch.setattr(driver, "extract_swp", lambda prog: calls.append(prog) or "swp")
+    prog = load("fig1.chc")
+    step = StepRecord("pe", 0.5, prog)
+    assert step.swp == step.swp == "swp" and calls == [prog]
+    assert repr(step) == "StepRecord(label='pe', seconds=0.5, feasible=None, trace=None)"
+
+    # a program made by `with_clauses` builds its own clause indexes
+    pred = prog.clauses[0].head_pred()
+    assert prog.clauses[0] in prog.clauses_for(pred)
+    assert prog.clause_by_id(prog.clauses[0].cid) is prog.clauses[0]
+    rest = prog.with_clauses(prog.clauses[1:])
+    assert rest.clauses_for(pred) == tuple(cl for cl in rest.clauses if cl.head_pred() == pred)
+    assert prog.clauses[0] not in rest.clauses_for(pred)
+    with pytest.raises(KeyError):
+        rest.clause_by_id(prog.clauses[0].cid)
+    assert rest.initial_preds == prog.initial_preds and rest.init_args == prog.init_args
 
 
 def test_single_fact_graph():

@@ -4,7 +4,7 @@ import pytest
 
 from chcprecond.core import FALSE_PRED
 from chcprecond.linarith import Var, equiv_conj, make_conj, make_constraint
-from chcprecond.parser import ParseError, parse_program
+from chcprecond.parser import ParseError, parse_program, tokenize
 
 from helpers import corpus_files, load
 
@@ -111,3 +111,45 @@ def test_every_corpus_file_parses():
         p = load(name)
         assert p.goal_clauses(), name
         assert p.initial_clauses(), name
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        # a comment line, then a bad character on the next
+        (":- initial(p/1).\n% note: p(A) ! q\nc1. p(A) :- A ! 0.\n", 3, 15),
+        # mid-line, after tokens and blanks, and after a comment's end
+        ("c1. p(A) :- A = 0 @ 1.\n", 1, 19),
+        ("c1. p(A). % fine ! here\n  ? \n", 2, 3),
+        # `\r` takes a column of its own, and `\r\n` starts a new line
+        (":- initial(p/1).\r\nc1. p(A) :-\r A $ 0.\r\n", 2, 16),
+        # a digit that is not a decimal one
+        ("c1. p(A) :- A = ².\n", 1, 17),
+    ],
+)
+def test_unexpected_character_position(text, line, col):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        tokenize(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_token_kinds_and_positions():
+    toks = tokenize("_x Abc abc 12\n  =< :- %c\n")
+    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+        ("VAR", "_x", 1, 1),
+        ("VAR", "Abc", 1, 4),
+        ("IDENT", "abc", 1, 8),
+        ("INT", "12", 1, 12),
+        ("PUNCT", "=<", 2, 3),
+        ("PUNCT", ":-", 2, 6),
+        ("EOF", "", 3, 1),
+    ]
+    # a non-ASCII start is read by `str.isalpha` and `str.isupper`
+    assert [t.kind for t in tokenize("Été été a²")][:-1] == ["VAR", "IDENT", "IDENT"]
+    # the end of input sits at the `%` of a comment that ends the text
+    eof = tokenize("p(A) % note")[-1]
+    assert (eof.kind, eof.line, eof.col) == ("EOF", 1, 6)
+    # and after the blanks that end it
+    assert tokenize("A \t\r")[-1] == ("EOF", "", 1, 5)
+    with pytest.raises(ParseError, match=r"line 3, col 19: expected '\.', found 'end of input'"):
+        parse_program(":- initial(p/1).\nc1. p(A).\nc2. false :- p(A) % no period")
