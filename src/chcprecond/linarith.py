@@ -43,11 +43,12 @@ they compute directly, and `satisfiable`'s cache is the only one that
 outlives a run.
 
 The `Run` also keeps a witness point per satisfiable conjunction: the model
-the tableau that decided it leaves in its assignment, exact and rational.
-A conjunction `conj_and` made inherits a point of one of its operands only
-after all of its own constraints hold at that point, and a premise whose
-point violates a constraint does not entail it.  The points live only in
-the run, like the memo.
+the tableau that decided it leaves in its assignment, exact, as integer
+numerators over one common positive denominator.  A conjunction `conj_and`
+made inherits a point of one of its operands only after all of its own
+constraints hold at that point, and a premise whose point violates a
+constraint does not entail it.  The points live only in the run, like the
+memo.
 
 Caps that weaken a result report it through `warn`, which adds the message
 to the current run's `warnings` and prints it to stderr outside a run.
@@ -64,7 +65,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .simplex import (
     Budget,
-    Num,
     Row,
     Simplex,
     Undecided,
@@ -279,9 +279,10 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
     c = make_conj(a.constraints + b.constraints)
     run = RUN.get()
-    if run is not None and c not in run.models:
-        # a point of a or b may lie in c too; `satisfiable` tries them.  A c
-        # with a point of its own was answered, and its answer is cached
+    if run is not None and len(c) > 1 and c not in run.models:
+        # a point of a or b may lie in c too; `satisfiable` tries them.  It
+        # answers false and one-constraint conjunctions without a point, and
+        # a c with a point of its own was answered, and its answer is cached
         run.parents[c] = (a, b)
     return c
 
@@ -314,6 +315,11 @@ def rename_conj(c: ConstraintConj, mapping: Mapping[Var, Var]) -> ConstraintConj
 # -- the run context -----------------------------------------------------------
 
 
+# A point: integer numerators of the nonzero variables over one positive
+# denominator, the form `simplex` models take
+Point = tuple[dict[Var, int], int]
+
+
 class Run:
     """Kernel answers and warnings kept for the length of one pipeline run.
 
@@ -326,10 +332,10 @@ class Run:
 
     `project`, `drop_redundant` and `entails_one` map a call's arguments to
     its result.  `models` maps a satisfiable conjunction to a point of it
-    (see `satisfiable`), and `parents` maps a conjunction `conj_and` made,
-    and that has no point yet, to its two operands, until `satisfiable`
-    reads it.  `warnings` collects what the run gave up, in the order `warn`
-    was called.
+    (see `satisfiable`), and `parents` maps a conjunction of two or more
+    constraints that `conj_and` made, and that has no point yet, to its two
+    operands, until `satisfiable` reads it.  `warnings` collects what the
+    run gave up, in the order `warn` was called.
     """
 
     __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents", "warnings")
@@ -338,7 +344,7 @@ class Run:
         self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
         self.drop_redundant: dict[ConstraintConj, ConstraintConj] = {}
         self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
-        self.models: dict[ConstraintConj, dict[Var, Num]] = {}
+        self.models: dict[ConstraintConj, Point] = {}
         self.parents: dict[ConstraintConj, tuple[ConstraintConj, ConstraintConj]] = {}
         self.warnings: list[str] = []
 
@@ -400,20 +406,21 @@ def satisfiable(c: ConstraintConj) -> bool:
     return True
 
 
-def _solve_point(c: ConstraintConj) -> Optional[dict[Var, Num]]:
+def _solve_point(c: ConstraintConj) -> Optional[Point]:
     """The model of c the tableau finds, or None when c has none.
 
-    Variables at 0 are left out.  The rows are non-strict, so the model has
-    no delta part.
+    Variables at 0 are left out of the numerators.  The rows are non-strict,
+    so the model has no delta part.
     """
     index = _index_vars(c)
-    model = solve(len(index), [_to_row(k, index) for k in c])
-    if model is None:
+    solution = solve(len(index), [_to_row(k, index) for k in c])
+    if solution is None:
         return None
-    return {v: model[i][0] for v, i in index.items() if model[i][0]}
+    model, den = solution
+    return {v: model[i][0] for v, i in index.items() if model[i][0]}, den
 
 
-def _point(c: ConstraintConj) -> Optional[dict[Var, Num]]:
+def _point(c: ConstraintConj) -> Optional[Point]:
     """A point of c, the run's witness if it has one; None when c is unsatisfiable."""
     if not satisfiable(c):
         return None
@@ -422,11 +429,13 @@ def _point(c: ConstraintConj) -> Optional[dict[Var, Num]]:
     return _solve_point(c) if point is None else point
 
 
-def _holds_at(k: LinConstraint, point: Mapping[Var, Num]) -> bool:
+def _holds_at(k: LinConstraint, point: Point) -> bool:
     """True when k holds at the point, where unmentioned variables are 0."""
-    total = k.const
+    nums, den = point
+    # den times k's left side at the point; den is positive
+    total = k.const * den
     for v, cf in k.coeffs:
-        x = point.get(v)
+        x = nums.get(v)
         if x:
             total += cf * x
     return total == 0 if k.rel == "=" else total <= 0

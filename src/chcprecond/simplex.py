@@ -1,33 +1,44 @@
-"""Exact rational feasibility checking for linear constraint systems.
+"""Exact feasibility checking for linear constraint systems, on integers alone.
 
-No floating point is involved anywhere.  Values are Python `int`s while
-they are integral and become `fractions.Fraction`s only when a division in
-a pivot is inexact; every sum, product and quotient that comes out
-integral goes back to `int`.  The systems met here are small and their
-values almost always integral, so most arithmetic runs on machine
-integers, with the same values (and so the same pivots) as all-Fraction
-arithmetic would give.
+No floating point is involved anywhere, and every number the solver holds
+is a Python `int`.  The solver is a bounds-form simplex in the style used
+by SMT solvers (Dutertre & de Moura, CAV 2006): every constraint
+`sum(c_i * x_i) REL k` becomes a slack variable defined by the pure linear
+part with `REL k` turned into bounds on the slack.  Bland's rule makes the
+pivot loop terminate.
 
-The solver is a bounds-form simplex in the style used by SMT solvers
-(Dutertre & de Moura, CAV 2006): every constraint `sum(c_i * x_i) REL k`
-becomes a slack variable defined by the pure linear part with `REL k`
-turned into bounds on the slack.  Bland's rule makes the pivot loop
-terminate.
+The tableau is fraction-free, in the manner of Bareiss (Math. Comp. 1968).
+The row of a basic variable `b` holds integer coefficients over one
+positive integer denominator, `den[b] * x_b = sum(a_bj * x_j)` over the
+nonbasic `x_j`, and the gcd of the denominator and all the coefficients is
+1.  A pivot multiplies rows through instead of dividing, then divides a row
+by that gcd when it is above 1.
 
 Bound values are "delta-rationals" `(r, d)` meaning `r + d * delta` for an
 infinitesimal positive delta.  They let us express strict inequalities
 exactly, which the entailment check in `linarith` needs when it negates a
 non-strict constraint over the rationals.  Plain tuples of numbers compare
 lexicographically, which is exactly the right order for delta-rationals.
+Every bound is a pair of integers, and a nonbasic variable only ever sits
+at 0 or at one of its bounds, so its value is an integer pair too.  A basic
+variable's value is kept as the integer pair `den[b]` times it, its row
+summed at the nonbasic values, and is compared with a bound scaled by
+`den[b]`; the denominator is positive, so the order is kept.
+
+The rational values are those a tableau over the rationals would hold, so
+Bland's rule makes the same pivots as one.  A model is the problem
+variables' values as integer numerator pairs over one common positive
+denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Optional, Union
+from math import gcd, lcm
+from typing import Optional
 
-Num = Union[int, Fraction]
-Delta = tuple[Num, Num]
+Delta = tuple[int, int]
+# numerator pairs and their common positive denominator
+Model = tuple[list[Delta], int]
 
 DZERO: Delta = (0, 0)
 
@@ -48,22 +59,6 @@ class Budget:
             raise Undecided("branch-and-bound node budget exhausted")
 
 
-def _int(x: Num) -> Num:
-    """x, or the int it equals when it is an integral Fraction."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
-
-
-def _div(a: Num, b: Num) -> Num:
-    """The exact quotient a / b: an int when b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    # at least one side is a Fraction, so `/` is exact
-    return _int(a / b)
-
-
 class Simplex:
     """Feasibility checker for conjunctions of linear bounds.
 
@@ -75,9 +70,11 @@ class Simplex:
     one tableau that way.  The branch-and-bound below still builds a fresh
     tableau per node, which keeps its node count independent of pivots.
 
-    The tableau is `rows` alone, a map from each basic variable to its row.
-    The systems are small, a handful of rows, so a pivot finds the rows that
-    mention a variable by scanning them rather than keeping a column index.
+    The tableau is `rows`, a map from each basic variable to its row, with
+    the row's denominator in `den`; a nonbasic variable's `den` is 1, so
+    every variable's value is `assign[v]` over `den[v]`.  The systems are
+    small, a handful of rows, so a pivot finds the rows that mention a
+    variable by scanning them rather than keeping a column index.
     """
 
     def __init__(self, nvars: int):
@@ -85,17 +82,19 @@ class Simplex:
         self.lb: list[Optional[Delta]] = [None] * nvars
         self.ub: list[Optional[Delta]] = [None] * nvars
         self.assign: list[Delta] = [DZERO] * nvars
+        self.den: list[int] = [1] * nvars
         # basic var -> {nonbasic var -> coefficient}
-        self.rows: dict[int, dict[int, Num]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
     def add_var(self) -> int:
         self.lb.append(None)
         self.ub.append(None)
         self.assign.append(DZERO)
+        self.den.append(1)
         return len(self.lb) - 1
 
-    def add_slack(self, combo: dict[int, Num]) -> int:
-        """Introduce s = sum(combo) as a new basic variable and return it."""
+    def add_slack(self, combo: dict[int, int]) -> int:
+        """Introduce s = sum(combo) over nonbasic variables as a new basic one."""
         s = self.add_var()
         row = {v: c for v, c in combo.items() if c != 0}
         r = d = 0
@@ -104,7 +103,7 @@ class Simplex:
             r += vr * c
             d += vd * c
         self.rows[s] = row
-        self.assign[s] = (_int(r), _int(d))
+        self.assign[s] = (r, d)
         return s
 
     def set_bounds(self, v: int, lo: Optional[Delta], hi: Optional[Delta]) -> None:
@@ -125,37 +124,60 @@ class Simplex:
             c = row.get(v)
             if c is not None:
                 br, bd = assign[b]
-                assign[b] = (_int(br + dr * c), _int(bd + dd * c))
+                assign[b] = (br + dr * c, bd + dd * c)
 
     def _pivot_and_update(self, bi: int, nj: int, target: Delta) -> None:
         """Move basic bi to target through nonbasic nj, then swap the two."""
-        assign, rows = self.assign, self.rows
+        assign, rows, den = self.assign, self.rows, self.den
         row = rows.pop(bi)
         a = row.pop(nj)
+        d = den[bi]
         br, bd = assign[bi]
-        # nj moves by theta, and every other basic variable by theta times
-        # its row's coefficient of nj
-        tr, td = _div(target[0] - br, a), _div(target[1] - bd, a)
-        assign[bi] = target
         nr, nd = assign[nj]
-        assign[nj] = (_int(nr + tr), _int(nd + td))
-        # nj = (bi - sum of the rest) / a
-        new_row = {bi: _div(1, a)}
-        for v, c in row.items():
-            new_row[v] = _div(-c, a)
-        # substitute nj away in every other row
+        # a * nj = d * bi - (the rest of the row), and the rest sums to
+        # assign[bi] - a * nj before the move and keeps that sum after it
+        vr = d * target[0] - br + a * nr
+        vd = d * target[1] - bd + a * nd
+        if a > 0:
+            new_row = {v: -c for v, c in row.items()}
+            new_row[bi] = d
+        else:
+            a, vr, vd = -a, -vr, -vd
+            new_row = row
+            new_row[bi] = -d
+        # up to sign these are bi's row and denominator, so their gcd is 1
+        assign[bi], den[bi] = target, 1
+        assign[nj], den[nj] = (vr, vd), a
+        # substitute nj away in every other row: den[b] * b = f * nj + rest
+        # becomes den[b] * (a / g) * b = (f / g) * new_row + (a / g) * rest
         for b, r in rows.items():
             f = r.pop(nj, None)
             if f is None:
                 continue
+            g = gcd(f, a)
+            fm, am = f // g, a // g
             br, bd = assign[b]
-            assign[b] = (_int(br + tr * f), bd if not td else _int(bd + td * f))
+            br = am * (br - f * nr) + fm * vr
+            bd = am * (bd - f * nd) + fm * vd
+            db = den[b] * am
+            if am != 1:
+                for v in r:
+                    r[v] *= am
             for v, c in new_row.items():
-                merged = _int(r.get(v, 0) + f * c)
+                merged = r.get(v, 0) + fm * c
                 if merged == 0:
                     r.pop(v, None)
                 else:
                     r[v] = merged
+            if db != 1:
+                g = gcd(db, *r.values())
+                if g != 1:
+                    db //= g
+                    br //= g
+                    bd //= g
+                    for v in r:
+                        r[v] //= g
+            assign[b], den[b] = (br, bd), db
         rows[nj] = new_row
 
     def check(self) -> bool:
@@ -165,7 +187,7 @@ class Simplex:
         leaves, and the lowest-numbered nonbasic variable of its row that can
         move it toward them enters.
         """
-        assign, lb, ub, rows = self.assign, self.lb, self.ub, self.rows
+        assign, lb, ub, rows, den = self.assign, self.lb, self.ub, self.rows, self.den
         # snap nonbasic variables into their intervals first
         for v in range(len(assign)):
             lo, hi = lb[v], ub[v]
@@ -180,10 +202,11 @@ class Simplex:
         while True:
             for b in sorted(rows):
                 lo, hi = lb[b], ub[b]
-                if lo is not None and assign[b] < lo:
+                x, d = assign[b], den[b]
+                if lo is not None and x < (lo if d == 1 else (lo[0] * d, lo[1] * d)):
                     target, up = lo, True
                     break
-                if hi is not None and assign[b] > hi:
+                if hi is not None and x > (hi if d == 1 else (hi[0] * d, hi[1] * d)):
                     target, up = hi, False
                     break
             else:
@@ -200,8 +223,16 @@ class Simplex:
                 return False
             self._pivot_and_update(b, v, target)
 
-    def model(self) -> list[Delta]:
-        return self.assign[: self.n]
+    def model(self) -> Model:
+        """The problem variables' values over one common positive denominator."""
+        n, den = self.n, self.den
+        common = lcm(*den[:n])
+        if common == 1:
+            return self.assign[:n], 1
+        return [
+            (r * (common // d), e * (common // d))
+            for (r, e), d in zip(self.assign[:n], den)
+        ], common
 
 
 # -- building solvers from constraint rows ------------------------------------
@@ -241,8 +272,8 @@ def _solver_for(
     return sx
 
 
-def solve(nvars: int, rows: list[Row]) -> Optional[list[Delta]]:
-    """A model of the rows, one value per variable, or None if they are infeasible."""
+def solve(nvars: int, rows: list[Row]) -> Optional[Model]:
+    """A model of the rows, numerators over a denominator, or None if they are infeasible."""
     sx = _solver_for(nvars, rows)
     if sx is None or not sx.check():
         return None
@@ -266,15 +297,15 @@ def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:
         sx = _solver_for(nvars, rows, bounds)
         if sx is None or not sx.check():
             continue
-        model = sx.model()
+        model, den = sx.model()
         fractional = None
         for v in range(nvars):
             r, d = model[v]
             if d != 0:
                 # cannot happen for non-strict systems, but guard anyway
                 raise AssertionError("delta component in integer search")
-            if r.denominator != 1:
-                fractional = (v, r.numerator // r.denominator)
+            if r % den:
+                fractional = (v, r // den)
                 break
         if fractional is None:
             return True

@@ -302,7 +302,9 @@ def test_every_capped_projection_warns_although_answers_are_remembered(monkeypat
 def test_a_run_keeps_operands_only_for_conjunctions_without_a_point():
     # a conjunction with a point was answered by `satisfiable`, whose cache
     # answers it again, so its operands would never be read; on fig1 at 10
-    # iterations 553 of the 701 entries left over were of that kind
+    # iterations 553 of the 701 entries left over were of that kind.  Nor
+    # are they read for a false or one-constraint conjunction, which
+    # `satisfiable` answers without a point: 29 of the next 167 entries
     p, cfg = load("fig1.chc"), PipelineConfig(iterations=10)
     linarith_mod.satisfiable.cache_clear()
     run = Run()
@@ -312,7 +314,8 @@ def test_a_run_keeps_operands_only_for_conjunctions_without_a_point():
     finally:
         RUN.reset(token)
     assert not run.parents.keys() & run.models.keys()
-    assert len(run.parents) < 200
+    assert all(len(c) > 1 for c in run.parents)
+    assert len(run.parents) < 150
     # with no run installed every kernel answer is computed afresh, and the
     # report is the same
     linarith_mod.satisfiable.cache_clear()

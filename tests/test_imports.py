@@ -47,3 +47,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
     assert _fresh_output(code).split() == []
+
+
+def test_import_loads_neither_fractions_nor_decimal_nor_numbers():
+    # the simplex tableau is all-integer, so nothing needs `fractions`, or
+    # the `decimal` and `numbers` it imports
+    code = (
+        "import sys, chcprecond\n"
+        "print(' '.join(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n"
+    )
+    assert _fresh_output(code).split() == []

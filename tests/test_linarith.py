@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -395,11 +396,14 @@ def test_every_witness_point_lies_in_its_conjunction():
     chain_answers(run, seed=61)
     assert len(run.models) > 1000
     fractional = 0
-    for c, point in run.models.items():
+    for c, (nums, den) in run.models.items():
         assert satisfiable(c)
-        full = {v: point.get(v, 0) for v in conj_vars(c)}
-        assert holds_conj(c, full), (c, point)
-        fractional += any(type(value) is not int for value in point.values())
+        # integer numerators over one positive denominator
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for n in nums.values())
+        full = {v: Fraction(nums.get(v, 0), den) for v in conj_vars(c)}
+        assert holds_conj(c, full), (c, nums, den)
+        fractional += any(n % den for n in nums.values())
     # some points are not integral, and those are exact too
     assert fractional > 0
 

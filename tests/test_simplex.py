@@ -3,16 +3,22 @@
 Rational feasibility is compared with a Fourier-Motzkin decision over
 `Fraction`s, integer feasibility with enumeration of a box, and every
 model `check()` reports is evaluated against its rows in delta-rational
-arithmetic.  The type checks pin the kernel's arithmetic: values stay
-`int` while integral, and a `Fraction` in the tableau is never integral.
+arithmetic, read through the model's denominator.  The tableau itself is
+checked against the one it replaced, kept in `fraction_simplex` as a
+reference: on the same systems both pivot on the same pairs in the same
+order and leave the same rational models.  The type checks pin the kernel's
+arithmetic: every row holds `int`s alone over a positive denominator, with
+no common factor left.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import fraction_simplex
 from chcprecond.simplex import Budget, Simplex, Undecided, _solver_for, feasible, int_feasible
 
 RELS = ("=", "<=", "<")
@@ -69,12 +75,18 @@ def random_rows(rng, nvars, nrows, rels=RELS, span=3):
 
 
 def values(sx):
-    """Every number the tableau holds: coefficients, bounds, assignment."""
-    out = [c for row in sx.rows.values() for c in row.values()]
+    """Every number the tableau holds: coefficients, denominators, bounds, assignment."""
+    out = [c for row in sx.rows.values() for c in row.values()] + sx.den
     for b in sx.lb + sx.ub + sx.assign:
         if b is not None:
             out.extend(b)
     return out
+
+
+def rational(model):
+    """A model's numerator pairs divided through by its denominator."""
+    nums, den = model
+    return [(Fraction(r, den), Fraction(d, den)) for r, d in nums]
 
 
 def test_feasible_matches_fourier_motzkin():
@@ -100,29 +112,91 @@ def test_models_satisfy_every_row():
         sx = _solver_for(nvars, rows)
         if sx is None or not sx.check():
             continue
-        model = sx.model()
+        model = rational(sx.model())
         for row in rows:
             assert holds(row, model), (rows, model)
         checked += 1
     assert checked > 200
 
 
-def test_fractions_in_the_tableau_are_never_integral():
+def test_rows_are_integer_and_gcd_normalised():
     rng = random.Random(11)
-    fractions_seen = 0
+    fractional_rows = 0
     for _ in range(600):
         nvars = rng.randint(1, 3)
         sx = _solver_for(nvars, random_rows(rng, nvars, rng.randint(1, 6)))
         if sx is None:
             continue
         sx.check()
-        for x in values(sx):
-            assert type(x) in (int, Fraction)
-            if type(x) is Fraction:
-                assert x.denominator != 1
-                fractions_seen += 1
-    # inexact divisions do happen, and they are the only source of Fractions
-    assert fractions_seen > 0
+        assert all(type(x) is int for x in values(sx))
+        for b, row in sx.rows.items():
+            assert sx.den[b] > 0
+            assert math.gcd(sx.den[b], *row.values()) == 1, (sx.den[b], row)
+            fractional_rows += sx.den[b] > 1
+        # a nonbasic variable sits at an integer pair, over no denominator
+        assert all(sx.den[v] == 1 for v in range(len(sx.den)) if v not in sx.rows)
+    # inexact pivots do happen, and they leave rows over a denominator
+    assert fractional_rows > 0
+
+
+def pivots_and_models(monkeypatch, cls, solver_for, read_model, systems):
+    """Per check: whether it succeeds, its pivots as (basic, nonbasic) pairs
+    in order, and the rational model `read_model` reads off a success.
+
+    After the first check of a system, its bounds are replaced by the
+    system's redraws one at a time, and each is checked again from the last
+    assignment, as the redundancy sweep does.
+    """
+    seen = []
+    pivot = cls._pivot_and_update
+
+    def recorded_pivot(self, bi, nj, target):
+        seen.append((bi, nj))
+        return pivot(self, bi, nj, target)
+
+    monkeypatch.setattr(cls, "_pivot_and_update", recorded_pivot)
+    out = []
+    for nvars, rows, redraws in systems:
+        sx = solver_for(nvars, rows)
+        if sx is None:
+            out.append(None)
+            continue
+        for bounds in [{}] + redraws:
+            for v, (lo, hi) in bounds.items():
+                sx.set_bounds(v, lo, hi)
+            seen.clear()
+            ok = sx.check()
+            out.append((ok, list(seen), read_model(sx) if ok else None))
+    return out
+
+
+def test_pivots_and_models_match_the_fraction_tableau(monkeypatch):
+    rng = random.Random(13)
+    systems = []
+    for _ in range(600):
+        nvars = rng.randint(1, 4)
+        rows = random_rows(rng, nvars, rng.randint(1, 7))
+        slacks = range(nvars, nvars + len({combo for combo, _, _ in rows if combo}))
+        redraws = []
+        for _ in range(rng.randint(0, 3)):
+            v = rng.choice(slacks) if slacks else 0
+            lo, hi = rng.randint(-6, 6), rng.randint(-6, 6)
+            redraws.append({v: (rng.choice([None, (lo, 0), (lo, 1)]),
+                                rng.choice([None, (hi, 0), (hi, -1)]))})
+        systems.append((nvars, rows, redraws))
+    ints = pivots_and_models(
+        monkeypatch, Simplex, _solver_for, lambda sx: rational(sx.model()), systems
+    )
+    fractions = pivots_and_models(
+        monkeypatch, fraction_simplex.FractionSimplex, fraction_simplex._solver_for,
+        fraction_simplex.FractionSimplex.model, systems,
+    )
+    assert ints == fractions
+    checks = [r for r in ints if r is not None]
+    # both answers, and pivots that divide inexactly, are exercised
+    assert sum(ok for ok, _, _ in checks) > 500 and sum(not ok for ok, _, _ in checks) > 200
+    assert sum(len(p) for _, p, _ in checks) > 1000
+    assert any(x.denominator > 1 for _, _, m in checks if m for pair in m for x in pair)
 
 
 def test_unit_coefficients_keep_the_tableau_integral():
@@ -136,15 +210,16 @@ def test_unit_coefficients_keep_the_tableau_integral():
     assert sx.check()
     assert any(v < 3 for v in sx.rows), "no problem variable became basic"
     assert all(type(x) is int for x in values(sx))
+    assert sx.den == [1] * len(sx.den)
     for row in rows:
-        assert holds(row, sx.model())
+        assert holds(row, rational(sx.model()))
 
 
-def test_inexact_division_gives_a_fraction_model():
+def test_inexact_division_gives_a_model_over_a_denominator():
     # 2x = 1
     sx = _solver_for(1, [(((0, 2),), -1, "=")])
     assert sx.check()
-    assert sx.model() == [(Fraction(1, 2), 0)]
+    assert sx.model() == ([(1, 0)], 2)
 
 
 def test_int_feasible_matches_box_enumeration():
@@ -182,7 +257,7 @@ def test_set_bounds_loosens_and_rechecks_from_the_last_assignment():
     assert not sx.check()
     sx.set_bounds(t, (-5, 0), None)
     assert sx.check()
-    (x, dx), (y, dy) = sx.model()
+    (x, dx), (y, dy) = rational(sx.model())
     assert dx == dy == 0
     assert x + y == 3 and x - y >= -5
 
@@ -246,7 +321,7 @@ def test_branch_and_bound_takes_the_pinned_pivots_and_models(monkeypatch, system
     def recorded_check(self):
         ok = check(self)
         if ok:
-            models.append(" ".join(str(r) for r, _ in self.model()))
+            models.append(" ".join(str(r) for r, _ in rational(self.model())))
         return ok
 
     monkeypatch.setattr(Simplex, "_pivot_and_update", counted_pivot)
