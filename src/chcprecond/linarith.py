@@ -112,6 +112,10 @@ class LinConstraint(NamedTuple):
         return format_constraint(self)
 
 
+# a sign-normalised row (first coefficient positive) -> its `[lo, hi]`
+# bounds, None for a side without one
+RowBounds = dict[tuple[tuple[Var, int], ...], list]
+
 TRUE_K = LinConstraint((), 0, "<=")
 FALSE_K = LinConstraint((), 1, "<=")
 
@@ -193,13 +197,20 @@ class ConstraintConj:
     A conjunction equals only another conjunction, and conjunctions order
     by their constraint tuples.  They are hashed in every `satisfiable`
     cache lookup and DNF set, so the hash is computed once and kept.
+    `_rows` maps each sign-normalised row to its `[lo, hi]` bounds (see
+    `RowBounds`); `make_conj` and `conj_and` pass the map they built, and
+    `row_bounds` builds it on first use for the others.  A map is never
+    changed once made, so conjunctions may share it and its lists.
     """
 
-    __slots__ = ("constraints", "_hash")
+    __slots__ = ("constraints", "_hash", "_rows")
 
-    def __init__(self, constraints: tuple[LinConstraint, ...]) -> None:
+    def __init__(
+        self, constraints: tuple[LinConstraint, ...], rows: Optional[RowBounds] = None
+    ) -> None:
         self.constraints = constraints
         self._hash = hash((constraints,))
+        self._rows = rows
 
     def __hash__(self) -> int:
         return self._hash
@@ -243,7 +254,7 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
     Each row keeps the tightest bound on each side; bounds that meet make an
     equality, and bounds that cross make the conjunction false.
     """
-    bounds: dict[tuple[tuple[Var, int], ...], list] = {}
+    bounds: RowBounds = {}
     for k in constraints:
         if not k.coeffs:
             if is_false_constraint(k):
@@ -273,11 +284,31 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
         if lo is not None:
             out.append(LinConstraint(tuple((v, -c) for v, c in row), lo, "<="))
     out.sort()
-    return ConstraintConj(tuple(out))
+    return ConstraintConj(tuple(out), bounds)
+
+
+def row_bounds(c: ConstraintConj) -> RowBounds:
+    """The row -> `[lo, hi]` map of a canonical c, built on first use."""
+    if c._rows is None:
+        c._rows = make_conj(c.constraints)._rows
+    return c._rows
 
 
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
-    c = make_conj(a.constraints + b.constraints)
+    """`make_conj(a.constraints + b.constraints)` of two canonical operands.
+
+    The rows of the shorter operand are folded into the longer one's map.
+    Rows of its own are added and re-sorted, the longer operand comes back
+    when they are all it brings, and only a bound that tightens a shared
+    row goes through `make_conj`.
+    """
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    if not small.constraints:
+        c = big
+    elif big.constraints[0] == FALSE_K or small.constraints[0] == FALSE_K:
+        c = FALSE_CONJ
+    else:
+        c = _fold(big, small)
     run = RUN.get()
     if run is not None and len(c) > 1 and c not in run.models:
         # a point of a or b may lie in c too; `satisfiable` tries them.  It
@@ -285,6 +316,33 @@ def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
         # a c with a point of its own was answered, and its answer is cached
         run.parents[c] = (a, b)
     return c
+
+
+def _fold(big: ConstraintConj, small: ConstraintConj) -> ConstraintConj:
+    rows = row_bounds(big)
+    added: RowBounds = {}
+    extra = []
+    for k in small.constraints:
+        row, edge = k.coeffs, -k.const
+        if row[0][1] > 0:
+            lo, hi = (edge if k.rel == "=" else None), edge
+        else:
+            row, lo, hi = tuple((v, -c) for v, c in row), -edge, None
+        cur = rows.get(row)
+        if cur is None:
+            # a row of small's own, which holds at most one bound per side
+            extra.append(k)
+            cur = added.get(row)
+            if cur is not None:
+                lo, hi = (cur[0], hi) if lo is None else (lo, cur[1])
+            added[row] = [lo, hi]
+        elif (lo is not None and (cur[0] is None or lo > cur[0])) or (
+            hi is not None and (cur[1] is None or hi < cur[1])
+        ):
+            return make_conj(big.constraints + small.constraints)
+    if not extra:
+        return big
+    return ConstraintConj(tuple(sorted(big.constraints + tuple(extra))), {**rows, **added})
 
 
 def conj_vars(c: ConstraintConj) -> frozenset[Var]:

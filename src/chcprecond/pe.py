@@ -41,6 +41,7 @@ from .linarith import (
     conj_vars,
     entails,
     format_conj,
+    project,
     project_onto,
     satisfiable,
     simplify,
@@ -64,7 +65,12 @@ def canonical_args(p: Program) -> dict[Pred, tuple[Var, ...]]:
 
 
 def gen_properties(p: Program) -> dict[Pred, tuple[ConstraintConj, ...]]:
-    """Projections of each clause constraint onto atom tuples and single args."""
+    """Projections of each clause constraint onto atom tuples and single args.
+
+    A single argument's projection is taken from the atom's projection, on
+    the canonical names: it is the same set, and a one-variable projection
+    has one canonical form.
+    """
     canon = canonical_args(p)
     props: dict[Pred, list[ConstraintConj]] = {}
 
@@ -81,9 +87,10 @@ def gen_properties(p: Program) -> dict[Pred, tuple[ConstraintConj, ...]]:
             targets.append(cl.head)
         for atom in targets:
             onto = canon[atom.pred]
-            add(atom.pred, project_onto(cl.constr, atom.args, onto))
-            for v, w in zip(atom.args, onto):
-                add(atom.pred, project_onto(cl.constr, (v,), (w,)))
+            whole = project_onto(cl.constr, atom.args, onto)
+            add(atom.pred, whole)
+            for w in onto:
+                add(atom.pred, project(whole, (w,)))
     return {pred: tuple(cs) for pred, cs in props.items()}
 
 

@@ -18,6 +18,7 @@ from chcprecond.linarith import (
     Run,
     Var,
     _drop_redundant,
+    _sweep,
     _same_row_bound,
     _signs,
     _supplies,
@@ -37,6 +38,7 @@ from chcprecond.linarith import (
     project,
     rename_conj,
     rename_constraint,
+    row_bounds,
     satisfiable,
     simplify,
 )
@@ -497,6 +499,52 @@ def test_make_conj_keeps_one_interval_per_row():
         rng.shuffle(shuffled)
         assert make_conj(shuffled) == got
     assert merged > 200 and false_seen > 100
+
+
+def test_conj_and_equals_make_conj_of_both_operands():
+    # operands straight from make_conj, and `_sweep` and `rename_conj`
+    # results, whose row maps are built on first use
+    rng = random.Random(61)
+    z = Var("z")
+    pool = [{x: 1}, {x: -1}, {x: 2}, {x: 1, y: 1}, {x: -1, y: -1}, {x: 1, y: -2},
+            {x: -1, y: 2}, {y: 3, z: -1}, {y: -3, z: 1}]
+
+    def operand():
+        ks = [
+            k(rng.choice(pool), rng.randint(-4, 4), rng.choice(("<=", "<=", ">=", "=")))
+            for _ in range(rng.randint(0, 5))
+        ]
+        c = make_conj(ks)
+        form = rng.randrange(3)
+        if form == 1 and len(c) > 1 and satisfiable(c):
+            c, seen["sweep"] = _sweep(c, True), seen["sweep"] + 1
+        elif form == 2:
+            c, seen["rename"] = rename_conj(c, {x: y, y: x}), seen["rename"] + 1
+        return c
+
+    seen = Counter()
+    for _ in range(3000):
+        a, b = operand(), operand()
+        got = conj_and(a, b)
+        assert got == make_conj(a.constraints + b.constraints), (a, b)
+        assert row_bounds(got) == make_conj(got.constraints)._rows, (a, b)
+        assert conj_and(b, a) == got
+        if FALSE_CONJ in (a, b):
+            continue
+        rows_a = {_row(j): j for j in a}
+        shared = [(rows_a[_row(j)], j) for j in b if _row(j) in rows_a]
+        if got == FALSE_CONJ:
+            seen["crossing"] += 1
+        elif got is a or got is b:
+            seen["an operand"] += 1
+        elif got.constraints == tuple(sorted(set(a) | set(b))):
+            seen["rows added"] += 1
+        else:
+            seen["tightens"] += 1
+        seen["equality against negated row"] += any(
+            (i.rel == "=") != (j.rel == "=") and i.coeffs != j.coeffs for i, j in shared
+        )
+    assert min(seen.values()) > 50 and len(seen) == 7, seen
 
 
 def test_implies_dnf_walks_thousands_of_disjuncts_without_recursion():
