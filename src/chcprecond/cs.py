@@ -34,6 +34,7 @@ from typing import NamedTuple
 from .core import Atom, Clause, Pred, Program, dependency_graph, sccs
 from .linarith import (
     FALSE_CONJ,
+    RUN,
     ConstraintConj,
     Var,
     conj_and,
@@ -56,8 +57,19 @@ def _dims(arity: int) -> tuple[Var, ...]:
 
 
 def _at(c: ConstraintConj, atom: Atom) -> ConstraintConj:
-    """c, over the canonical dims, renamed positionally onto the atom's args."""
-    return rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
+    """c, over the canonical dims, renamed positionally onto the atom's args.
+
+    Within a run the answer is kept in the run, since the worklist and
+    `strengthen` rename the same invariant onto the same atom again and again.
+    """
+    run = RUN.get()
+    if run is None:
+        return rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
+    key = (c, atom.args)
+    out = run.at.get(key)
+    if out is None:
+        out = run.at[key] = rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
+    return out
 
 
 class InvariantMap(NamedTuple):

@@ -226,7 +226,9 @@ class ConstraintConj:
         return NotImplemented
 
     def is_false(self) -> bool:
-        return any(is_false_constraint(k) for k in self.constraints)
+        # a canonical false conjunction is FALSE_K alone, and no other
+        # constraint of a canonical conjunction is ground
+        return self.constraints[:1] == _FALSE_ONLY
 
     def is_true(self) -> bool:
         return not self.constraints
@@ -244,8 +246,9 @@ class ConstraintConj:
         return format_conj(self)
 
 
+_FALSE_ONLY = (FALSE_K,)
 TRUE_CONJ = ConstraintConj(())
-FALSE_CONJ = ConstraintConj((FALSE_K,))
+FALSE_CONJ = ConstraintConj(_FALSE_ONLY)
 
 
 def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
@@ -271,11 +274,19 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
             cur[0] = lo
         if hi is not None and (cur[1] is None or hi < cur[1]):
             cur[1] = hi
-    out = []
+    out: list[LinConstraint] = []
+    if not _emit(bounds, out):
+        return FALSE_CONJ
+    out.sort()
+    return ConstraintConj(tuple(out), bounds)
+
+
+def _emit(bounds: RowBounds, out: list[LinConstraint]) -> bool:
+    """Append each row's constraints to `out`; False when some row's bounds cross."""
     for row, (lo, hi) in bounds.items():
         if lo is not None and hi is not None:
             if lo > hi:
-                return FALSE_CONJ
+                return False
             if lo == hi:
                 out.append(LinConstraint(row, -lo, "="))
                 continue
@@ -283,8 +294,7 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
             out.append(LinConstraint(row, -hi, "<="))
         if lo is not None:
             out.append(LinConstraint(tuple((v, -c) for v, c in row), lo, "<="))
-    out.sort()
-    return ConstraintConj(tuple(out), bounds)
+    return True
 
 
 def row_bounds(c: ConstraintConj) -> RowBounds:
@@ -297,10 +307,11 @@ def row_bounds(c: ConstraintConj) -> RowBounds:
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
     """`make_conj(a.constraints + b.constraints)` of two canonical operands.
 
-    The rows of the shorter operand are folded into the longer one's map.
-    Rows of its own are added and re-sorted, the longer operand comes back
-    when they are all it brings, and only a bound that tightens a shared
-    row goes through `make_conj`.
+    The rows of the shorter operand are folded into the longer one's map,
+    and the longer operand comes back when they add nothing.  A row of the
+    shorter one's own adds its constraints as they are.  A shared row that
+    one of them tightens gets a copy of its `[lo, hi]` bounds, and only its
+    constraints are emitted again; the longer operand's others stay.
     """
     big, small = (a, b) if len(a) >= len(b) else (b, a)
     if not small.constraints:
@@ -321,6 +332,7 @@ def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
 def _fold(big: ConstraintConj, small: ConstraintConj) -> ConstraintConj:
     rows = row_bounds(big)
     added: RowBounds = {}
+    tight: RowBounds = {}
     extra = []
     for k in small.constraints:
         row, edge = k.coeffs, -k.const
@@ -336,13 +348,31 @@ def _fold(big: ConstraintConj, small: ConstraintConj) -> ConstraintConj:
             if cur is not None:
                 lo, hi = (cur[0], hi) if lo is None else (lo, cur[1])
             added[row] = [lo, hi]
-        elif (lo is not None and (cur[0] is None or lo > cur[0])) or (
-            hi is not None and (cur[1] is None or hi < cur[1])
-        ):
-            return make_conj(big.constraints + small.constraints)
-    if not extra:
-        return big
-    return ConstraintConj(tuple(sorted(big.constraints + tuple(extra))), {**rows, **added})
+            continue
+        up = lo is not None and (cur[0] is None or lo > cur[0])
+        down = hi is not None and (cur[1] is None or hi < cur[1])
+        if up or down:
+            # big's map is shared, so the tightened bounds go in a copy
+            new = tight.get(row)
+            if new is None:
+                new = tight[row] = list(cur)
+            if up:
+                new[0] = lo
+            if down:
+                new[1] = hi
+    if not tight:
+        if not extra:
+            return big
+        return ConstraintConj(tuple(sorted(big.constraints + tuple(extra))), {**rows, **added})
+    out = extra
+    if not _emit(tight, out):
+        return FALSE_CONJ
+    # big's constraints on the tightened rows give way to those just emitted
+    stale: list[LinConstraint] = []
+    _emit({row: rows[row] for row in tight}, stale)
+    out.extend(j for j in big.constraints if j not in stale)
+    out.sort()
+    return ConstraintConj(tuple(out), {**rows, **added, **tight})
 
 
 def conj_vars(c: ConstraintConj) -> frozenset[Var]:
@@ -389,19 +419,23 @@ class Run:
     directly.
 
     `project`, `drop_redundant` and `entails_one` map a call's arguments to
-    its result.  `models` maps a satisfiable conjunction to a point of it
-    (see `satisfiable`), and `parents` maps a conjunction of two or more
-    constraints that `conj_and` made, and that has no point yet, to its two
-    operands, until `satisfiable` reads it.  `warnings` collects what the
-    run gave up, in the order `warn` was called.
+    its result, and `at` maps an invariant and an atom's arguments to the
+    invariant renamed onto them (`cs._at`).  `models` maps a satisfiable
+    conjunction to a point of it (see `satisfiable`), and `parents` maps a
+    conjunction of two or more constraints that `conj_and` made, and that
+    has no point yet, to its two operands, until `satisfiable` reads it.
+    `warnings` collects what the run gave up, in the order `warn` was called.
     """
 
-    __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents", "warnings")
+    __slots__ = (
+        "project", "drop_redundant", "entails_one", "at", "models", "parents", "warnings"
+    )
 
     def __init__(self) -> None:
         self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
         self.drop_redundant: dict[ConstraintConj, ConstraintConj] = {}
         self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
+        self.at: dict[tuple[ConstraintConj, tuple[Var, ...]], ConstraintConj] = {}
         self.models: dict[ConstraintConj, Point] = {}
         self.parents: dict[ConstraintConj, tuple[ConstraintConj, ConstraintConj]] = {}
         self.warnings: list[str] = []
@@ -619,11 +653,14 @@ def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
     satisfiable; an unsatisfiable c gets every query.
 
     All the queries share one tableau.  `c` comes from `make_conj`, so no
-    constraint is ground and no two share a signed row: each has a slack of
-    its own, bounded by it.  Asking whether the rest entails k swaps the
-    bounds of k's slack for the strict negation of k (each side in turn for
-    an equality) and re-checks from the last assignment: k is entailed iff
-    that is infeasible.  A dropped constraint leaves its slack unbounded.
+    constraint is ground and no two share a signed row.  A constraint on
+    one variable with coefficient +-1 bounds that variable; per variable
+    there is at most one such upper and one lower bound, or one equality.
+    Every other constraint has a slack of its own, bounded by it.  Asking
+    whether the rest entails k replaces the bounds of k's variable by the
+    strict negation of k (each side in turn for an equality) and re-checks
+    from the last assignment: k is entailed iff that is infeasible.  A kept
+    constraint restores the bounds, and a dropped one clears its side.
     """
     signs = [_signs(k) for k in c]
     # how many of the constraints still kept supply each pair
@@ -635,31 +672,51 @@ def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
         return c
     index = _index_vars(c)
     sx = Simplex(len(index))
-    slacks = []
+    lb, ub = sx.lb, sx.ub
+    # per constraint: the variable it bounds, and its lower and upper edge
+    # there, None for a side it leaves open
+    sides = []
     for k in c:
-        edge = (-k.const, 0)
-        s = sx.add_slack(dict(_to_row(k, index)[0]))
-        slacks.append((s, edge if k.rel == "=" else None, edge))
-        sx.set_bounds(*slacks[-1])
+        row = k.coeffs
+        if len(row) == 1 and row[0][1] == -1:
+            # -x + const <= 0 is x >= const
+            s, lo, hi = index[row[0][0]], k.const, None
+        else:
+            if len(row) == 1 and row[0][1] == 1:
+                s = index[row[0][0]]
+            else:
+                s = sx.add_slack(dict(_to_row(k, index)[0]))
+            lo, hi = (-k.const if k.rel == "=" else None), -k.const
+        sides.append((s, lo, hi))
+        if lo is not None:
+            lb[s] = (lo, 0)
+        if hi is not None:
+            ub[s] = (hi, 0)
     kept = []
-    for k, ps, (s, lo, hi) in zip(c, signs, slacks):
+    for k, ps, (s, lo, hi) in zip(c, signs, sides):
         if supply is not None and any(supply[p] < 2 for p in ps):
             kept.append(k)
             continue
-        # the slack's value is -k.const on k's boundary; above it k fails,
-        # and for an equality so it does below
-        sides = [((-k.const, 1), None)]
-        if k.rel == "=":
-            sides.append((None, (-k.const, -1)))
-        for side in sides:
-            sx.set_bounds(s, *side)
+        # k fails above its upper edge and below its lower one.  A bound the
+        # rest keeps on the other side lies beyond the edge, since no two
+        # canonical bounds on one variable meet or cross, so it holds there
+        # anyway and the query leaves it out
+        queries = []
+        if hi is not None:
+            queries.append(((hi, 1), None))
+        if lo is not None:
+            queries.append((None, (lo, -1)))
+        was = lb[s], ub[s]
+        for query in queries:
+            sx.set_bounds(s, *query)
             if sx.check():
                 # a point of the rest violates k: keep it
-                sx.set_bounds(s, lo, hi)
+                sx.set_bounds(s, *was)
                 kept.append(k)
                 break
         else:
-            sx.set_bounds(s, None, None)
+            # k goes, and with it its side of the bounds
+            sx.set_bounds(s, was[0] if lo is None else None, was[1] if hi is None else None)
             if supply is not None:
                 supply.subtract(ps)
     # a subset of a canonical conjunction is canonical, and still sorted
@@ -969,8 +1026,13 @@ def negate_conj(c: ConstraintConj) -> DNF:
 
 
 def negate_dnf(d: DNF) -> DNF:
-    """Integer complement of a DNF.  Distributes with pruning as it goes."""
-    acc = [TRUE_CONJ]
+    """Integer complement of a DNF.
+
+    Distributes one disjunct's complement at a time, dropping unsatisfiable
+    pieces and absorbing supersets after each step, so the cap counts only
+    pieces the result could keep.
+    """
+    acc: tuple[ConstraintConj, ...] = (TRUE_CONJ,)
     for disjunct in d:
         neg = negate_conj(disjunct)
         nxt = set()
@@ -979,11 +1041,12 @@ def negate_dnf(d: DNF) -> DNF:
                 merged = conj_and(a, piece)
                 if satisfiable(merged):
                     nxt.add(merged)
-        acc = sorted(nxt)
+        acc = make_dnf(nxt).disjuncts
         if len(acc) > NEGATION_CAP:
             warn(f"negation exceeded {NEGATION_CAP} disjuncts, truncating")
             acc = acc[:NEGATION_CAP]
-    return make_dnf(acc)
+    # a prefix of an absorbed, sorted tuple is absorbed and sorted
+    return DNF(acc)
 
 
 def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:

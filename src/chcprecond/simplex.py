@@ -2,10 +2,13 @@
 
 No floating point is involved anywhere, and every number the solver holds
 is a Python `int`.  The solver is a bounds-form simplex in the style used
-by SMT solvers (Dutertre & de Moura, CAV 2006): every constraint
+by SMT solvers (Dutertre & de Moura, CAV 2006): a constraint
 `sum(c_i * x_i) REL k` becomes a slack variable defined by the pure linear
-part with `REL k` turned into bounds on the slack.  Bland's rule makes the
-pivot loop terminate.
+part with `REL k` turned into bounds on the slack, and a constraint on one
+variable with coefficient +-1 becomes a bound on that variable itself, with
+no slack.  A scaled single-variable row keeps its slack, so that every
+bound stays a pair of integers.  Bland's rule makes the pivot loop
+terminate.
 
 The tableau is fraction-free, in the manner of Bareiss (Math. Comp. 1968).
 The row of a basic variable `b` holds integer coefficients over one
@@ -26,9 +29,9 @@ summed at the nonbasic values, and is compared with a bound scaled by
 `den[b]`; the denominator is positive, so the order is kept.
 
 The rational values are those a tableau over the rationals would hold, so
-Bland's rule makes the same pivots as one.  A model is the problem
-variables' values as integer numerator pairs over one common positive
-denominator.
+Bland's rule makes the same pivots as one built from the same rows and
+bounds.  A model is the problem variables' values as integer numerator
+pairs over one common positive denominator.
 """
 
 from __future__ import annotations
@@ -63,12 +66,13 @@ class Simplex:
     """Feasibility checker for conjunctions of linear bounds.
 
     Usage: construct with the number of problem variables, add slack rows
-    for linear combinations, set bounds, then call `check()`.  Bounds may
-    be replaced between checks with `set_bounds`, looser or tighter, and
-    the next `check()` repairs the assignment the last one left instead of
-    starting over; `linarith`'s redundancy sweep asks all its queries of
-    one tableau that way.  The branch-and-bound below still builds a fresh
-    tableau per node, which keeps its node count independent of pivots.
+    for linear combinations, set bounds on slacks and on problem variables
+    alike, then call `check()`.  Bounds may be replaced between checks with
+    `set_bounds`, looser or tighter, and the next `check()` repairs the
+    assignment the last one left instead of starting over; `linarith`'s
+    redundancy sweep asks all its queries of one tableau that way.  The
+    branch-and-bound below still builds a fresh tableau per node, which
+    keeps its node count independent of pivots.
 
     The tableau is `rows`, a map from each basic variable to its row, with
     the row's denominator in `den`; a nonbasic variable's `den` is 1, so
@@ -249,11 +253,13 @@ def _solver_for(
 ) -> Optional[Simplex]:
     """Build a Simplex for the rows under extra variable bounds.
 
-    None means a false ground row.  Rows with one combination share a
-    slack, which gets the meet of their bounds; an empty meet makes
-    `check()` fail.
+    None means a false ground row.  A row of one variable with coefficient
+    +-1 bounds that variable itself; every other row gets a slack, and rows
+    with one combination share it.  Each row meets the bounds already on
+    its variable, and an empty meet makes `check()` fail.
     """
     sx = Simplex(nvars)
+    lb, ub = sx.lb, sx.ub
     for v, (lo, hi) in (bounds or {}).items():
         sx.set_bounds(v, lo, hi)
     merged: dict[tuple[tuple[int, int], ...], int] = {}
@@ -263,12 +269,25 @@ def _solver_for(
             if not {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]:
                 return None
             continue
-        if combo not in merged:
-            merged[combo] = sx.add_slack(dict(combo))
-        s = merged[combo]
-        edge = (-const, -1 if rel == "<" else 0)
-        lo = dmax(sx.lb[s], edge) if rel == "=" else sx.lb[s]
-        sx.set_bounds(s, lo, dmin(sx.ub[s], edge))
+        strict = -1 if rel == "<" else 0
+        if len(combo) == 1 and combo[0][1] == -1:
+            # -x + const REL 0 bounds x from below, by const
+            v = combo[0][0]
+            lb[v] = dmax(lb[v], (const, -strict))
+            if rel == "=":
+                ub[v] = dmin(ub[v], (const, 0))
+            continue
+        if len(combo) == 1 and combo[0][1] == 1:
+            s = combo[0][0]
+        else:
+            if combo not in merged:
+                merged[combo] = sx.add_slack(dict(combo))
+            s = merged[combo]
+        # s + const REL 0 bounds s from above, by -const
+        edge = (-const, strict)
+        if rel == "=":
+            lb[s] = dmax(lb[s], edge)
+        ub[s] = dmin(ub[s], edge)
     return sx
 
 
@@ -281,7 +300,9 @@ def solve(nvars: int, rows: list[Row]) -> Optional[Model]:
 
 
 def feasible(nvars: int, rows: list[Row]) -> bool:
-    return solve(nvars, rows) is not None
+    """True iff the rows have a model; builds none."""
+    sx = _solver_for(nvars, rows)
+    return sx is not None and sx.check()
 
 
 def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:

@@ -177,11 +177,13 @@ def _solver_for(
 
     The same construction as `chcprecond.simplex._solver_for`.
 
-    None means a false ground row.  Rows with one combination share a
-    slack, which gets the meet of their bounds; an empty meet makes
-    `check()` fail.
+    None means a false ground row.  A row of one variable with coefficient
+    +-1 bounds that variable itself; every other row gets a slack, and rows
+    with one combination share it.  Each row meets the bounds already on
+    its variable, and an empty meet makes `check()` fail.
     """
     sx = FractionSimplex(nvars)
+    lb, ub = sx.lb, sx.ub
     for v, (lo, hi) in (bounds or {}).items():
         sx.set_bounds(v, lo, hi)
     merged: dict[tuple[tuple[int, int], ...], int] = {}
@@ -191,10 +193,23 @@ def _solver_for(
             if not {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]:
                 return None
             continue
-        if combo not in merged:
-            merged[combo] = sx.add_slack(dict(combo))
-        s = merged[combo]
-        edge = (-const, -1 if rel == "<" else 0)
-        lo = dmax(sx.lb[s], edge) if rel == "=" else sx.lb[s]
-        sx.set_bounds(s, lo, dmin(sx.ub[s], edge))
+        strict = -1 if rel == "<" else 0
+        if len(combo) == 1 and combo[0][1] == -1:
+            # -x + const REL 0 bounds x from below, by const
+            v = combo[0][0]
+            lb[v] = dmax(lb[v], (const, -strict))
+            if rel == "=":
+                ub[v] = dmin(ub[v], (const, 0))
+            continue
+        if len(combo) == 1 and combo[0][1] == 1:
+            s = combo[0][0]
+        else:
+            if combo not in merged:
+                merged[combo] = sx.add_slack(dict(combo))
+            s = merged[combo]
+        # s + const REL 0 bounds s from above, by -const
+        edge = (-const, strict)
+        if rel == "=":
+            lb[s] = dmax(lb[s], edge)
+        ub[s] = dmin(ub[s], edge)
     return sx

@@ -43,7 +43,8 @@ from chcprecond.linarith import (
     simplify,
 )
 from chcprecond.precond import classify
-from chcprecond.simplex import Budget, Undecided, feasible
+from chcprecond import linarith, simplex
+from chcprecond.simplex import Budget, Simplex, Undecided, dmax, dmin, feasible
 
 from helpers import grid, holds_conj, holds_dnf
 
@@ -450,6 +451,75 @@ def test_project_known_sat_matches_the_checked_projection():
     assert compared > 300
 
 
+# -- unit rows as variable bounds ----------------------------------------------
+
+
+def slack_per_row_solver(nvars, rows, bounds=None):
+    """A tableau with a slack for every distinct row, unit rows included."""
+    sx = Simplex(nvars)
+    for v, (lo, hi) in (bounds or {}).items():
+        sx.set_bounds(v, lo, hi)
+    merged = {}
+    for combo, const, rel in rows:
+        if not combo:
+            if not {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]:
+                return None
+            continue
+        if combo not in merged:
+            merged[combo] = sx.add_slack(dict(combo))
+        s = merged[combo]
+        edge = (-const, -1 if rel == "<" else 0)
+        lo = dmax(sx.lb[s], edge) if rel == "=" else sx.lb[s]
+        sx.set_bounds(s, lo, dmin(sx.ub[s], edge))
+    return sx
+
+
+def test_unit_bounds_answer_as_a_slack_per_row_tableau(monkeypatch):
+    # canonical conjunctions over three variables, from unit, scaled and
+    # multi-variable rows under all five relations; strict ones become
+    # non-strict at construction and strict again in entailment's negations
+    rng = random.Random(71)
+    z = Var("z")
+    pool = [{x: 1}, {x: -1}, {y: 1}, {y: -1}, {z: 1}, {z: -1}, {x: 2}, {y: -3},
+            {x: 1, y: 1}, {x: -1, z: 2}, {y: 2, z: -1}, {x: 1, y: -1, z: 1}]
+    conjs = [
+        make_conj(
+            k(rng.choice(pool), rng.randint(-4, 4), rng.choice(("<=", "<", ">=", ">", "=")))
+            for _ in range(rng.randint(1, 6))
+        )
+        for _ in range(5000)
+    ]
+
+    def answers():
+        satisfiable.cache_clear()
+        out = []
+        for c, d in zip(conjs, conjs[1:] + conjs[:1]):
+            try:
+                integer = int_satisfiable(c, Budget(2_000))
+            except Undecided:
+                integer = None
+            out.append((satisfiable(c), _drop_redundant(c), entails(c, d), integer))
+        return out
+
+    got = answers()
+    monkeypatch.setattr(simplex, "_solver_for", slack_per_row_solver)
+    monkeypatch.setattr(
+        linarith, "_sweep", lambda c, known_sat: drop_redundant_pairwise(c, entails_by_simplex)
+    )
+    want = answers()
+    satisfiable.cache_clear()
+    assert got == want
+    # every answer is exercised both ways
+    seen = Counter()
+    for (sat, kept, ent, integer), c in zip(got, conjs):
+        seen["sat", sat] += 1
+        seen["swept", len(kept) < len(c)] += 1
+        seen["entails", ent] += 1
+        seen["integer", integer] += 1
+    for key in ("sat", "swept", "entails", "integer"):
+        assert seen[key, True] > 100 and seen[key, False] > 100, seen
+
+
 # -- canonical conjunctions ----------------------------------------------------
 
 
@@ -503,7 +573,9 @@ def test_make_conj_keeps_one_interval_per_row():
 
 def test_conj_and_equals_make_conj_of_both_operands():
     # operands straight from make_conj, and `_sweep` and `rename_conj`
-    # results, whose row maps are built on first use
+    # results, whose row maps are built on first use; and partners that
+    # bound an operand's own rows more tightly on both sides, or meet its
+    # one-sided bounds in an equality
     rng = random.Random(61)
     z = Var("z")
     pool = [{x: 1}, {x: -1}, {x: 2}, {x: 1, y: 1}, {x: -1, y: -1}, {x: 1, y: -2},
@@ -522,15 +594,26 @@ def test_conj_and_equals_make_conj_of_both_operands():
             c, seen["rename"] = rename_conj(c, {x: y, y: x}), seen["rename"] + 1
         return c
 
-    seen = Counter()
-    for _ in range(3000):
-        a, b = operand(), operand()
+    def partner(a):
+        ks = [k(rng.choice(pool), rng.randint(-4, 4)) for _ in range(rng.randint(0, 2))]
+        for row, (lo, hi) in (row_bounds(a) if a != FALSE_CONJ else {}).items():
+            if lo is not None and hi is not None and hi - lo >= 2:
+                # lo + 1 <= row <= hi - 1
+                ks += [k(dict(row), -(hi - 1)), k(dict(row), -(lo + 1), ">=")]
+            elif hi is not None and lo is None:
+                # row >= hi, which meets row <= hi
+                ks.append(k(dict(row), -hi, ">="))
+            elif lo is not None and hi is None:
+                ks.append(k(dict(row), -lo))
+        return make_conj(ks)
+
+    def check(a, b):
         got = conj_and(a, b)
         assert got == make_conj(a.constraints + b.constraints), (a, b)
         assert row_bounds(got) == make_conj(got.constraints)._rows, (a, b)
         assert conj_and(b, a) == got
         if FALSE_CONJ in (a, b):
-            continue
+            return
         rows_a = {_row(j): j for j in a}
         shared = [(rows_a[_row(j)], j) for j in b if _row(j) in rows_a]
         if got == FALSE_CONJ:
@@ -544,7 +627,26 @@ def test_conj_and_equals_make_conj_of_both_operands():
         seen["equality against negated row"] += any(
             (i.rel == "=") != (j.rel == "=") and i.coeffs != j.coeffs for i, j in shared
         )
-    assert min(seen.values()) > 50 and len(seen) == 7, seen
+        if got == FALSE_CONJ:
+            return
+        bounds_a, bounds_b = row_bounds(a), row_bounds(b)
+        for row, (lo, hi) in row_bounds(got).items():
+            ends = [bounds_a.get(row), bounds_b.get(row)]
+            if None in ends:
+                continue
+            # one operand's interval strictly inside the other's
+            seen["tightens both sides"] += any(
+                None not in (*i, *j) and j[0] < i[0] and i[1] < j[1] for i, j in (ends, ends[::-1])
+            )
+            # bounds that meet in an equality neither operand holds
+            seen["bounds meet"] += lo == hi and all(i[0] != i[1] for i in ends)
+
+    seen = Counter()
+    for _ in range(3000):
+        a, b = operand(), operand()
+        check(a, b)
+        check(a, partner(a))
+    assert min(seen.values()) > 50 and len(seen) == 9, seen
 
 
 def test_implies_dnf_walks_thousands_of_disjuncts_without_recursion():

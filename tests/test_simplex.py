@@ -173,13 +173,15 @@ def pivots_and_models(monkeypatch, cls, solver_for, read_model, systems):
 def test_pivots_and_models_match_the_fraction_tableau(monkeypatch):
     rng = random.Random(13)
     systems = []
-    for _ in range(600):
+    for _ in range(700):
         nvars = rng.randint(1, 4)
         rows = random_rows(rng, nvars, rng.randint(1, 7))
-        slacks = range(nvars, nvars + len({combo for combo, _, _ in rows if combo}))
+        # bounds to redraw on a problem variable or a slack; a row of one
+        # variable with coefficient +-1 bounds that variable and has none
+        slacks = {c for c, _, _ in rows if len(c) > 1 or c and abs(c[0][1]) > 1}
         redraws = []
         for _ in range(rng.randint(0, 3)):
-            v = rng.choice(slacks) if slacks else 0
+            v = rng.randrange(nvars + len(slacks))
             lo, hi = rng.randint(-6, 6), rng.randint(-6, 6)
             redraws.append({v: (rng.choice([None, (lo, 0), (lo, 1)]),
                                 rng.choice([None, (hi, 0), (hi, -1)]))})
@@ -213,6 +215,39 @@ def test_unit_coefficients_keep_the_tableau_integral():
     assert sx.den == [1] * len(sx.den)
     for row in rows:
         assert holds(row, rational(sx.model()))
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("rel", RELS)
+def test_a_unit_row_bounds_its_variable_with_no_slack(rel, sign):
+    # sign * x + 2 REL 0
+    sx = _solver_for(1, [(((0, sign),), 2, rel)])
+    assert not sx.rows and len(sx.lb) == len(sx.ub) == 1
+    delta = -1 if rel == "<" else 0
+    if sign == 1:
+        # x REL -2
+        expected = ((-2, 0) if rel == "=" else None, (-2, delta))
+    else:
+        # 2 REL x
+        expected = ((2, -delta), (2, 0) if rel == "=" else None)
+    assert (sx.lb[0], sx.ub[0]) == expected
+
+
+def test_unit_rows_meet_on_their_variable_and_scaled_rows_keep_a_slack():
+    # 1 < x, 1 <= x, x < 5, x <= 3, y = 2, and 2x <= 7, which is not a unit row
+    rows = [
+        (((0, -1),), 1, "<"), (((0, -1),), 1, "<="), (((0, 1),), -5, "<"),
+        (((0, 1),), -3, "<="), (((1, 1),), -2, "="), (((0, 2),), -7, "<="),
+    ]
+    sx = _solver_for(2, rows)
+    assert [(sx.lb[v], sx.ub[v]) for v in range(2)] == [((1, 1), (3, 0)), ((2, 0), (2, 0))]
+    assert sx.rows == {2: {0: 2}} and (sx.lb[2], sx.ub[2]) == (None, (7, 0))
+    assert sx.check() and rational(sx.model())[1] == (2, 0)
+    # the rows meet the extra bounds too, and bounds that cross fail
+    sx = _solver_for(2, rows, {0: ((2, 0), (6, 0))})
+    assert (sx.lb[0], sx.ub[0]) == ((2, 0), (3, 0)) and sx.check()
+    assert not _solver_for(2, rows, {0: ((4, 0), None)}).check()
+    assert not _solver_for(2, rows + [(((1, -1),), 3, "<=")]).check()
 
 
 def test_inexact_division_gives_a_model_over_a_denominator():
@@ -288,14 +323,15 @@ PINNED_NODES = [
 
 # For each system of PINNED_NODES, in the same order: the pivots its whole
 # branch-and-bound makes, and the model of every node whose relaxation is
-# feasible, in the order the nodes are visited.  Taken from the tableau that
-# kept a column index beside its rows; the tableau of rows alone must make
-# the same pivots.
+# feasible, in the order the nodes are visited.  The models were taken from
+# the tableau that kept a column index beside its rows.  The pivot counts of
+# the second and fourth systems fell from 4 and 18 when rows on one variable
+# with coefficient +-1 became bounds on that variable instead of slack rows.
 PINNED_PIVOTS = [
     (1, ["1/2"]),
-    (4, ["1/3 0", "0 1/5"]),
+    (2, ["1/3 0", "0 1/5"]),
     (5, ["7/2 0", "3 1/3", "2 1"]),
-    (18, ["5/2 0", "2 -1/2", "3/2 -1", "1 -3/2", "1/2 -2", "3 1/2", "7/2 1",
+    (17, ["5/2 0", "2 -1/2", "3/2 -1", "1 -3/2", "1/2 -2", "3 1/2", "7/2 1",
           "4 3/2", "9/2 2", "5 5/2", "11/2 3", "6 7/2"]),
 ]
 

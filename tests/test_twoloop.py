@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import chcprecond
-from chcprecond.linarith import Var
+from chcprecond.linarith import Var, equiv_dnf
 from chcprecond.parser import parse_program
 
 from helpers import gen_twoloop_texts, parse_dnf
@@ -96,3 +96,17 @@ def test_every_accepted_point_is_safe(runs, i):
 def test_no_fewer_points_are_accepted(runs):
     # 1,639 of the 12 x 169 points when this shape joined the suite
     assert sum(len(_accepted(runs, i)) for i in range(12)) >= 1639
+
+
+# draw 2's text before `negate_dnf` absorbed supersets after every step;
+# the text may change only to an integer-equivalent one
+BEFORE_DRAW_2 = (
+    "(A >= 4, A - B >= 2, B =< 2) ; (A - B >= 1, A =< 0, B =< -1) ; "
+    "(A - B >= 2, B =< -1) ; (A =< -3, A - B =< -1) ; (A =< -3, B =< 2)"
+)
+
+
+def test_draw_two_is_integer_equivalent_to_its_text_before(runs):
+    now = runs[2][1]
+    assert now != BEFORE_DRAW_2
+    assert equiv_dnf(parse_dnf(BEFORE_DRAW_2), parse_dnf(now))
