@@ -2,8 +2,8 @@
 
 One analysis run is pe, cs, then up to n rounds of (te, pe, cs), reading
 the precondition off the last program.  Between rounds the run carries only
-the program and the side conditions: one negated initial-state projection
-per feasible trace eliminated, conjoined with the last program's
+the program and the side conditions: one initial-state projection `theta`
+per feasible trace eliminated, subtracted from the last program's
 precondition at the end.  The wall clock is checked between transformation
 steps; when time runs out mid-round the partial round is discarded and the
 result falls back to the last completed one.
@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, RUN, TRUE_CONJ, Run, negate_conj, warn
+from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, warn
 from .pe import pe_run
 from .precond import classify, extract_swp, final_precondition
 from .te import eliminate_trace
@@ -150,14 +150,14 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
         p, original = strip_init(p)
 
     # one side condition per feasible trace eliminated
-    psis: list[DNF] = []
+    thetas: list[ConstraintConj] = []
     steps = [StepRecord("input", 0.0, p)]
 
     cur = p
     timed_out = early_stop = False
     # the program, side conditions and round count after the last completed
     # round; the unspecialised program is itself a sound fallback
-    last_good: tuple[Program, list[DNF], int] = (p, [], 0)
+    last_good: tuple[Program, list[ConstraintConj], int] = (p, [], 0)
     plan = ("pe", "cs") + ("te", "pe", "cs") * cfg.iterations
     for k, label in enumerate(plan):
         if time.monotonic() - start > cfg.timeout:
@@ -177,22 +177,22 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
                 trace = str(tt)
                 cur, theta = eliminate_trace(cur, tt)
                 if theta is not None:
-                    psis.append(negate_conj(theta))
+                    thetas.append(theta)
         steps.append(StepRecord(label, time.monotonic() - t0, cur, feasible, trace))
         if label == "te" and cex is None:
             early_stop = True
             break
         if label == "cs":
-            last_good = (cur, list(psis), k // 3)
+            last_good = (cur, list(thetas), k // 3)
 
     # an early stop leaves the last round's result unchanged, and a timeout
     # discards the partial round
-    cur, psis, iterations_used = last_good
+    cur, thetas, iterations_used = last_good
     if timed_out:
         warn(f"timeout: falling back to iteration {iterations_used} result")
 
     t0 = time.monotonic()
-    pre = final_precondition(cur, psis)
+    pre = final_precondition(cur, thetas)
     t1 = time.monotonic()
     cls = classify(pre, original)
     t2 = time.monotonic()

@@ -998,7 +998,8 @@ def make_dnf(disjuncts: Iterable[ConstraintConj]) -> DNF:
             continue
         seen.add(d)
         kept.append(d)
-    # absorb supersets of another disjunct: without it fig1 at 4 iterations runs ~2.6x slower
+    # absorb supersets of another disjunct: without it fig1 at 4 iterations ends
+    # with 12 disjuncts instead of 11 and takes ~6% more CPU time
     pairs = [(d, frozenset(d.constraints)) for d in kept]
     out = [d for d, s in pairs if not any(t < s for _, t in pairs)]
     return DNF(tuple(sorted(out)))
@@ -1006,10 +1007,6 @@ def make_dnf(disjuncts: Iterable[ConstraintConj]) -> DNF:
 
 def dnf_of_conj(c: ConstraintConj) -> DNF:
     return make_dnf((c,))
-
-
-def dnf_and(a: DNF, b: DNF) -> DNF:
-    return make_dnf(conj_and(x, y) for x in a for y in b)
 
 
 def negate_conj(c: ConstraintConj) -> DNF:
@@ -1025,23 +1022,40 @@ def negate_conj(c: ConstraintConj) -> DNF:
     return make_dnf(pieces)
 
 
+def subtract(pieces: Iterable[ConstraintConj], d: ConstraintConj) -> list[ConstraintConj]:
+    """The integer points of the pieces outside d, as satisfiable pieces.
+
+    A piece that shares no rational point with d shares no integer one
+    either, so it lies outside d whole and stays as it is.  Any other piece
+    is cut by each of d's negated constraints, and the cuts that stay
+    satisfiable replace it.
+    """
+    neg: Optional[DNF] = None
+    out = []
+    for a in pieces:
+        if not satisfiable(conj_and(a, d)):
+            out.append(a)
+            continue
+        if neg is None:
+            neg = negate_conj(d)
+        for nk in neg:
+            piece = conj_and(a, nk)
+            if satisfiable(piece):
+                out.append(piece)
+    return out
+
+
 def negate_dnf(d: DNF) -> DNF:
     """Integer complement of a DNF.
 
-    Distributes one disjunct's complement at a time, dropping unsatisfiable
-    pieces and absorbing supersets after each step, so the cap counts only
-    pieces the result could keep.
+    Subtracts one disjunct at a time from true (`subtract`), absorbing
+    supersets after each step, so the cap counts only pieces the result
+    could keep.  A piece that misses a disjunct stays whole; only a piece
+    that meets it is split by its negated constraints.
     """
     acc: tuple[ConstraintConj, ...] = (TRUE_CONJ,)
     for disjunct in d:
-        neg = negate_conj(disjunct)
-        nxt = set()
-        for a in acc:
-            for piece in neg:
-                merged = conj_and(a, piece)
-                if satisfiable(merged):
-                    nxt.add(merged)
-        acc = make_dnf(nxt).disjuncts
+        acc = make_dnf(subtract(acc, disjunct)).disjuncts
         if len(acc) > NEGATION_CAP:
             warn(f"negation exceeded {NEGATION_CAP} disjuncts, truncating")
             acc = acc[:NEGATION_CAP]
@@ -1052,10 +1066,13 @@ def negate_dnf(d: DNF) -> DNF:
 def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
     """Integer inclusion: every integer point of a lies in b.
 
-    Each disjunct of a is split, depth first, by the negation of each of b's
-    disjuncts in turn, on an explicit stack rather than one Python frame per
-    disjunct of b; a lies in b iff no piece is left integer-feasible.  A
-    piece split by b's first i disjuncts that entails one of the rest over
+    Each disjunct of a has b's disjuncts subtracted from it in turn
+    (`subtract`), depth first, on an explicit stack rather than one Python
+    frame per disjunct of b; a lies in b iff no piece is left
+    integer-feasible.  A piece that misses b's next disjunct stays whole and
+    moves past it without a split, and so past every disjunct it misses;
+    only a piece that meets a disjunct is split by its negated constraints.
+    A piece split by b's first i disjuncts that entails one of the rest over
     the rationals lies in b, since rational entailment implies integer
     inclusion, and is dropped before any integer check.  Only the next
     `COVER_WINDOW` disjuncts are tried, and a disjunct is asked about only
@@ -1065,6 +1082,7 @@ def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET_NODES)
+    n = len(b.disjuncts)
     stack = [(d, 0) for d in reversed(a.disjuncts)]
     while stack:
         conj, i = stack.pop()
@@ -1076,14 +1094,13 @@ def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
             continue
         if not int_satisfiable(conj, budget):
             continue
-        if i == len(b.disjuncts):
-            return False
-        pieces = [
-            conj_and(conj, make_conj((nk,)))
-            for k in b.disjuncts[i]
-            for nk in negate_constraint(k)
-        ]
-        stack.extend((piece, i + 1) for piece in reversed(pieces))
+        pieces = [conj]
+        while pieces == [conj]:
+            if i == n:
+                return False
+            pieces = subtract(pieces, b.disjuncts[i])
+            i += 1
+        stack.extend((piece, i) for piece in reversed(pieces))
     return True
 
 

@@ -18,7 +18,8 @@ the unfolding depend on the call context in ways that reorder versions.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from functools import cache, cached_property
+from typing import Callable, NamedTuple
 
 from .core import (
     FALSE_PRED,
@@ -64,43 +65,36 @@ def canonical_args(p: Program) -> dict[Pred, tuple[Var, ...]]:
     return canon
 
 
-def gen_properties(p: Program) -> dict[Pred, tuple[ConstraintConj, ...]]:
-    """Projections of each clause constraint onto atom tuples and single args.
+def gen_properties(
+    p: Program, canon: dict[Pred, tuple[Var, ...]], pred: Pred
+) -> tuple[ConstraintConj, ...]:
+    """Projections of each clause constraint onto pred's atoms and single args.
 
+    The clauses are walked in order, each one's body atoms before its head.
     A single argument's projection is taken from the atom's projection, on
     the canonical names: it is the same set, and a one-variable projection
     has one canonical form.
     """
-    canon = canonical_args(p)
-    props: dict[Pred, list[ConstraintConj]] = {}
-
-    def add(pred: Pred, c: ConstraintConj) -> None:
-        if c.is_true():
-            return
-        bucket = props.setdefault(pred, [])
-        if c not in bucket:
-            bucket.append(c)
-
+    onto = canon[pred]
+    props: list[ConstraintConj] = []
     for cl in p.clauses:
-        targets = list(cl.body)
-        if cl.head is not None:
-            targets.append(cl.head)
-        for atom in targets:
-            onto = canon[atom.pred]
+        for atom in cl.body + ((cl.head,) if cl.head is not None else ()):
+            if atom.pred != pred:
+                continue
             whole = project_onto(cl.constr, atom.args, onto)
-            add(atom.pred, whole)
-            for w in onto:
-                add(atom.pred, project(whole, (w,)))
-    return {pred: tuple(cs) for pred, cs in props.items()}
+            for c in (whole, *(project(whole, (w,)) for w in onto)):
+                if not c.is_true() and c not in props:
+                    props.append(c)
+    return tuple(props)
 
 
 def rep_psi(
-    props: dict[Pred, tuple[ConstraintConj, ...]], pred: Pred, constr: ConstraintConj
+    props: Callable[[Pred], tuple[ConstraintConj, ...]], pred: Pred, constr: ConstraintConj
 ) -> tuple[ConstraintConj, frozenset[int]]:
-    """Abstract constr to the conjunction of the entailed properties."""
+    """Abstract constr to the conjunction of pred's entailed properties."""
     acc = TRUE_CONJ
     sat = []
-    for i, psi in enumerate(props.get(pred, ())):
+    for i, psi in enumerate(props(pred)):
         if entails(constr, psi):
             acc = conj_and(acc, psi)
             sat.append(i)
@@ -116,9 +110,33 @@ class _Element(NamedTuple):
     step: int
 
 
-class PeResult(NamedTuple):
+class _PeResultFields(NamedTuple):
     program: Program
-    table: tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]
+    # per step: the elements of S it added, as (name, args, theta), and the
+    # clauses of R they gave
+    added: tuple[
+        tuple[int, tuple[tuple[str, tuple[Var, ...], ConstraintConj], ...], tuple[Clause, ...]],
+        ...,
+    ]
+
+
+class PeResult(_PeResultFields):
+    """The specialised program, and what each step added to S and R.
+
+    `table`, the same rows as text, is formatted on first access and then
+    cached in the instance dict, so the class has no `__slots__`.
+    """
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]:
+        return tuple(
+            (
+                step,
+                tuple(f"{name}{_args_str(args)} <- {format_conj(theta)}" for name, args, theta in s),
+                tuple(format_clause(cl) for cl in r),
+            )
+            for step, s, r in self.added
+        )
 
     def dump(self) -> str:
         lines = []
@@ -191,7 +209,13 @@ def pe_run(p: Program) -> PeResult:
         raise ValueError("coverage check failed")
     canon = canonical_args(p)
     canon[FALSE_PRED] = ()
-    props = gen_properties(p)
+
+    # rep_psi never runs for initial or unfolded predicates, so each
+    # predicate's properties are projected when rep_psi first reads them
+    @cache
+    def props(pred: Pred) -> tuple[ConstraintConj, ...]:
+        return gen_properties(p, canon, pred)
+
     recursive = recursive_preds(p)
     init_reach = reachable(dependency_graph(p), p.initial_preds)
 
@@ -261,13 +285,11 @@ def pe_run(p: Program) -> PeResult:
 
     clauses = []
     cid = itertools.count(1)
-    steps: dict[int, tuple[list[str], list[str]]] = {}
+    steps: dict[int, tuple[list, list[Clause]]] = {}
     for key, elem in elements.items():
         row = steps.setdefault(elem.step, ([], []))
-        if elem.pred == FALSE_PRED:
-            row[0].append("false <- true")
-        else:
-            row[0].append(f"{elem.name}{_args_str(canon[elem.pred])} <- {format_conj(elem.theta)}")
+        # false's name is "false", its args () and its theta true
+        row[0].append((elem.name, canon[elem.pred], elem.theta))
         for constr, atoms, children in resultants[key]:
             if elem.pred == FALSE_PRED:
                 head = None
@@ -278,7 +300,7 @@ def pe_run(p: Program) -> PeResult:
             )
             cl = Clause(f"c{next(cid)}", head, simplify(constr), body)
             clauses.append(cl)
-            row[1].append(format_clause(cl))
+            row[1].append(cl)
 
     initial_preds = frozenset(
         Pred(elem.name, elem.pred.arity)
@@ -286,8 +308,8 @@ def pe_run(p: Program) -> PeResult:
         if elem.pred in p.initial_preds
     )
     program = Program(tuple(clauses), initial_preds, p.init_args, p.original_init)
-    table = tuple((s, tuple(steps[s][0]), tuple(steps[s][1])) for s in sorted(steps))
-    return PeResult(program, table)
+    added = tuple((s, tuple(steps[s][0]), tuple(steps[s][1])) for s in sorted(steps))
+    return PeResult(program, added)
 
 
 def _args_str(args: tuple[Var, ...]) -> str:

@@ -46,8 +46,9 @@ c9. q1(A,B,C) :- B0 >= 0, A = A0 + 1, B = B0 - 1, C = C0, q1(A0,B0,C0).
 c10. false :- A + B = 0, C =< 0, q1(A,B,C).
 """
 
-# seconds for the run; it takes about 3 s on a 2-CPU x86_64 machine, and
-# took about 21 s when the complement absorbed only at its end
+# seconds for the run; it takes under 1 s on a 2-CPU x86_64 machine.  It
+# took about 2.5 s when every complement split a piece that missed what it
+# took away, and about 21 s when the complement absorbed only at its end
 BOUND = 20.0
 
 SCRIPT = """

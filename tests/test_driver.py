@@ -56,7 +56,7 @@ def test_zero_iterations_is_propagation_only():
     assert r.steps[0].seconds == 0.0
     assert r.steps[0].swp.is_false()
     assert r.iterations_used == 0
-    assert len(r.precondition) == 6
+    assert len(r.precondition) == 5
 
 
 @pytest.mark.parametrize("name,iterations", [("fig1.chc", 2), ("counter_loop.chc", 3)])

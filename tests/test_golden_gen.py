@@ -6,8 +6,9 @@ lines; the benchmark's gen-multivar workload runs them at 1 iteration.
 The texts are pinned byte for byte, so a kernel speed-up cannot alter
 what a user reads.  A text may change only to an integer-equivalent one:
 the text it replaces is kept in `BEFORE_AT_ONE_ITERATION`, and `equiv_dnf`
-must hold between the two.  A text replaced once more moves on to
-`OLDER_AT_ONE_ITERATION` and must stay equivalent to the pinned one.
+must hold between the two.  A text replaced once more joins the end of its
+program's tuple in `OLDER_AT_ONE_ITERATION`, and each there must stay
+equivalent to the pinned one.
 """
 
 from pathlib import Path
@@ -22,10 +23,12 @@ from helpers import parse_dnf
 
 FIXTURE = Path(__file__).parent / "fixtures" / "gen_multivar_seed1.txt"
 
-# the texts before conjunctions kept one interval per coefficient row, or,
-# where marked, before a later change
+# the texts before the pinned ones: for 5, 7, 9, 11 and 14, before a piece
+# that misses a trace's theta stayed whole and each final disjunct dropped
+# its redundant constraints; for 0, before constraint specialisation solved
+# one component at a time; for the rest, before conjunctions kept one
+# interval per coefficient row
 BEFORE_AT_ONE_ITERATION = {
-    # before constraint specialisation solved one component at a time
     0: (
         "(A =< -1, A + B =< -1) ; "
         "(B >= 0) ; "
@@ -37,55 +40,52 @@ BEFORE_AT_ONE_ITERATION = {
         "(A - B =< -2)"
     ),
     5: (
-        "(A >= -1, A - B =< 0, A + B =< 8, A + B =< 6) ; "
-        "(A >= -1, A + B =< 8, A + B =< 6, A + B =< 4) ; "
+        "(A >= -1, A - B =< 0, A + B =< 6) ; "
+        "(A >= -1, A + B =< 4) ; "
         "(A >= -1, B =< 0) ; "
-        "(A + B >= 0, A + B >= 6, A + B = 8) ; "
-        "(A + B >= 0, A + B >= 6, B >= 4) ; "
-        "(A + B >= 0, A - B =< 0, A + B =< 8, A + B =< 6) ; "
+        "(A + B >= 0, A - B =< 0, A + B =< 6) ; "
         "(A + B >= 0, A - B =< 0, B >= 4) ; "
-        "(A + B >= 0, A + B =< 8, A + B =< 6, A + B =< 4) ; "
-        "(A + B >= 0, A + B =< 8, A + B = 6) ; "
-        "(A + B =< 8, A + B =< 6, A + B =< 4, A + B =< -2)"
+        "(A + B >= 0, A + B =< 4) ; "
+        "(A + B >= 6, B >= 4) ; "
+        "(A + B = 8) ; "
+        "(A + B = 6) ; "
+        "(A + B =< -2)"
     ),
     7: (
-        "(A >= 0, A >= 2, A >= 3, A >= 4, A >= 5, A >= 7, B >= 3, B >= 4) ; "
-        "(A >= 0, A >= 2, A >= 3, A >= 4, A >= 5, A - B =< 3, B >= 3, B >= 4) ; "
-        "(A >= 0, A >= 2, A >= 4, A - B =< 3, A - B =< 1, B >= 3) ; "
-        "(A >= 0, A >= 2, A - B =< 3, A - B =< 1, A - B =< -1, B >= 3) ; "
-        "(A - B =< 5, A - B =< 3, A - B =< 1, A - B =< -1, A - B =< -2) ; "
-        "(A - B =< 5, A - B =< 3, A - B =< 1, B =< -2) ; "
-        "(B =< -2, B =< -3)"
+        "(A >= 2, A - B =< -1) ; "
+        "(A >= 4, A - B =< 1) ; "
+        "(A >= 5, A - B =< 3, B >= 4) ; "
+        "(A >= 7, B >= 4) ; "
+        "(A - B =< 1, B =< -2) ; "
+        "(A - B =< -2) ; "
+        "(B =< -3)"
     ),
     9: (
-        "(A >= 2, A + B =< 9, A + B =< 7) ; "
-        "(A >= 2, B =< 4, B =< 3) ; "
-        "(A + B >= 7, A + B >= 9, A + B = 9) ; "
-        "(A + B >= 7, A + B >= 9, B >= 6, B >= 7) ; "
-        "(A + B >= 7, A - B =< -1, B >= 6, B >= 7) ; "
-        "(A =< 0, A - B =< -1, B >= 6, B >= 7) ; "
-        "(A =< 0, A + B =< 9, A + B =< 7) ; "
-        "(A + B =< 9, A + B =< 7, A + B =< 5) ; "
-        "(A + B =< 9, A + B = 7)"
+        "(A >= 2, A + B =< 7) ; "
+        "(A >= 2, B =< 3) ; "
+        "(A + B >= 7, A - B =< -1, B >= 7) ; "
+        "(A + B >= 9, B >= 7) ; "
+        "(A =< 0, A - B =< -1, B >= 7) ; "
+        "(A =< 0, A + B =< 7) ; "
+        "(A + B = 9) ; "
+        "(A + B = 7) ; "
+        "(A + B =< 5)"
     ),
     10: (
         "(A - B >= -4, A - B >= -3) ; "
         "(A =< 2, A =< 1)"
     ),
-    # before constraint specialisation solved one component at a time
     11: (
-        "(A >= 4, A + B >= 1, A + 5*B =< -1, B >= -3) ; "
         "(A + B >= -1, A = 5, B =< -2) ; "
         "(A + B >= -1, A =< 3, B =< -2) ; "
         "(A + B >= -1, B >= -3, B =< -2) ; "
-        "(A + B >= 1, A = 5, A + 5*B =< -1) ; "
-        "(A + B >= 1, A =< 2, A + 5*B =< -1) ; "
+        "(A + B >= 1, A = 4, B >= -3) ; "
+        "(A + B >= 1, A =< 2) ; "
         "(A + B >= 1, B >= 0) ; "
         "(A =< 3, A + B =< -3, B =< -2) ; "
-        "(A =< 2, A + B =< -1, A + 5*B =< -1, B >= -1) ; "
-        "(A =< 2, A + B = -1, A + 5*B =< -1) ; "
-        "(A =< 2, A + B =< -3, A + 5*B =< -1) ; "
-        "(A + B =< -1, B >= 0) ; "
+        "(A =< 2, A + B =< -1, B >= -1) ; "
+        "(A =< 2, A + B = -1) ; "
+        "(A =< 2, A + B =< -3) ; "
         "(B >= 2) ; "
         "(B =< -5)"
     ),
@@ -94,16 +94,16 @@ BEFORE_AT_ONE_ITERATION = {
         "(A =< 3, A =< 2, A =< 0, A =< -1)"
     ),
     14: (
-        "(A + B >= 1, A + B >= 2, A = 5) ; "
-        "(A + B >= 1, A + B >= 2, B >= -1) ; "
-        "(A + B >= 1, A =< 5, A =< 3, B =< -1) ; "
         "(A + B >= 1, A = 5, B =< -1) ; "
-        "(A + B >= 1, B >= -1, B >= 6) ; "
+        "(A + B >= 1, A =< 3, B =< -1) ; "
+        "(A + B >= 1, B >= 6) ; "
         "(A + B >= 1, B = -1) ; "
-        "(A =< 5, A =< 3, A - B =< -3, A + B =< 0) ; "
-        "(A =< 5, A =< 3, A + B =< 0, A + B =< -1) ; "
-        "(A - B =< -3, B >= -1, B >= 6) ; "
-        "(B =< -1, B =< -3)"
+        "(A + B >= 2, A = 5) ; "
+        "(A + B >= 2, B >= -1) ; "
+        "(A =< 3, A - B =< -3, A + B =< 0) ; "
+        "(A =< 3, A + B =< -1) ; "
+        "(A - B =< -3, B >= 6) ; "
+        "(B =< -3)"
     ),
     15: (
         "(A =< 1, A =< 0, A =< -1, A =< -4) ; "
@@ -111,29 +111,102 @@ BEFORE_AT_ONE_ITERATION = {
     ),
 }
 
-# the texts that programs 0 and 11 printed before conjunctions kept one
-# interval per coefficient row
+# the texts before those, oldest first: 11's second before constraint
+# specialisation solved one component at a time, every other before
+# conjunctions kept one interval per coefficient row
 OLDER_AT_ONE_ITERATION = {
     0: (
-        "(A =< 1, A =< 0, A =< -1, A + B =< -1) ; "
-        "(B >= -1, B >= 0) ; "
-        "(B =< -2, B =< -3)"
+        (
+            "(A =< 1, A =< 0, A =< -1, A + B =< -1) ; "
+            "(B >= -1, B >= 0) ; "
+            "(B =< -2, B =< -3)"
+        ),
+    ),
+    5: (
+        (
+            "(A >= -1, A - B =< 0, A + B =< 8, A + B =< 6) ; "
+            "(A >= -1, A + B =< 8, A + B =< 6, A + B =< 4) ; "
+            "(A >= -1, B =< 0) ; "
+            "(A + B >= 0, A + B >= 6, A + B = 8) ; "
+            "(A + B >= 0, A + B >= 6, B >= 4) ; "
+            "(A + B >= 0, A - B =< 0, A + B =< 8, A + B =< 6) ; "
+            "(A + B >= 0, A - B =< 0, B >= 4) ; "
+            "(A + B >= 0, A + B =< 8, A + B =< 6, A + B =< 4) ; "
+            "(A + B >= 0, A + B =< 8, A + B = 6) ; "
+            "(A + B =< 8, A + B =< 6, A + B =< 4, A + B =< -2)"
+        ),
+    ),
+    7: (
+        (
+            "(A >= 0, A >= 2, A >= 3, A >= 4, A >= 5, A >= 7, B >= 3, B >= 4) ; "
+            "(A >= 0, A >= 2, A >= 3, A >= 4, A >= 5, A - B =< 3, B >= 3, B >= 4) ; "
+            "(A >= 0, A >= 2, A >= 4, A - B =< 3, A - B =< 1, B >= 3) ; "
+            "(A >= 0, A >= 2, A - B =< 3, A - B =< 1, A - B =< -1, B >= 3) ; "
+            "(A - B =< 5, A - B =< 3, A - B =< 1, A - B =< -1, A - B =< -2) ; "
+            "(A - B =< 5, A - B =< 3, A - B =< 1, B =< -2) ; "
+            "(B =< -2, B =< -3)"
+        ),
+    ),
+    9: (
+        (
+            "(A >= 2, A + B =< 9, A + B =< 7) ; "
+            "(A >= 2, B =< 4, B =< 3) ; "
+            "(A + B >= 7, A + B >= 9, A + B = 9) ; "
+            "(A + B >= 7, A + B >= 9, B >= 6, B >= 7) ; "
+            "(A + B >= 7, A - B =< -1, B >= 6, B >= 7) ; "
+            "(A =< 0, A - B =< -1, B >= 6, B >= 7) ; "
+            "(A =< 0, A + B =< 9, A + B =< 7) ; "
+            "(A + B =< 9, A + B =< 7, A + B =< 5) ; "
+            "(A + B =< 9, A + B = 7)"
+        ),
     ),
     11: (
-        "(A >= 4, A + B >= -1, A + B >= 1, A = 5, A + 5*B =< -1) ; "
-        "(A >= 4, A + B >= -1, A + B >= 1, A + 5*B =< -1, B >= -3) ; "
-        "(A + B >= -1, A =< 5, A =< 3, B =< -2) ; "
-        "(A + B >= -1, A = 5, B =< -2) ; "
-        "(A + B >= -1, B >= -3, B =< -2) ; "
-        "(A + B >= 1, A =< 2, A + 5*B =< -1, B >= -3, B >= -1) ; "
-        "(A + B >= 1, B >= -3, B >= -1, B >= 0) ; "
-        "(A =< 5, A =< 3, A =< 2, A + B =< -1, A + B =< -3, A + 5*B =< -1) ; "
-        "(A =< 5, A =< 3, A + B =< -3, B =< -2) ; "
-        "(A =< 2, A + B =< -1, A + 5*B =< -1, B >= -3, B >= -1) ; "
-        "(A =< 2, A + B = -1, A + 5*B =< -1, B >= -3) ; "
-        "(A + B =< -1, B >= -3, B >= -1, B >= 0) ; "
-        "(B >= -3, B >= -1, B >= 0, B >= 2) ; "
-        "(B =< -2, B =< -5)"
+        (
+            "(A >= 4, A + B >= -1, A + B >= 1, A = 5, A + 5*B =< -1) ; "
+            "(A >= 4, A + B >= -1, A + B >= 1, A + 5*B =< -1, B >= -3) ; "
+            "(A + B >= -1, A =< 5, A =< 3, B =< -2) ; "
+            "(A + B >= -1, A = 5, B =< -2) ; "
+            "(A + B >= -1, B >= -3, B =< -2) ; "
+            "(A + B >= 1, A =< 2, A + 5*B =< -1, B >= -3, B >= -1) ; "
+            "(A + B >= 1, B >= -3, B >= -1, B >= 0) ; "
+            "(A =< 5, A =< 3, A =< 2, A + B =< -1, A + B =< -3, A + 5*B =< -1) ; "
+            "(A =< 5, A =< 3, A + B =< -3, B =< -2) ; "
+            "(A =< 2, A + B =< -1, A + 5*B =< -1, B >= -3, B >= -1) ; "
+            "(A =< 2, A + B = -1, A + 5*B =< -1, B >= -3) ; "
+            "(A + B =< -1, B >= -3, B >= -1, B >= 0) ; "
+            "(B >= -3, B >= -1, B >= 0, B >= 2) ; "
+            "(B =< -2, B =< -5)"
+        ),
+        (
+            "(A >= 4, A + B >= 1, A + 5*B =< -1, B >= -3) ; "
+            "(A + B >= -1, A = 5, B =< -2) ; "
+            "(A + B >= -1, A =< 3, B =< -2) ; "
+            "(A + B >= -1, B >= -3, B =< -2) ; "
+            "(A + B >= 1, A = 5, A + 5*B =< -1) ; "
+            "(A + B >= 1, A =< 2, A + 5*B =< -1) ; "
+            "(A + B >= 1, B >= 0) ; "
+            "(A =< 3, A + B =< -3, B =< -2) ; "
+            "(A =< 2, A + B =< -1, A + 5*B =< -1, B >= -1) ; "
+            "(A =< 2, A + B = -1, A + 5*B =< -1) ; "
+            "(A =< 2, A + B =< -3, A + 5*B =< -1) ; "
+            "(A + B =< -1, B >= 0) ; "
+            "(B >= 2) ; "
+            "(B =< -5)"
+        ),
+    ),
+    14: (
+        (
+            "(A + B >= 1, A + B >= 2, A = 5) ; "
+            "(A + B >= 1, A + B >= 2, B >= -1) ; "
+            "(A + B >= 1, A =< 5, A =< 3, B =< -1) ; "
+            "(A + B >= 1, A = 5, B =< -1) ; "
+            "(A + B >= 1, B >= -1, B >= 6) ; "
+            "(A + B >= 1, B = -1) ; "
+            "(A =< 5, A =< 3, A - B =< -3, A + B =< 0) ; "
+            "(A =< 5, A =< 3, A + B =< 0, A + B =< -1) ; "
+            "(A - B =< -3, B >= -1, B >= 6) ; "
+            "(B =< -1, B =< -3)"
+        ),
     ),
 }
 
@@ -160,16 +233,15 @@ AT_ONE_ITERATION = [
         "(B =< 2)"
     ),
     (
-        "(A >= -1, A - B =< 0, A + B =< 6) ; "
+        "(A >= -1, A - B =< 0, A + B =< 8) ; "
         "(A >= -1, A + B =< 4) ; "
-        "(A >= -1, B =< 0) ; "
-        "(A + B >= 0, A - B =< 0, A + B =< 6) ; "
-        "(A + B >= 0, A - B =< 0, B >= 4) ; "
+        "(A + B >= 0, A - B =< 0, A + B =< 8) ; "
         "(A + B >= 0, A + B =< 4) ; "
-        "(A + B >= 6, B >= 4) ; "
+        "(A + B >= 0, B >= 4) ; "
         "(A + B = 8) ; "
         "(A + B = 6) ; "
-        "(A + B =< -2)"
+        "(A + B =< -2) ; "
+        "(B =< 0)"
     ),
     (
         "(A >= -1) ; "
@@ -180,8 +252,7 @@ AT_ONE_ITERATION = [
     (
         "(A >= 2, A - B =< -1) ; "
         "(A >= 4, A - B =< 1) ; "
-        "(A >= 5, A - B =< 3, B >= 4) ; "
-        "(A >= 7, B >= 4) ; "
+        "(A >= 5, B >= 4) ; "
         "(A - B =< 1, B =< -2) ; "
         "(A - B =< -2) ; "
         "(B =< -3)"
@@ -193,30 +264,29 @@ AT_ONE_ITERATION = [
     ),
     (
         "(A >= 2, A + B =< 7) ; "
-        "(A >= 2, B =< 3) ; "
-        "(A + B >= 7, A - B =< -1, B >= 7) ; "
-        "(A + B >= 9, B >= 7) ; "
-        "(A =< 0, A - B =< -1, B >= 7) ; "
         "(A =< 0, A + B =< 7) ; "
+        "(A - B =< -1, B =< 4) ; "
         "(A + B = 9) ; "
         "(A + B = 7) ; "
-        "(A + B =< 5)"
+        "(A + B =< 5) ; "
+        "(B >= 7) ; "
+        "(B =< 3)"
     ),
     (
         "(A - B >= -3) ; "
         "(A =< 1)"
     ),
     (
-        "(A + B >= -1, A = 5, B =< -2) ; "
         "(A + B >= -1, A =< 3, B =< -2) ; "
         "(A + B >= -1, B >= -3, B =< -2) ; "
-        "(A + B >= 1, A = 4, B >= -3) ; "
         "(A + B >= 1, A =< 2) ; "
         "(A + B >= 1, B >= 0) ; "
+        "(A = 5, B =< -2) ; "
+        "(A = 4, B >= -3) ; "
         "(A =< 3, A + B =< -3, B =< -2) ; "
-        "(A =< 2, A + B =< -1, B >= -1) ; "
         "(A =< 2, A + B = -1) ; "
         "(A =< 2, A + B =< -3) ; "
+        "(A + B =< -1, B >= -1) ; "
         "(B >= 2) ; "
         "(B =< -5)"
     ),
@@ -226,14 +296,13 @@ AT_ONE_ITERATION = [
         "(A =< -1)"
     ),
     (
-        "(A + B >= 1, A = 5, B =< -1) ; "
+        "(A + B >= 1, A = 5) ; "
         "(A + B >= 1, A =< 3, B =< -1) ; "
         "(A + B >= 1, B >= 6) ; "
         "(A + B >= 1, B = -1) ; "
-        "(A + B >= 2, A = 5) ; "
         "(A + B >= 2, B >= -1) ; "
-        "(A =< 3, A - B =< -3, A + B =< 0) ; "
-        "(A =< 3, A + B =< -1) ; "
+        "(A =< 5, A + B =< -1) ; "
+        "(A - B =< -3, A + B =< 0) ; "
         "(A - B =< -3, B >= 6) ; "
         "(B =< -3)"
     ),
@@ -242,7 +311,6 @@ AT_ONE_ITERATION = [
         "(B =< -1)"
     ),
 ]
-
 
 def _programs() -> list[str]:
     return [t + "\n" for t in FIXTURE.read_text().strip().split("\n\n")]
@@ -267,6 +335,7 @@ def test_changed_text_is_integer_equivalent_to_the_one_before(i):
 
 @pytest.mark.parametrize("i", sorted(OLDER_AT_ONE_ITERATION))
 def test_older_text_is_integer_equivalent_to_the_current_one(i):
-    older, now = OLDER_AT_ONE_ITERATION[i], AT_ONE_ITERATION[i]
-    assert older != now
-    assert equiv_dnf(parse_dnf(older), parse_dnf(now))
+    now = AT_ONE_ITERATION[i]
+    for older in OLDER_AT_ONE_ITERATION[i]:
+        assert older != now
+        assert equiv_dnf(parse_dnf(older), parse_dnf(now))

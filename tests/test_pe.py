@@ -17,7 +17,8 @@ A, B = Var("A"), Var("B")
 
 
 def _prop_sets(p):
-    return {pred: list(cs) for pred, cs in gen_properties(p).items()}
+    canon = canonical_args(p)
+    return {pred: list(gen_properties(p, canon, pred)) for pred in canon}
 
 
 def test_property_generation_on_loop_program():

@@ -7,7 +7,8 @@ instead of hanging the suite; draw 11, whose convex hulls once grew for
 minutes, also has a time bound of its own.  Every accepted point of the box
 -6..6 x -6..6 is then checked with the benchmark's derivation search
 (`bench/oracle.py`, depth 16, window 16), which calls neither `linarith`
-nor `simplex`.
+nor `simplex`.  Draw 11 also runs in this process, so that `implies_dnf`
+can compare one of its intermediate preconditions with an older form.
 """
 
 import importlib.util
@@ -21,8 +22,20 @@ from pathlib import Path
 import pytest
 
 import chcprecond
-from chcprecond.linarith import Var, equiv_dnf
+from chcprecond.core import initial_constraint_dnf
+from chcprecond.driver import PipelineConfig, run_pipeline
+from chcprecond.linarith import (
+    TRUE_CONJ,
+    Var,
+    conj_and,
+    equiv_dnf,
+    implies_dnf,
+    make_dnf,
+    negate_conj,
+    satisfiable,
+)
 from chcprecond.parser import parse_program
+from chcprecond.precond import extract_swp
 
 from helpers import gen_twoloop_texts, parse_dnf
 
@@ -98,15 +111,48 @@ def test_no_fewer_points_are_accepted(runs):
     assert sum(len(_accepted(runs, i)) for i in range(12)) >= 1639
 
 
-# draw 2's text before `negate_dnf` absorbed supersets after every step;
-# the text may change only to an integer-equivalent one
-BEFORE_DRAW_2 = (
+# draw 2's earlier texts, oldest first: before `negate_dnf` absorbed
+# supersets after every step, and before a piece that misses a trace's theta
+# stayed whole and each final disjunct dropped its redundant constraints
+# (`A - B >= -2` beside `A >= 4` and `B =< 2`, which imply it)
+OLDER_DRAW_2 = (
     "(A >= 4, A - B >= 2, B =< 2) ; (A - B >= 1, A =< 0, B =< -1) ; "
     "(A - B >= 2, B =< -1) ; (A =< -3, A - B =< -1) ; (A =< -3, B =< 2)"
 )
+BEFORE_DRAW_2 = (
+    "(A >= 4, A - B >= -2, B =< 2) ; (A - B >= 1, A =< 0, B =< -1) ; "
+    "(A - B >= 2, B =< -1) ; (A =< -3, A - B =< -1) ; (A =< -3, B =< 2)"
+)
+DRAW_2 = "(A >= 4, B =< 2) ; (A - B >= 1, A =< 0) ; (A - B >= 2, B =< -1) ; (A =< -3)"
+
+
+def test_draw_two_text(runs):
+    assert runs[2][1] == DRAW_2
 
 
 def test_draw_two_is_integer_equivalent_to_its_text_before(runs):
     now = runs[2][1]
-    assert now != BEFORE_DRAW_2
-    assert equiv_dnf(parse_dnf(BEFORE_DRAW_2), parse_dnf(now))
+    for before in (OLDER_DRAW_2, BEFORE_DRAW_2):
+        assert before != now
+        assert equiv_dnf(parse_dnf(before), parse_dnf(now))
+
+
+def _negate_absorbing_at_end(d):
+    """`negate_dnf` as it was when it absorbed supersets only at its end."""
+    acc = [TRUE_CONJ]
+    for disjunct in d:
+        neg = negate_conj(disjunct)
+        acc = sorted({m for a in acc for piece in neg if satisfiable(m := conj_and(a, piece))})
+    return make_dnf(acc)
+
+
+def test_draw_eleven_swp_and_its_older_form_include_each_other():
+    # the second pe step's swp once had 48 disjuncts; from one with 36,
+    # `implies_dnf` spent the default budget in about 20 s and was undecided
+    r = run_pipeline(parse_program(gen_twoloop_texts()[11]), PipelineConfig(iterations=1))
+    program = [s for s in r.steps if s.label == "pe"][1].program
+    now = extract_swp(program)
+    older = _negate_absorbing_at_end(initial_constraint_dnf(program))
+    assert len(older) == 48
+    assert implies_dnf(now, older)
+    assert implies_dnf(older, now)
