@@ -141,7 +141,7 @@ def _dump(args: argparse.Namespace, p: Program, cfg: PipelineConfig) -> int:
             print(f"{s.trace}  [{'feasible' if s.feasible else 'infeasible'}]")
         return 3 if rep.timed_out else 0
     if cfg.strip_init:
-        p, _ = strip_init(p)
+        p = strip_init(p)
     if args.dump == "pe":
         r = pe_run(p)
         print(r.dump())

@@ -96,7 +96,6 @@ class _ProgramFields(NamedTuple):
     clauses: tuple[Clause, ...]
     initial_preds: frozenset[Pred]
     init_args: tuple[Var, ...]
-    original_init: Optional[DNF] = None
 
 
 class Program(_ProgramFields):

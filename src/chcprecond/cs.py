@@ -207,7 +207,7 @@ def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]
                 deleted.append(cl.cid)
                 continue
         kept.append(Clause(cl.cid, cl.head, constr, cl.body))
-    out = Program(tuple(kept), p.initial_preds, p.init_args, p.original_init)
+    out = p.with_clauses(kept)
     return out, tuple(deleted)
 
 

@@ -108,20 +108,15 @@ class PipelineReport(NamedTuple):
     classify_seconds: float
 
 
-def strip_init(p: Program) -> tuple[Program, DNF]:
-    """Replace initial-fact constraints by true, returning what was removed.
-
-    The removed disjunction is kept so the classification can still compare
-    the inferred precondition against the condition the program shipped
-    with.
-    """
+def strip_init(p: Program) -> Program:
+    """The program with every initial fact's constraint replaced by true."""
     clauses = [
         Clause(cl.cid, cl.head, TRUE_CONJ, cl.body)
         if cl.is_fact() and p.is_initial(cl.head.pred)
         else cl
         for cl in p.clauses
     ]
-    return p.with_clauses(clauses), initial_constraint_dnf(p)
+    return p.with_clauses(clauses)
 
 
 def run_pipeline(p: Program, cfg: Optional[PipelineConfig] = None) -> PipelineReport:
@@ -145,9 +140,10 @@ def run_pipeline(p: Program, cfg: Optional[PipelineConfig] = None) -> PipelineRe
 
 def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
     start = time.monotonic()
-    original = p.original_init
+    # the reference condition is the input's own, read before any stripping
+    original = initial_constraint_dnf(p)
     if cfg.strip_init:
-        p, original = strip_init(p)
+        p = strip_init(p)
 
     # one side condition per feasible trace eliminated
     thetas: list[ConstraintConj] = []

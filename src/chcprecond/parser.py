@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional
 
-from .core import Atom, Clause, Pred, Program, initial_constraint_dnf
+from .core import Atom, Clause, Pred, Program
 from .linarith import LinConstraint, Var, make_conj, make_constraint
 
 # a term and an atom as read; a variable whose occurrences cancel keeps a 0
@@ -370,5 +370,4 @@ def parse_program(text: str, initial: Optional[str] = None) -> Program:
     if not facts:
         raise ParseError(f"initial predicate {init_pred} has no constrained fact", 1, 1)
 
-    program = Program(tuple(clauses), frozenset({init_pred}), facts[0].head.args)
-    return program._replace(original_init=initial_constraint_dnf(program))
+    return Program(tuple(clauses), frozenset({init_pred}), facts[0].head.args)

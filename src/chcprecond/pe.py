@@ -307,7 +307,7 @@ def pe_run(p: Program) -> PeResult:
         for elem in elements.values()
         if elem.pred in p.initial_preds
     )
-    program = Program(tuple(clauses), initial_preds, p.init_args, p.original_init)
+    program = p.with_clauses(clauses, initial_preds)
     added = tuple((s, tuple(steps[s][0]), tuple(steps[s][1])) for s in sorted(steps))
     return PeResult(program, added)
 

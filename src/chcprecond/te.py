@@ -15,16 +15,8 @@ from collections import deque
 from typing import Hashable, NamedTuple, Optional
 
 from .core import FALSE_PRED, Atom, Clause, Pred, Program, onto_init_args
-from .derivation import (
-    AndTree,
-    TraceTree,
-    constr_of,
-    feasible,
-    initial_nodes,
-    instantiate,
-    iter_nodes,
-)
-from .linarith import TRUE_CONJ, ConstraintConj
+from .derivation import TraceTree, constr_of, initial_nodes, instantiate, iter_nodes
+from .linarith import TRUE_CONJ, ConstraintConj, satisfiable
 
 State = Hashable
 
@@ -212,29 +204,6 @@ def fta_to_program(f: FTA, p: Program) -> Program:
     return p.with_clauses(clauses, initial_preds=inits)
 
 
-def _accepted_pred(p: Program, t: TraceTree) -> Pred:
-    """The predicate the program's skeleton automaton reads t as.
-
-    Each node is checked against its children's clause heads in one walk;
-    raises ValueError when some node does not fit.
-    """
-
-    def clause(node: TraceTree) -> Clause:
-        try:
-            return p.clause_by_id(node.cid)
-        except KeyError:
-            raise ValueError("trace not in program language") from None
-
-    for node in iter_nodes(t):
-        cl = clause(node)
-        if len(node.children) != len(cl.body):
-            raise ValueError("trace not in program language")
-        for child, atom in zip(node.children, cl.body):
-            if clause(child).head_pred() != atom.pred:
-                raise ValueError("trace not in program language")
-    return clause(t).head_pred()
-
-
 def eliminate_trace(
     p: Program, t: TraceTree
 ) -> tuple[Program, Optional[ConstraintConj]]:
@@ -244,18 +213,19 @@ def eliminate_trace(
     puts on the initial state, projected onto the declared initial
     arguments, or None when the trace is infeasible.  A feasible trace that
     never visits an initial fact constrains nothing, so the projection is
-    `true`: the goal is reachable from every initial state.
+    `true`: the goal is reachable from every initial state.  Raises
+    ValueError when `t` is not a goal skeleton of `p`.
     """
-    if _accepted_pred(p, t) != FALSE_PRED:
+    try:
+        at = instantiate(p, t)
+    except ValueError:
+        raise ValueError("trace not in program language") from None
+    if at.atom is not None:
         raise ValueError("trace not in program language")
     newp = fta_to_program(difference(program_to_fta(p), trace_to_fta(t)), p)
-    at = instantiate(p, t)
     theta: Optional[ConstraintConj] = None
-    if feasible(at):
+    c = constr_of(at)
+    if satisfiable(c):
         nodes = initial_nodes(p, at)
-        if nodes:
-            node: AndTree = nodes[0]
-            theta = onto_init_args(p, constr_of(at), node.atom.args)
-        else:
-            theta = TRUE_CONJ
+        theta = onto_init_args(p, c, nodes[0].atom.args) if nodes else TRUE_CONJ
     return newp, theta

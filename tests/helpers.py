@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from chcprecond.core import FALSE_PRED, Clause, Pred, Program
+from chcprecond.core import FALSE_PRED, Clause, Pred, Program, initial_constraint_dnf
 from chcprecond.linarith import (
     DNF,
     DNF_FALSE,
@@ -215,7 +215,7 @@ def parse_dnf(text: str) -> DNF:
     """A printed precondition read back through the parser.
 
     Each disjunct becomes one initial fact over the text's variables, so the
-    program's `original_init` is the DNF the text prints.
+    program's initial condition is the DNF the text prints.
     """
     if text in ("true", "false"):
         return DNF_TRUE if text == "true" else DNF_FALSE
@@ -223,4 +223,4 @@ def parse_dnf(text: str) -> DNF:
     arity = names.count(",") + 1
     facts = "".join(f"p({names}) :- {d.strip('()')}.\n" for d in text.split(" ; "))
     program = parse_program(f":- initial(p/{arity}).\n{facts}false :- p({names}).\n")
-    return program.original_init
+    return initial_constraint_dnf(program)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple, Optional
 
-from chcprecond.core import Atom, Clause, Pred, Program, initial_constraint_dnf
+from chcprecond.core import Atom, Clause, Pred, Program
 from chcprecond.linarith import Var, make_conj, make_constraint
 
 # a linear term: coefficients, none of them zero, and a constant
@@ -349,15 +349,8 @@ def parse_program(text: str, initial: Optional[str] = None) -> Program:
     if not facts:
         raise ParseError(f"initial predicate {init_pred} has no constrained fact", 1, 1)
 
-    program = Program(
+    return Program(
         clauses=tuple(clauses),
         initial_preds=frozenset({init_pred}),
         init_args=facts[0].head.args,
-        original_init=None,
-    )
-    return Program(
-        clauses=program.clauses,
-        initial_preds=program.initial_preds,
-        init_args=program.init_args,
-        original_init=initial_constraint_dnf(program),
     )

@@ -149,7 +149,7 @@ def _strengthen_initial_facts(p: Program, pre) -> Program:
                 )
         else:
             clauses.append(cl)
-    return Program(tuple(clauses), p.initial_preds, p.init_args, p.original_init)
+    return Program(tuple(clauses), p.initial_preds, p.init_args)
 
 
 def test_criterion_5_soundness_on_corpus():

@@ -245,6 +245,34 @@ def test_strip_init_mode_line(capsys):
     assert "mode: strip-init" in out
 
 
+def test_dump_pe_strip_init(capsys, tmp_path):
+    # the goal constrains nothing, so pe propagates nothing into the facts
+    f = tmp_path / "p.chc"
+    f.write_text(
+        ":- initial(init/1).\n"
+        "c1. init(A) :- A =< 0.\n"
+        "c2. init(A) :- A >= 100.\n"
+        "c3. false :- init(A).\n"
+    )
+    code, out, _ = run(capsys, "analyze", str(f), "--dump", "pe")
+    assert code == 0
+    assert "c2. init_1(A) :- A =< 0." in out
+    code, out, _ = run(capsys, "analyze", str(f), "--dump", "pe", "--strip-init")
+    assert code == 0
+    # the program printed after the pe steps, one clause per line
+    facts = [line for line in out.splitlines() if line.startswith("c") and ". init_1(" in line]
+    assert facts == ["c2. init_1(A).", "c3. init_1(A)."]
+
+
+def test_text_report_says_when_it_stopped_early(capsys):
+    code, out, _ = run(capsys, "analyze", path("already_safe.chc"))
+    assert code == 0
+    assert (
+        "iterations used: 0 of 3 (stopped early: no counterexample within the node bound)\n"
+        in out
+    )
+
+
 def test_unknown_dump_choice_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", path("fig1.chc"), "--dump", "everything"])

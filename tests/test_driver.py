@@ -15,10 +15,18 @@ from chcprecond.driver import (
     run_pipeline,
     strip_init,
 )
-from chcprecond.core import format_program
-from chcprecond.linarith import RUN, Run, Var, dnf_of_conj, equiv_dnf, make_dnf
+from chcprecond.core import Program, format_program, initial_constraint_dnf
+from chcprecond.linarith import (
+    RUN,
+    Run,
+    Var,
+    dnf_of_conj,
+    equiv_dnf,
+    implies_dnf,
+    make_dnf,
+)
 
-from helpers import conj_from, load
+from helpers import conj_from, holds_dnf, load
 
 A, B, I, N = Var("A"), Var("B"), Var("I"), Var("N")
 
@@ -118,15 +126,33 @@ def test_timeout_falls_back_to_input_precondition():
     assert any("falling back to iteration 0" in w for w in r.warnings)
 
 
-def test_strip_init_removes_and_reports():
+def test_strip_init_clears_only_initial_facts():
     p = load("two_inits.chc")
-    stripped, removed = strip_init(p)
-    for cl in stripped.initial_clauses():
-        assert cl.constr.is_true()
+    stripped = strip_init(p)
+    assert isinstance(stripped, Program)
+    assert stripped.initial_preds == p.initial_preds
+    assert stripped.init_args == p.init_args
+    for old, new in zip(p.clauses, stripped.clauses):
+        if new in stripped.initial_clauses():
+            assert new.constr.is_true()
+        else:
+            assert new == old
+    assert initial_constraint_dnf(stripped).is_true()
+    # what the run keeps as its reference condition
     want = make_dnf(
         [conj_from([({A: 1}, 0, "<=")]), conj_from([({A: 1}, -100, ">=")])]
     )
-    assert equiv_dnf(removed, want)
+    assert equiv_dnf(initial_constraint_dnf(p), want)
+
+
+def test_hand_built_program_is_classified_like_the_parsed_one():
+    # the reference condition is read off the input by the run, so a
+    # program built from its fields alone classifies as the parsed one does
+    p = load("already_safe.chc")
+    built = Program(p.clauses, p.initial_preds, p.init_args)
+    cfg = PipelineConfig(iterations=1)
+    assert run_pipeline(p, cfg).classification == "more-general"
+    assert run_pipeline(built, cfg).classification == "more-general"
 
 
 def test_strip_init_changes_the_reference_condition():
@@ -144,6 +170,26 @@ def test_warnings_are_collected_in_the_report(monkeypatch):
     monkeypatch.setattr(pe_mod, "VERSION_CAP", 2)
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=0))
     assert any("version cap" in w for w in r.warnings)
+
+
+# fig1's box in the benchmark; the uncapped run accepts 588 of its 609 points
+FIG1_BOX = [{A: a, B: b} for a in range(90, 111) for b in range(-4, 25)]
+
+
+@pytest.mark.parametrize("cap, accepted", [(1, 156), (2, 440), (4, 586)])
+def test_negation_cap_truncates_to_a_sound_subset(monkeypatch, cap, accepted):
+    cfg = PipelineConfig(iterations=4)
+    full = run_pipeline(load("fig1.chc"), cfg).precondition
+    monkeypatch.setattr(linarith_mod, "NEGATION_CAP", cap)
+    r = run_pipeline(load("fig1.chc"), cfg)
+    assert f"negation exceeded {cap} disjuncts, truncating" in r.warnings
+    # truncation drops states, it never adds one
+    assert implies_dnf(r.precondition, full)
+    assert sum(holds_dnf(full, pt) for pt in FIG1_BOX) == 588
+    kept = [pt for pt in FIG1_BOX if holds_dnf(r.precondition, pt)]
+    assert len(kept) == accepted
+    # the unsafe states: from these the loop exits with A =< 0 and B = 0
+    assert not any(pt[B] == 2 * abs(pt[A] - 100) for pt in kept)
 
 
 def test_reports_are_deterministic_up_to_timing():

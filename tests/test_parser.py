@@ -93,14 +93,6 @@ def test_unused_initial_rejected():
         parse_program(":- initial(r/1).\nc1. p(A).\nc2. false :- p(A).\n", initial=None)
 
 
-def test_original_init_recorded():
-    p = parse_program(
-        ":- initial(p/1).\nc1. p(A) :- A >= 3.\nc2. false :- p(A).\n"
-    )
-    (d,) = p.original_init
-    assert equiv_conj(d, make_conj([k({Var("A"): -1}, 3)]))
-
-
 def test_false_is_goal_not_predicate():
     p = load("fig1.chc")
     assert all(cl.head_pred() != FALSE_PRED or cl.head is None for cl in p.clauses)

@@ -91,7 +91,6 @@ def test_emitted_program_shape():
         "init_3",
     }
     assert r.program.init_args == p.init_args
-    assert r.program.original_init == p.original_init
 
 
 def test_initial_versions_keep_raw_constraints():

@@ -52,7 +52,7 @@ def test_no_initial_facts_means_true():
 
 def test_arity_guard():
     p = load("fig1.chc")
-    broken = Program(p.clauses, p.initial_preds, (Var("Z"),), p.original_init)
+    broken = Program(p.clauses, p.initial_preds, (Var("Z"),))
     with pytest.raises(ValueError, match="arity does not match"):
         extract_swp(broken)
 

@@ -208,7 +208,7 @@ def _rand_skeleton_program(rng):
                 tuple(Atom(rng.choice(preds), ()) for _ in range(rng.randint(1, 2))),
             )
         )
-    return Program(tuple(clauses), frozenset(), (), None)
+    return Program(tuple(clauses), frozenset(), ())
 
 
 def test_difference_removes_exactly_the_chosen_tree():

@@ -130,12 +130,20 @@ def test_feasible_trace_without_initial_node():
     assert theta is not None and theta.is_true()
 
 
-def test_rejects_trace_outside_language():
+@pytest.mark.parametrize(
+    "trace",
+    [
+        "c6(c2(c1))",  # c2 derives if, where c6 reads while
+        "c2(c1)",  # derives if, not false
+        "c6(c4(c9(c1)))",  # no clause c9
+        "c6(c4(c2(c1),c1))",  # c4 has one body atom
+        "c6(c4(c2))",  # c2 has one body atom
+    ],
+)
+def test_rejects_trace_outside_language(trace):
     p = load("fig1.chc")
     with pytest.raises(ValueError, match="trace not in program language"):
-        eliminate_trace(p, parse_trace("c6(c2(c1))"))
-    with pytest.raises(ValueError, match="trace not in program language"):
-        eliminate_trace(p, parse_trace("c2(c1)"))  # derives if, not false
+        eliminate_trace(p, parse_trace(trace))
 
 
 def test_rejects_foreign_automaton():
@@ -151,7 +159,7 @@ def test_rejects_foreign_automaton():
 
 def test_arity_mismatch_reported():
     p = load("fig1.chc")
-    broken = Program(p.clauses, p.initial_preds, (Var("X"),), p.original_init)
+    broken = Program(p.clauses, p.initial_preds, (Var("X"),))
     with pytest.raises(ValueError, match="arity does not match"):
         eliminate_trace(broken, parse_trace("c6(c4(c2(c1)))"))
 
