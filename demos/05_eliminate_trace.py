@@ -1,8 +1,8 @@
 """Remove one counterexample trace from a program's derivation language.
 
-The program is viewed as a tree automaton; subtracting the automaton of a
-single trace and converting back yields a program with every other
-derivation intact.  The constraint the trace put on the initial state is
+Each predicate is split into copies, one per set of trace nodes its
+derivations can stand for; dropping the goal copies that can stand for the
+whole trace yields a program with every other derivation intact.  The constraint the trace put on the initial state is
 returned alongside, projected onto the declared initial arguments.
 """
 
@@ -10,7 +10,6 @@ from pathlib import Path
 
 from chcprecond import eliminate_trace, find_counterexample, parse_program
 from chcprecond.linarith import format_conj
-from chcprecond.te import program_to_fta
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "corpus"
 
@@ -26,8 +25,7 @@ def main() -> None:
     newp, theta = eliminate_trace(p, trace)
     print(f"the trace constrained the initial state to: {format_conj(theta)}")
     print(f"clauses before: {len(p.clauses)}, after: {len(newp.clauses)}")
-    print(f"automaton states before: {len(program_to_fta(p).states)}, "
-          f"after: {len(program_to_fta(newp).states)}")
+    print(f"predicates before: {len(p.preds())}, after: {len(newp.preds())}")
 
     again = find_counterexample(newp)
     if again is None:

@@ -67,7 +67,6 @@ from .simplex import (
     Budget,
     Row,
     Simplex,
-    Undecided,
     feasible,
     int_feasible,
     solve,

@@ -11,7 +11,7 @@ taken away stays whole, and only a piece that meets it is split.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import Program, initial_constraint_dnf
 from .linarith import (
@@ -71,18 +71,18 @@ def final_precondition(p_m: Program, thetas: Iterable[ConstraintConj]) -> DNF:
     return prune_disjuncts(make_dnf(_drop_redundant(c, known_sat=True) for c in out))
 
 
-def classify(derived: DNF, original: Optional[DNF] = None) -> str:
+def classify(derived: DNF, original: DNF) -> str:
     """Relate the derived precondition to the original initial condition.
 
     trivial when the derived condition is unsatisfiable; more-general when
-    an original condition is known and every state satisfying it is covered;
-    non-trivial otherwise.  Integer checks run under a node budget, and an
-    exhausted budget is reported as undecided rather than guessed.
+    every state satisfying the original condition is covered; non-trivial
+    otherwise.  Integer checks run under a node budget, and an exhausted
+    budget is reported as undecided rather than guessed.
     """
     try:
         if equiv_dnf(derived, DNF_FALSE):
             return "trivial"
-        if original is not None and implies_dnf(original, derived):
+        if implies_dnf(original, derived):
             return "more-general"
         return "non-trivial"
     except Undecided:

@@ -105,8 +105,8 @@ def skeleton_language(p: Program, max_nodes: int) -> set[str]:
     """All complete derivation skeletons for false, as trace terms.
 
     Written as a direct recursion over clause identifiers with its own term
-    printer, to cross-check both the derivation enumerator and the automata
-    difference.
+    printer, to cross-check both the derivation enumerator and trace
+    elimination.
     """
 
     @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 
 from chcprecond import cs
-from chcprecond.core import Pred, Program, recursive_preds
+from chcprecond.core import Pred, recursive_preds
 from chcprecond.cs import constraint_specialise, invariants_for, strengthen
 from chcprecond.derivation import iter_and_trees
 from chcprecond.driver import PipelineConfig, run_pipeline
@@ -16,7 +16,6 @@ from chcprecond.linarith import (
     entails,
     equiv_conj,
     implies_dnf,
-    make_conj,
 )
 from chcprecond.parser import parse_program
 from chcprecond.pe import pe_run
@@ -24,7 +23,6 @@ from chcprecond.precond import extract_swp
 from chcprecond.qa import qa_transform
 
 from helpers import (
-    clauses_equivalent,
     conj_from,
     corpus_files,
     gen_multivar_texts,

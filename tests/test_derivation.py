@@ -11,7 +11,6 @@ import chcprecond
 
 from chcprecond.core import Pred
 from chcprecond.derivation import (
-    AndTree,
     constr_of,
     feasible,
     find_counterexample,
@@ -21,7 +20,7 @@ from chcprecond.derivation import (
     iter_nodes,
     parse_trace,
 )
-from chcprecond.linarith import Var, equiv_conj, format_conj, project, rename_conj
+from chcprecond.linarith import Var, equiv_conj, format_conj, project
 from chcprecond.parser import parse_program
 from chcprecond.te import eliminate_trace
 

@@ -1,5 +1,6 @@
 """The package runs on the standard library alone, and imports little of it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import chcprecond
 
 SRC = str(Path(chcprecond.__file__).resolve().parents[1])
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fresh_output(code: str) -> str:
@@ -57,3 +59,30 @@ def test_import_loads_neither_fractions_nor_decimal_nor_numbers():
         "print(' '.join(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n"
     )
     assert _fresh_output(code).split() == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names `path` imports and never reads; a name in `__all__` is read."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in bound.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = [f for d in ("src", "tests", "demos") for f in sorted((ROOT / d).rglob("*.py"))]
+    assert files
+    assert [u for f in files for u in _unused_imports(f)] == []

@@ -88,15 +88,12 @@ def test_final_precondition_conjoins_side_conditions():
 
 
 def test_classify_trivial():
-    assert classify(DNF_FALSE) == "trivial"
+    original = dnf_of_conj(conj_from([({X: 1}, 0, ">=")]))
+    assert classify(DNF_FALSE, original) == "trivial"
     rationally_empty = dnf_of_conj(
         conj_from([({X: 1}, 0, ">="), ({X: 1}, 1, "<=")])
     )
-    assert classify(rationally_empty) == "trivial"
-
-
-def test_classify_non_trivial_without_reference():
-    assert classify(dnf_of_conj(conj_from([({X: 1}, 0, ">=")]))) == "non-trivial"
+    assert classify(rationally_empty, original) == "trivial"
 
 
 def test_classify_against_declared_condition():
@@ -109,6 +106,7 @@ def test_classify_against_declared_condition():
 def test_classify_reports_exhausted_budget(monkeypatch, capsys):
     monkeypatch.setattr(linarith, "DEFAULT_BUDGET_NODES", 0)
     derived = dnf_of_conj(conj_from([({X: 1}, 0, ">=")]))
-    assert classify(derived) == "undecided"
+    original = dnf_of_conj(conj_from([({X: 1}, -5, ">=")]))
+    assert classify(derived, original) == "undecided"
     # outside a run the warning goes to stderr
     assert "undecided" in capsys.readouterr().err

@@ -3,7 +3,7 @@
 Each suite runs at least 300 seeded instances against an oracle computed
 independently of the code under test: interval reasoning for projection,
 direct point evaluation for negation, sampling for the polyhedra lattice,
-the recursive skeleton enumerator for automata difference, and an explicit
+the recursive skeleton enumerator for trace elimination, and an explicit
 tree mapping for the query-answer transformation.
 """
 
@@ -31,6 +31,7 @@ from chcprecond.linarith import (
 from chcprecond.parser import parse_program
 from chcprecond.polyhedra import join, widen
 from chcprecond.qa import GOAL_ID, qa_transform
+from chcprecond.te import eliminate_trace
 
 from helpers import grid, holds_conj, holds_dnf, skeleton_language
 
@@ -181,7 +182,7 @@ def test_widen_keeps_a_subset_of_the_old_constraints():
             assert widen(p, p) == p
 
 
-# -- automata difference ---------------------------------------------------------
+# -- trace elimination -----------------------------------------------------------
 
 
 def _rand_skeleton_program(rng):
@@ -212,8 +213,6 @@ def _rand_skeleton_program(rng):
 
 
 def test_difference_removes_exactly_the_chosen_tree():
-    from chcprecond.te import difference, fta_to_program, program_to_fta, trace_to_fta
-
     rng = random.Random(5150)
     done = 0
     attempts = 0
@@ -226,7 +225,7 @@ def test_difference_removes_exactly_the_chosen_tree():
             continue
         t_str = rng.choice(sorted(lang))
         t = parse_trace(t_str)
-        newp = fta_to_program(difference(program_to_fta(p), trace_to_fta(t)), p)
+        newp, _ = eliminate_trace(p, t)
         after = {re.sub(r"__\d+", "", s) for s in skeleton_language(newp, 7)}
         assert after == lang - {t_str}, (lang, t_str)
         done += 1

@@ -1,22 +1,14 @@
-"""Tree automata: construction, difference, and trace elimination."""
+"""Trace elimination: the product over clauses that removes one skeleton."""
 
 import re
 
 import pytest
 
-from chcprecond.core import FALSE_PRED, Pred, Program
+from chcprecond.core import Program, format_program
 from chcprecond.derivation import parse_trace
 from chcprecond.linarith import Var, equiv_conj
 from chcprecond.parser import parse_program
-from chcprecond.te import (
-    FTA,
-    Transition,
-    difference,
-    eliminate_trace,
-    fta_to_program,
-    program_to_fta,
-    trace_to_fta,
-)
+from chcprecond.te import eliminate_trace
 
 from helpers import conj_from, load, skeleton_language
 
@@ -27,51 +19,10 @@ def _stripped(p: Program, max_nodes: int) -> set[str]:
     return {re.sub(r"__\d+", "", s) for s in skeleton_language(p, max_nodes)}
 
 
-def test_program_fta_shape():
-    p = load("fig1.chc")
-    f = program_to_fta(p)
-    assert f.final == frozenset({FALSE_PRED})
-    assert f.states == frozenset(
-        {FALSE_PRED, Pred("init", 2), Pred("if", 2), Pred("while", 2)}
-    )
-    by_cid = {t.cid: t for t in f.transitions}
-    assert len(by_cid) == 6
-    assert by_cid["c1"] == Transition("c1", (), Pred("init", 2))
-    assert by_cid["c6"] == Transition("c6", (Pred("while", 2),), FALSE_PRED)
-    assert by_cid["c5"].children == (Pred("while", 2),)
-
-
-def test_trace_fta_preorder_numbering():
-    f = trace_to_fta(parse_trace("c6(c4(c2(c1)))"))
-    assert f.final == frozenset({0})
-    assert f.states == frozenset({0, 1, 2, 3})
-    assert f.transitions == frozenset(
-        {
-            Transition("c6", (1,), 0),
-            Transition("c4", (2,), 1),
-            Transition("c2", (3,), 2),
-            Transition("c1", (), 3),
-        }
-    )
-    # a node is numbered before its children, and a first child's whole
-    # subtree before its next sibling
-    f = trace_to_fta(parse_trace("c1(c2(c3),c4(c5,c6))"))
-    assert f.transitions == frozenset(
-        {
-            Transition("c1", (1, 3), 0),
-            Transition("c2", (2,), 1),
-            Transition("c3", (), 2),
-            Transition("c4", (4, 5), 3),
-            Transition("c5", (), 4),
-            Transition("c6", (), 5),
-        }
-    )
-
-
 def test_difference_removes_exactly_one_tree():
     p = load("fig1.chc")
     t = parse_trace("c6(c4(c2(c1)))")
-    newp = fta_to_program(difference(program_to_fta(p), trace_to_fta(t)), p)
+    newp, _ = eliminate_trace(p, t)
     before = skeleton_language(p, 6)
     after = _stripped(newp, 6)
     assert str(t) in before
@@ -103,6 +54,40 @@ def test_eliminated_clauses_keep_their_constraints():
         assert len(cl.body) == len(src.body)
     assert newp.init_args == p.init_args
     assert all(q.name.startswith("init") for q in newp.initial_preds)
+
+
+# the loop step shared by c2 and c5 of example_t4_cs0, as it prints
+_STEP = "A - D =< -1, A - E = -1, B + C - F - G = -3, C - F >= -2, C - F =< -1"
+
+
+def _step(cid: str, head: str, body2: int, l1: int) -> str:
+    return f"{cid}. {head}(A,B,C,D) :- {_STEP}, l_body_2__{body2}(B,C,G,F), l_1__{l1}(E,G,F,D)."
+
+
+def test_eliminated_program_text_is_pinned():
+    # copies are numbered by their node sets, node numbers compared as
+    # strings ("10" before "2"); ordering them as integers renames the
+    # copies of l_1 and reorders the clauses
+    p = load("example_t4_cs0.chc")
+    t = parse_trace("c1(c10,c2(c8,c5(c8,c5(c8,c5(c8,c6)))))")
+    newp, _ = eliminate_trace(p, t)
+    want = [
+        ":- initial(init/4).",
+        "c1. false :- init(A,B,C,D), l_3(A,B,C,D).",
+        *(_step(f"c2__{k}", "l_3", b, l) for k, (b, l) in enumerate(
+            [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 4), (2, 5)], 1)),
+        "c3. l_3(A,B,C,D) :- A - D >= 0, B + C - 3*D >= 1.",
+        "c4. l_3(A,B,C,D) :- A - D >= 0, B + C - 3*D =< -1.",
+        *(_step(f"c5__{k}", f"l_1__{h}", b, l) for k, (h, b, l) in enumerate(
+            [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 1, 5), (1, 2, 1), (1, 2, 3),
+             (3, 2, 4), (4, 2, 5), (5, 2, 2)], 1)),
+        "c6. l_1__2(A,B,C,D) :- A - D = 0, B + C - 3*D >= 1.",
+        "c7. l_1__1(A,B,C,D) :- A - D = 0, B + C - 3*D =< -1.",
+        "c8. l_body_2__2(A,B,C,D) :- A - C = -1, B - D = -2.",
+        "c9. l_body_2__1(A,B,C,D) :- A - C = -2, B - D = -1.",
+        "c10. init(A,B,C,D).",
+    ]
+    assert format_program(newp) == "\n".join(want) + "\n"
 
 
 def test_feasible_theta_on_loop_program():
@@ -146,22 +131,71 @@ def test_rejects_trace_outside_language(trace):
         eliminate_trace(p, parse_trace(trace))
 
 
-def test_rejects_foreign_automaton():
-    p = load("fig1.chc")
-    f = FTA(
-        frozenset({FALSE_PRED}),
-        frozenset({FALSE_PRED}),
-        frozenset({Transition("zzz", (), FALSE_PRED)}),
-    )
-    with pytest.raises(ValueError, match="automaton not derived from program"):
-        fta_to_program(f, p)
-
-
 def test_arity_mismatch_reported():
     p = load("fig1.chc")
     broken = Program(p.clauses, p.initial_preds, (Var("X"),))
     with pytest.raises(ValueError, match="arity does not match"):
         eliminate_trace(broken, parse_trace("c6(c4(c2(c1)))"))
+
+
+_TWO_CHILDREN = (
+    ":- initial(p/1).\n"
+    "c1. false :- p(A), p(B).\n"
+    "c2. p(A) :- A >= 0.\n"
+    "c3. p(A) :- A =< 0.\n"
+)
+
+
+def test_children_keep_their_order():
+    # a node's children are matched to the body atoms in order: removing
+    # c1(c2,c3) keeps c1(c3,c2)
+    p = parse_program(_TWO_CHILDREN)
+    newp, _ = eliminate_trace(p, parse_trace("c1(c2,c3)"))
+    assert skeleton_language(p, 3) == {"c1(c2,c2)", "c1(c2,c3)", "c1(c3,c2)", "c1(c3,c3)"}
+    assert _stripped(newp, 3) == {"c1(c2,c2)", "c1(c3,c2)", "c1(c3,c3)"}
+
+
+def test_removing_the_only_tree_leaves_no_clauses():
+    # no goal copy lacks the root, so every copy is pruned
+    p = parse_program(
+        ":- initial(i/1).\n"
+        "c1. i(A).\n"
+        "c2. p(A) :- i(A), A >= 1.\n"
+        "c3. false :- p(A), A >= 3.\n"
+    )
+    newp, theta = eliminate_trace(p, parse_trace("c3(c2(c1))"))
+    assert equiv_conj(theta, conj_from([({A: 1}, -3, ">=")]))
+    assert newp.clauses == ()
+    assert newp.initial_preds == frozenset()
+
+
+def test_a_predicate_with_one_live_copy_keeps_its_name():
+    # removing c1(c2,c2) splits p into the trees c2 and c3 stand for; removing
+    # c2 below splits nothing, since no clause of p labels a node of it
+    p = parse_program(_TWO_CHILDREN)
+    newp, _ = eliminate_trace(p, parse_trace("c1(c2,c2)"))
+    assert {q.name for q in newp.preds()} - {"false"} == {"p__1", "p__2"}
+    q = parse_program(
+        ":- initial(p/1).\n"
+        "c1. false :- p(A).\n"
+        "c2. false :- A >= 5.\n"
+        "c3. p(A) :- A =< 0.\n"
+    )
+    newq, _ = eliminate_trace(q, parse_trace("c2"))
+    assert [cl.cid for cl in newq.clauses] == ["c1", "c3"]
+    assert {a.pred.name for cl in newq.clauses for a in cl.body} == {"p"}
+
+
+def test_eliminating_twice_removes_both_trees():
+    # the second trace is read off the renamed program, as the driver does
+    p = load("fig1.chc")
+    first = parse_trace("c6(c4(c2(c1)))")
+    once, _ = eliminate_trace(p, first)
+    second = "c6(c5(c4(c2(c1))))"
+    renamed = [s for s in skeleton_language(once, 6) if re.sub(r"__\d+", "", s) == second]
+    assert len(renamed) == 1
+    twice, _ = eliminate_trace(once, parse_trace(renamed[0]))
+    assert _stripped(twice, 8) == skeleton_language(p, 8) - {str(first), second}
 
 
 def test_difference_is_idempotent_on_missing_tree():
