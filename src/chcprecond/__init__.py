@@ -60,5 +60,5 @@ def analyze_file(
     path: Union[str, Path], cfg: Optional[PipelineConfig] = None
 ) -> PipelineReport:
     """Parse a CHC file and run the pipeline with the given configuration."""
-    p = parse_program(Path(path).read_text())
+    p = parse_program(Path(path).read_text(encoding="utf-8"))
     return run_pipeline(p, cfg)

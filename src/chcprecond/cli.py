@@ -2,8 +2,9 @@
 
 `chc-precond analyze program.chc` parses a CHC file, runs the
 specialisation pipeline, and prints the inferred precondition on the
-initial states.  Exit codes: 0 on success, 2 on parse or coverage errors,
-3 when the timeout forced a fallback to an earlier iteration (a result is
+initial states.  The file is read as UTF-8.  Exit codes: 0 on success, 2
+on a file that cannot be read or decoded and on parse or coverage errors, 3
+when the timeout forced a fallback to an earlier iteration (a result is
 still printed).
 """
 
@@ -160,8 +161,8 @@ def _dump(args: argparse.Namespace, p: Program, cfg: PipelineConfig) -> int:
 
 def _analyze(args: argparse.Namespace) -> int:
     try:
-        text = args.file.read_text()
-    except OSError as e:
+        text = args.file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

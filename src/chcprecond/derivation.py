@@ -94,10 +94,6 @@ def constr_of(t: AndTree) -> ConstraintConj:
     return make_conj(k for node in iter_nodes(t) for k in node.constr)
 
 
-def feasible(t: AndTree) -> bool:
-    return satisfiable(constr_of(t))
-
-
 def iter_nodes(t):
     """Preorder walk of an AND-tree or trace tree, on an explicit stack."""
     stack = [t]

@@ -154,8 +154,10 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
     # the program, side conditions and round count after the last completed
     # round; the unspecialised program is itself a sound fallback
     last_good: tuple[Program, list[ConstraintConj], int] = (p, [], 0)
-    plan = ("pe", "cs") + ("te", "pe", "cs") * cfg.iterations
-    for k, label in enumerate(plan):
+    # the steps pe, cs, then (te, pe, cs) per round, walked without building
+    # the plan, so that k // 3 counts the rounds done
+    for k in range(2 + 3 * cfg.iterations):
+        label = ("pe", "cs", "te")[k % 3]
         if time.monotonic() - start > cfg.timeout:
             timed_out = True
             break

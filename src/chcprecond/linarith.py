@@ -618,10 +618,6 @@ def _supplies(c: ConstraintConj, pairs: list[tuple[Var, bool]]) -> bool:
     return all(p in have for p in pairs)
 
 
-def equiv_conj(a: ConstraintConj, b: ConstraintConj) -> bool:
-    return entails(a, b) and entails(b, a)
-
-
 def _drop_redundant(c: ConstraintConj, known_sat: bool = False) -> ConstraintConj:
     """Drop constraints entailed by the rest.  Rational, so sound.
 
@@ -1002,10 +998,6 @@ def make_dnf(disjuncts: Iterable[ConstraintConj]) -> DNF:
     pairs = [(d, frozenset(d.constraints)) for d in kept]
     out = [d for d, s in pairs if not any(t < s for _, t in pairs)]
     return DNF(tuple(sorted(out)))
-
-
-def dnf_of_conj(c: ConstraintConj) -> DNF:
-    return make_dnf((c,))
 
 
 def negate_conj(c: ConstraintConj) -> DNF:

@@ -19,11 +19,12 @@ unlabelled clauses get `c<k>` by position.
 into a flat list of token strings, and the parser walks that list by index,
 reading a token's kind off its first character.  Each side of a constraint
 is summed into one coefficient map, and each constraint is built with one
-`make_constraint`.  Tokens carry no positions: only malformed input is read
-again, by `tokenize`, which raises on an unexpected character and otherwise
-places the token where parsing stopped.  A clause of the generated
-two-variable programs takes about 40 us to read, and one of the 1,500-clause
-chain of one-atom clauses about 12 us (Python 3.11, x86_64).
+`make_constraint`.  Tokens carry no positions: only when parsing stops is
+the same pattern walked again, with `finditer`, to raise on the first
+unexpected character or else to place the token where it stopped by its
+match offset.  A clause of the generated two-variable programs takes about
+40 us to read, and one of the 1,500-clause chain of one-atom clauses about
+12 us (Python 3.11, x86_64).
 
 Parsing normalizes atoms: every argument becomes a distinct variable and the
 bindings move into the clause constraint, so `p(X,X)` turns into `p(X,V1)`
@@ -33,7 +34,7 @@ with `X = V1` conjoined.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import Atom, Clause, Pred, Program
 from .linarith import LinConstraint, Var, make_conj, make_constraint
@@ -51,74 +52,15 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT VAR INT PUNCT EOF
-    text: str
-    line: int
-    col: int
+# One pattern splits the text: the two-character operators, a run of decimal
+# digits (the ones `int` reads), a word of `\w` characters (letters, digits
+# and `_`), a `%` comment to the end of its line, or any other character but
+# a blank.  `\d+` comes first, so a word never starts with a decimal digit.
+# A kind is read off a token's first character.
+_LEX = re.compile(r":-|=<|>=|\d+|\w+|%[^\n]*|[^ \t\r\n]")
+_split = _LEX.findall
 
-
-# Blanks, then one alternative per token kind, tried in order; a `%`
-# comment matches unnamed.  Identifiers start with a letter (`str.isalpha`)
-# or `_` and go on with letters, digits (`str.isalnum`) and `_`, which is
-# what `\w` matches.  An ASCII start settles the kind in the pattern;
-# otherwise `WORD` matches and the kind is read off the first character.
-# Integers are runs of decimal digits, the ones `int` reads.  No
-# alternative starts with a blank, so a match never gives blanks back.
-# Only malformed input is tokenized, so the pattern is compiled, and cached
-# by `re`, on first use.
-_TOKEN = r"""
-    [ \t\r]*
-    (?:
-      (?P<NL>\n)
-    | %[^\n]*
-    | (?P<PUNCT>:-|=<|>=|[(),.=<>+\-*/])
-    | (?P<INT>\d+)
-    | (?P<VAR>[A-Z_]\w*)
-    | (?P<IDENT>[a-z]\w*)
-    | (?P<WORD>[^\W\d]\w*)
-    | (?P<BAD>[^ \t\r])
-    )
-"""
-
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, ending with EOF; positions count from 1.
-
-    Every character but a newline takes one column, and a `%` comment runs
-    to the end of its line.  The EOF token sits after the last blank, or at
-    the `%` of a comment that ends the text.
-    """
-    toks = []
-    line, line_start = 1, 0
-    for m in re.finditer(_TOKEN, text, re.VERBOSE):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "NL":
-            line += 1
-            line_start = m.end()
-            continue
-        word = m.group(kind)
-        col = m.start(kind) - line_start + 1
-        if kind == "WORD":
-            if not word[0].isalpha():
-                kind = "BAD"
-                word = word[0]
-            else:
-                kind = "VAR" if word[0].isupper() else "IDENT"
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        toks.append(Token(kind, word, line, col))
-    last = text[line_start:].split("%", 1)[0]
-    toks.append(Token("EOF", "", line, len(last) + 1))
-    return toks
-
-
-# The tokens of `tokenize` as strings, in order, plus comments and one token
-# per character the format does not allow; `\d+` comes first, so a word never
-# starts with a digit.  A kind is read off a token's first character.
-_split = re.compile(r":-|=<|>=|\d+|\w+|%[^\n]*|[^ \t\r\n]").findall
+_PUNCT = frozenset((":-", "=<", ">=", *"(),.=<>+-*/"))
 
 _RELATIONS = {"=": "=", "=<": "<=", ">=": ">=", "<": "<", ">": ">"}
 
@@ -321,6 +263,32 @@ def _read(toks: list[str]) -> tuple[list[tuple[str, int]], list[Clause]]:
     return directives, clauses
 
 
+def _placed(text: str, index: int, message: str) -> ParseError:
+    """The error at token `index` of `text`, past the last token at the end
+    of input, unless an unexpected character anywhere comes first.
+
+    Comments are skipped.  Lines count from 1 and end at `\n`; every other
+    character takes one column.  The end of input sits on the last line,
+    after its blanks or at the `%` of a comment that ends the text.
+    """
+    at, k = None, 0
+    for m in _LEX.finditer(text):
+        t = m.group()
+        if t[0] == "%":
+            continue
+        if t not in _PUNCT and not (t[0] == "_" or t[0].isalpha() or t[0].isdecimal()):
+            at, message = m.start(), f"unexpected character {t[0]!r}"
+            break
+        if k == index:
+            at = m.start()
+        k += 1
+    if at is None:
+        at = text.find("%", text.rfind("\n") + 1)
+        if at < 0:
+            at = len(text)
+    return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
 def parse_program(text: str, initial: Optional[str] = None) -> Program:
     """Parse CHC source into a normalized Program.
 
@@ -334,11 +302,7 @@ def parse_program(text: str, initial: Optional[str] = None) -> Program:
     try:
         directives, clauses = _read(toks)
     except _Stop as stop:
-        index, message = stop.args
-        # an unexpected character anywhere raises here, before any other error
-        placed = tokenize(text)
-        t = placed[min(index, len(placed) - 1)]
-        raise ParseError(message, t.line, t.col) from None
+        raise _placed(text, *stop.args) from None
     if len(directives) > 1:
         raise ParseError("multiple initial declarations", 1, 1)
     if initial is not None:

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from chcprecond.core import FALSE_PRED, Clause, Pred, Program, initial_constraint_dnf
+from chcprecond.derivation import AndTree, constr_of
 from chcprecond.linarith import (
     DNF,
     DNF_FALSE,
@@ -23,11 +24,13 @@ from chcprecond.linarith import (
     LinConstraint,
     Var,
     conj_and,
-    equiv_conj,
+    entails,
     make_conj,
     make_constraint,
+    make_dnf,
     project,
     rename_conj,
+    satisfiable,
 )
 from chcprecond.parser import parse_program
 
@@ -209,6 +212,19 @@ def programs_equivalent(
 
 def conj_from(pairs: Iterable[tuple[dict[Var, int], int, str]]) -> ConstraintConj:
     return make_conj(make_constraint(c, const, rel) for c, const, rel in pairs)
+
+
+def equiv_conj(a: ConstraintConj, b: ConstraintConj) -> bool:
+    return entails(a, b) and entails(b, a)
+
+
+def dnf_of_conj(c: ConstraintConj) -> DNF:
+    return make_dnf((c,))
+
+
+def feasible(t: AndTree) -> bool:
+    """Whether the constraints of every node of `t` have a rational model."""
+    return satisfiable(constr_of(t))
 
 
 def parse_dnf(text: str) -> DNF:

@@ -18,7 +18,6 @@ from chcprecond.linarith import (
     Var,
     conj_and,
     entails,
-    equiv_conj,
     equiv_dnf,
     implies_dnf,
     make_dnf,
@@ -31,6 +30,7 @@ import test_properties
 from helpers import (
     conj_from,
     corpus_files,
+    equiv_conj,
     grid,
     holds_dnf,
     load,

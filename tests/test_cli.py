@@ -85,6 +85,15 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "initial predicate undeclared" in err
 
 
+def test_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "bad.chc"
+    f.write_bytes(b"\xff\xfe:- initial(p/1).\n")
+    code, out, err = run(capsys, "analyze", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_coverage_error_exit_code(capsys, tmp_path):
     f = tmp_path / "uncovered.chc"
     f.write_text(

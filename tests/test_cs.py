@@ -14,7 +14,6 @@ from chcprecond.linarith import (
     Var,
     conj_and,
     entails,
-    equiv_conj,
     implies_dnf,
 )
 from chcprecond.parser import parse_program
@@ -25,6 +24,7 @@ from chcprecond.qa import qa_transform
 from helpers import (
     conj_from,
     corpus_files,
+    equiv_conj,
     gen_multivar_texts,
     gen_twoloop_texts,
     load,

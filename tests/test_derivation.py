@@ -12,7 +12,6 @@ import chcprecond
 from chcprecond.core import Pred
 from chcprecond.derivation import (
     constr_of,
-    feasible,
     find_counterexample,
     initial_nodes,
     instantiate,
@@ -20,11 +19,11 @@ from chcprecond.derivation import (
     iter_nodes,
     parse_trace,
 )
-from chcprecond.linarith import Var, equiv_conj, format_conj, project
+from chcprecond.linarith import Var, format_conj, project
 from chcprecond.parser import parse_program
 from chcprecond.te import eliminate_trace
 
-from helpers import conj_from, load, skeleton_language
+from helpers import conj_from, equiv_conj, feasible, load, skeleton_language
 
 
 def test_parse_trace_round_trip():

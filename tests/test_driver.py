@@ -20,13 +20,12 @@ from chcprecond.linarith import (
     RUN,
     Run,
     Var,
-    dnf_of_conj,
     equiv_dnf,
     implies_dnf,
     make_dnf,
 )
 
-from helpers import conj_from, holds_dnf, load
+from helpers import conj_from, dnf_of_conj, holds_dnf, load
 
 A, B, I, N = Var("A"), Var("B"), Var("I"), Var("N")
 
@@ -97,6 +96,14 @@ def test_early_stop_when_no_counterexample_left():
     assert last.feasible is None and last.trace is None
     assert r.precondition.is_true()
     assert r.classification == "more-general"
+
+
+def test_step_plan_is_walked_not_built():
+    # the round that stops early comes first; a plan of 3 * 10**18 steps
+    # built up front would not fit in memory
+    r = run_pipeline(load("already_safe.chc"), PipelineConfig(iterations=10**18))
+    assert r.early_stop
+    assert [s.label for s in r.steps] == ["input", "pe", "cs", "te"]
 
 
 def test_exact_result_on_disjunctive_branches():

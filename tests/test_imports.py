@@ -86,3 +86,36 @@ def test_no_unused_imports():
     files = [f for d in ("src", "tests", "demos") for f in sorted((ROOT / d).rglob("*.py"))]
     assert files
     assert [u for f in files for u in _unused_imports(f)] == []
+
+
+def _unused_definitions(package: Path) -> list[str]:
+    """Module-level functions and classes of `package` that nothing reads.
+
+    A definition is read when its own module loads the name, another module
+    of the package imports it with `from .module import`, or an `__all__`
+    lists it.
+    """
+    trees = {f.stem: ast.parse(f.read_text(), str(f)) for f in sorted(package.glob("*.py"))}
+    read: set[tuple[str, str]] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update((module, name) for name in ast.literal_eval(node.value))
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and (module, node.name) not in read
+    ]
+
+
+def test_no_unused_definitions():
+    # a public name only the tests call belongs in `tests/helpers.py`
+    assert _unused_definitions(Path(chcprecond.__file__).parent) == []

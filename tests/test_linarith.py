@@ -24,9 +24,7 @@ from chcprecond.linarith import (
     _supplies,
     conj_and,
     conj_vars,
-    dnf_of_conj,
     entails,
-    equiv_conj,
     equiv_dnf,
     implies_dnf,
     int_satisfiable,
@@ -46,7 +44,7 @@ from chcprecond.precond import classify
 from chcprecond import linarith, simplex
 from chcprecond.simplex import Budget, Simplex, Undecided, dmax, dmin, feasible
 
-from helpers import grid, holds_conj, holds_dnf
+from helpers import dnf_of_conj, equiv_conj, grid, holds_conj, holds_dnf
 
 x, y = Var("x"), Var("y")
 A, B = Var("A"), Var("B")

@@ -1,12 +1,12 @@
-"""Surface syntax: tokenizing, clause normalization, program validation."""
+"""Surface syntax: error positions, clause normalization, program validation."""
 
 import pytest
 
 from chcprecond.core import FALSE_PRED
-from chcprecond.linarith import Var, equiv_conj, make_conj, make_constraint
-from chcprecond.parser import ParseError, parse_program, tokenize
+from chcprecond.linarith import Var, make_conj, make_constraint
+from chcprecond.parser import ParseError, parse_program
 
-from helpers import corpus_files, load
+from helpers import corpus_files, equiv_conj, load
 
 
 def k(coeffs, const, rel="<="):
@@ -117,31 +117,34 @@ def test_every_corpus_file_parses():
         (":- initial(p/1).\r\nc1. p(A) :-\r A $ 0.\r\n", 2, 16),
         # a digit that is not a decimal one
         ("c1. p(A) :- A = ².\n", 1, 17),
+        # before a parse error earlier in the text
+        ("c1. p A).\nc2. q(A) :- A @ 0.\n", 2, 15),
     ],
 )
 def test_unexpected_character_position(text, line, col):
     with pytest.raises(ParseError, match="unexpected character") as err:
-        tokenize(text)
+        parse_program(text)
     assert (err.value.line, err.value.col) == (line, col)
 
 
-def test_token_kinds_and_positions():
-    toks = tokenize("_x Abc abc 12\n  =< :- %c\n")
-    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
-        ("VAR", "_x", 1, 1),
-        ("VAR", "Abc", 1, 4),
-        ("IDENT", "abc", 1, 8),
-        ("INT", "12", 1, 12),
-        ("PUNCT", "=<", 2, 3),
-        ("PUNCT", ":-", 2, 6),
-        ("EOF", "", 3, 1),
-    ]
-    # a non-ASCII start is read by `str.isalpha` and `str.isupper`
-    assert [t.kind for t in tokenize("Été été a²")][:-1] == ["VAR", "IDENT", "IDENT"]
-    # the end of input sits at the `%` of a comment that ends the text
-    eof = tokenize("p(A) % note")[-1]
-    assert (eof.kind, eof.line, eof.col) == ("EOF", 1, 6)
-    # and after the blanks that end it
-    assert tokenize("A \t\r")[-1] == ("EOF", "", 1, 5)
-    with pytest.raises(ParseError, match=r"line 3, col 19: expected '\.', found 'end of input'"):
-        parse_program(":- initial(p/1).\nc1. p(A).\nc2. false :- p(A) % no period")
+_NO_PERIOD = "expected '.', found 'end of input'"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        # a token on a later line, after blanks
+        ("c1. p(A) :- A\n  =< :- %c\n", "term expected, found ':-'", 2, 6),
+        # the end of input on the line after the last newline
+        ("c1. p(A) :- A =< 0\n  %c\n", _NO_PERIOD, 3, 1),
+        # at the `%` of a comment that ends the text
+        ("c1. p(A) % note", _NO_PERIOD, 1, 10),
+        (":- initial(p/1).\nc1. p(A).\nc2. false :- p(A) % no period", _NO_PERIOD, 3, 19),
+        # after the blanks that end the text, `\r` included
+        ("c1. p(A) \t\r", _NO_PERIOD, 1, 12),
+    ],
+)
+def test_parse_error_position(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)

@@ -5,13 +5,13 @@ import pytest
 from chcprecond.core import Pred
 from chcprecond.derivation import find_counterexample
 from chcprecond.driver import PipelineConfig, run_pipeline
-from chcprecond.linarith import Var, equiv_conj, implies_dnf
+from chcprecond.linarith import Var, implies_dnf
 from chcprecond.parser import parse_program
 import chcprecond.pe as pe_mod
 from chcprecond.pe import canonical_args, gen_properties, pe_run
 from chcprecond.precond import extract_swp
 
-from helpers import conj_from, corpus_files, load
+from helpers import conj_from, corpus_files, equiv_conj, load
 
 A, B = Var("A"), Var("B")
 

@@ -5,11 +5,12 @@ from chcprecond.linarith import (
     TRUE_CONJ,
     Var,
     entails,
-    equiv_conj,
     make_conj,
     make_constraint,
 )
 from chcprecond.polyhedra import join, widen
+
+from helpers import equiv_conj
 
 x, y = Var("x"), Var("y")
 

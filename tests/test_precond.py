@@ -8,7 +8,6 @@ import chcprecond.linarith as linarith
 from chcprecond.linarith import (
     DNF_FALSE,
     Var,
-    dnf_of_conj,
     equiv_dnf,
     make_dnf,
 )
@@ -21,7 +20,7 @@ from chcprecond.precond import (
     prune_disjuncts,
 )
 
-from helpers import conj_from, grid, holds_dnf, load
+from helpers import conj_from, dnf_of_conj, grid, holds_dnf, load
 
 A, B, X = Var("A"), Var("B"), Var("X")
 

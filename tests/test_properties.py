@@ -12,13 +12,12 @@ import re
 from fractions import Fraction
 
 from chcprecond.core import Atom, Clause, Pred, Program
-from chcprecond.derivation import TraceTree, feasible, instantiate, iter_and_trees, parse_trace
+from chcprecond.derivation import TraceTree, instantiate, iter_and_trees, parse_trace
 from chcprecond.linarith import (
     FALSE_CONJ,
     Var,
     conj_and,
     entails,
-    equiv_conj,
     equiv_dnf,
     make_conj,
     make_constraint,
@@ -33,7 +32,7 @@ from chcprecond.polyhedra import join, widen
 from chcprecond.qa import GOAL_ID, qa_transform
 from chcprecond.te import eliminate_trace
 
-from helpers import grid, holds_conj, holds_dnf, skeleton_language
+from helpers import equiv_conj, feasible, grid, holds_conj, holds_dnf, skeleton_language
 
 INSTANCES = 300
 

@@ -6,11 +6,11 @@ import pytest
 
 from chcprecond.core import Program, format_program
 from chcprecond.derivation import parse_trace
-from chcprecond.linarith import Var, equiv_conj
+from chcprecond.linarith import Var
 from chcprecond.parser import parse_program
 from chcprecond.te import eliminate_trace
 
-from helpers import conj_from, load, skeleton_language
+from helpers import conj_from, equiv_conj, load, skeleton_language
 
 A, B, C, D = Var("A"), Var("B"), Var("C"), Var("D")
 
