@@ -31,8 +31,7 @@ def main() -> None:
         print(f"{step.label:6s} {step.seconds:6.3f}s  swp has {len(step.swp)} disjunct(s){extra}")
     print()
 
-    print(f"iterations used: {rep.iterations_used} "
-          f"(early stop: {rep.early_stop}, timed out: {rep.timed_out})")
+    print(f"iterations used: {rep.iterations_used} of {opts.iterations} (stop: {rep.stop})")
     print(f"precondition: {format_dnf(rep.precondition)}")
     print(f"classification: {rep.classification}")
     for w in rep.warnings:

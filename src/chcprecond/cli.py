@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="N",
-        help="trace-elimination rounds (default 3)",
+        help="at most N trace-elimination rounds (default 3)",
     )
     an.add_argument(
         "--timeout",
@@ -90,7 +90,7 @@ def _report_json(args: argparse.Namespace, rep: PipelineReport) -> dict:
         "mode": "strip-init" if args.strip_init else "as-is",
         "iterations": args.iterations,
         "iterations_used": rep.iterations_used,
-        "early_stop": rep.early_stop,
+        "stop": rep.stop,
         "timed_out": rep.timed_out,
         "precondition": _dnf_json(rep.precondition),
         "precondition_text": format_dnf(rep.precondition),
@@ -99,6 +99,7 @@ def _report_json(args: argparse.Namespace, rep: PipelineReport) -> dict:
             {"label": s.label, "seconds": s.seconds, "swp": _dnf_json(s.swp)}
             for s in rep.steps
         ],
+        "check_seconds": rep.check_seconds,
         "final_seconds": rep.final_seconds,
         "classify_seconds": rep.classify_seconds,
         "eliminated_traces": [
@@ -113,12 +114,7 @@ def _report_json(args: argparse.Namespace, rep: PipelineReport) -> dict:
 def _print_text(args: argparse.Namespace, rep: PipelineReport) -> None:
     print(f"file: {args.file}")
     print(f"mode: {'strip-init' if args.strip_init else 'as-is'}")
-    used = f"{rep.iterations_used} of {args.iterations}"
-    if rep.early_stop:
-        used += " (stopped early: no counterexample within the node bound)"
-    if rep.timed_out:
-        used += " (timeout, fell back)"
-    print(f"iterations used: {used}")
+    print(f"iterations used: {rep.iterations_used} of {args.iterations} (stop: {rep.stop})")
     print(f"precondition: {format_dnf(rep.precondition)}")
     print(f"classification: {rep.classification}")
     print("steps:")
@@ -127,7 +123,10 @@ def _print_text(args: argparse.Namespace, rep: PipelineReport) -> None:
         if s.label == "te" and s.trace is not None:
             line += f"  {s.trace}  [{'feasible' if s.feasible else 'infeasible'}]"
         print(line)
-    print(f"after the steps: final {rep.final_seconds:.3f}s, classify {rep.classify_seconds:.3f}s")
+    print(
+        f"outside the steps: round checks {rep.check_seconds:.3f}s, "
+        f"final {rep.final_seconds:.3f}s, classify {rep.classify_seconds:.3f}s"
+    )
     for w in rep.warnings:
         print(f"warning: {w}")
 

@@ -4,17 +4,28 @@ One analysis run is pe, cs, then up to n rounds of (te, pe, cs), reading
 the precondition off the last program.  Between rounds the run carries only
 the program and the side conditions: one initial-state projection `theta`
 per feasible trace eliminated, subtracted from the last program's
-precondition at the end.  The wall clock is checked between transformation
-steps; when time runs out mid-round the partial round is discarded and the
-result falls back to the last completed one.
+precondition at the end.
+
+`iterations` is an upper bound on the rounds.  A run stops before it when
+no counterexample is left within the node bound, or when a round leaves
+the precondition unchanged: after round k >= 1, while another round is
+allowed, round k's precondition is compared with round k-1's by integer
+equivalence (`equiv_dnf`), and an equal pair ends the run with round k's.
+Every round's result is sound, so stopping only gives up what a later
+round might still have found; an undecided comparison keeps the run going.
+The report's `stop` names the reason.
+
+The wall clock is checked between transformation steps, and the time of the
+round checks counts against it; when time runs out mid-round the partial
+round is discarded and the result falls back to the last completed one.
 
 What a run gives up (a cap, an exhausted budget, a timeout fallback) is
 reported through `linarith.warn`, which appends to the run's own `Run`;
 the report's `warnings` are that list, in order.
 
 Each step keeps the program it produced, and its precondition (`swp`) is
-computed only when it is read: a run that reports just the final
-precondition extracts once, and a step's `seconds` is its transformation
+computed only when it is read: by the round check, by the final
+precondition, or by a caller.  A step's `seconds` is its transformation
 alone.
 """
 
@@ -27,9 +38,10 @@ from typing import NamedTuple, Optional
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, warn
+from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, equiv_dnf, warn
 from .pe import pe_run
 from .precond import classify, extract_swp, final_precondition
+from .simplex import Undecided
 from .te import eliminate_trace
 
 
@@ -87,23 +99,47 @@ class StepRecord(_StepRecordFields):
         return extract_swp(self.program)
 
 
+class _Round:
+    """A completed round: its last step, side conditions and number.
+
+    Its precondition is read on first access and then kept, so a round
+    compared twice, or compared and then reported, computes it once.
+    """
+
+    def __init__(self, step: StepRecord, thetas: tuple[ConstraintConj, ...], number: int):
+        self.step = step
+        self.thetas = thetas
+        self.number = number
+
+    @cached_property
+    def precondition(self) -> DNF:
+        return final_precondition(self.step.swp, self.thetas)
+
+
 class PipelineReport(NamedTuple):
     """What one run found, and where its time went.
 
-    `steps` times the transformations; `final_seconds` is the time to read
-    the precondition off the last completed round and `classify_seconds`
-    the time to compare it with the program's own initial condition, both
-    spent after the step loop.
+    `stop` says why the step loop ended: `iterations` when every allowed
+    round ran, `no-counterexample` when none was left within the node
+    bound, `unchanged` when a round left the precondition as it was, and
+    `timeout` when the wall clock ran out.  `steps` times the
+    transformations; `check_seconds` is the time of the round checks
+    between them, precondition reads included.  `final_seconds` is the time
+    to read the precondition off the last completed round after the step
+    loop, about zero when a round check already read it, and
+    `classify_seconds` the time to compare it with the program's own
+    initial condition.
     """
 
     precondition: DNF
     classification: str
     iterations_used: int
     timed_out: bool
-    early_stop: bool
+    stop: str
     steps: tuple[StepRecord, ...]
     warnings: tuple[str, ...]
     program: Program
+    check_seconds: float
     final_seconds: float
     classify_seconds: float
 
@@ -150,16 +186,17 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
     steps = [StepRecord("input", 0.0, p)]
 
     cur = p
-    timed_out = early_stop = False
-    # the program, side conditions and round count after the last completed
-    # round; the unspecialised program is itself a sound fallback
-    last_good: tuple[Program, list[ConstraintConj], int] = (p, [], 0)
+    stop = "iterations"
+    check_seconds = 0.0
+    # the last completed round; the unspecialised program is itself a sound
+    # fallback
+    last = _Round(steps[0], (), 0)
     # the steps pe, cs, then (te, pe, cs) per round, walked without building
     # the plan, so that k // 3 counts the rounds done
     for k in range(2 + 3 * cfg.iterations):
         label = ("pe", "cs", "te")[k % 3]
         if time.monotonic() - start > cfg.timeout:
-            timed_out = True
+            stop = "timeout"
             break
         t0 = time.monotonic()
         cex = feasible = trace = None
@@ -178,31 +215,43 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
                     thetas.append(theta)
         steps.append(StepRecord(label, time.monotonic() - t0, cur, feasible, trace))
         if label == "te" and cex is None:
-            early_stop = True
+            stop = "no-counterexample"
             break
         if label == "cs":
-            last_good = (cur, list(thetas), k // 3)
+            prev, last = last, _Round(steps[-1], tuple(thetas), k // 3)
+            # the last allowed round needs no check: the run ends there anyway
+            if 0 < last.number < cfg.iterations:
+                t0 = time.monotonic()
+                try:
+                    unchanged = equiv_dnf(last.precondition, prev.precondition)
+                except Undecided:
+                    unchanged = False
+                check_seconds += time.monotonic() - t0
+                if unchanged:
+                    stop = "unchanged"
+                    break
 
     # an early stop leaves the last round's result unchanged, and a timeout
     # discards the partial round
-    cur, thetas, iterations_used = last_good
+    timed_out = stop == "timeout"
     if timed_out:
-        warn(f"timeout: falling back to iteration {iterations_used} result")
+        warn(f"timeout: falling back to iteration {last.number} result")
 
     t0 = time.monotonic()
-    pre = final_precondition(cur, thetas)
+    pre = last.precondition
     t1 = time.monotonic()
     cls = classify(pre, original)
     t2 = time.monotonic()
     return PipelineReport(
         precondition=pre,
         classification=cls,
-        iterations_used=iterations_used,
+        iterations_used=last.number,
         timed_out=timed_out,
-        early_stop=early_stop,
+        stop=stop,
         steps=tuple(steps),
         warnings=tuple(run.warnings),
-        program=cur,
+        program=last.step.program,
+        check_seconds=check_seconds,
         final_seconds=t1 - t0,
         classify_seconds=t2 - t1,
     )

@@ -56,16 +56,18 @@ def prune_disjuncts(d: DNF) -> DNF:
     return make_dnf(out)
 
 
-def final_precondition(p_m: Program, thetas: Iterable[ConstraintConj]) -> DNF:
-    """swp of the last program minus each eliminated trace's theta, simplified.
+def final_precondition(swp: DNF, thetas: Iterable[ConstraintConj]) -> DNF:
+    """A program's swp minus each eliminated trace's theta, simplified.
 
-    `thetas` holds one initial-state projection per feasible trace removed,
-    in elimination order; the psi of the iteration scheme is the conjunction
-    of their complements.  Each theta is subtracted from the swp in turn
-    (`linarith.subtract`), then every disjunct loses the constraints the
-    rest of it implies, and `prune_disjuncts` drops whole disjuncts.
+    `swp` is the last program's `extract_swp`, which the driver keeps on
+    the step that made the program.  `thetas` holds one initial-state
+    projection per feasible trace removed, in elimination order; the psi of
+    the iteration scheme is the conjunction of their complements.  Each
+    theta is subtracted from the swp in turn (`linarith.subtract`), then
+    every disjunct loses the constraints the rest of it implies, and
+    `prune_disjuncts` drops whole disjuncts.
     """
-    out = extract_swp(p_m).disjuncts
+    out = swp.disjuncts
     for theta in thetas:
         out = make_dnf(subtract(out, theta)).disjuncts
     return prune_disjuncts(make_dnf(_drop_redundant(c, known_sat=True) for c in out))

@@ -8,6 +8,7 @@ clause comparison goes through projection onto the visible arguments.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import re
 from functools import lru_cache
@@ -35,6 +36,14 @@ from chcprecond.linarith import (
 from chcprecond.parser import parse_program
 
 CORPUS = Path(__file__).parent / "corpus"
+
+# the benchmark's derivation search, which calls neither `linarith` nor
+# `simplex`; `bench/` is not a package, so it is loaded by path
+_ORACLE_SPEC = importlib.util.spec_from_file_location(
+    "bench_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+)
+oracle = importlib.util.module_from_spec(_ORACLE_SPEC)
+_ORACLE_SPEC.loader.exec_module(oracle)
 
 
 def load(name: str) -> Program:

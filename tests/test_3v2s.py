@@ -11,7 +11,6 @@ derivation search (`bench/oracle.py`, depth 10, window 8), which calls
 neither `linarith` nor `simplex`.
 """
 
-import importlib.util
 import itertools
 import json
 import os
@@ -25,12 +24,7 @@ import chcprecond
 from chcprecond.linarith import NEGATION_CAP, Var
 from chcprecond.parser import parse_program
 
-from helpers import parse_dnf
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-_spec = importlib.util.spec_from_file_location("bench_oracle", BENCH / "oracle.py")
-oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
+from helpers import oracle, parse_dnf
 
 DRAW_3 = """\
 :- initial(init/3).

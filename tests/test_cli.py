@@ -48,7 +48,7 @@ def test_json_report(capsys):
     assert doc["mode"] == "as-is"
     assert doc["iterations"] == 1
     assert doc["iterations_used"] == 1
-    assert doc["early_stop"] is False
+    assert doc["stop"] == "iterations"
     assert doc["timed_out"] is False
     assert doc["classification"] == "non-trivial"
     assert doc["eliminated_traces"] == [{"trace": "c1(c2,c5)", "feasible": True}]
@@ -61,14 +61,15 @@ def test_json_report(capsys):
     eq = next(k for k in disjunct if k["rel"] == "=")
     assert eq["coeffs"] in ({"A": 1, "B": 1, "N": -3}, {"A": -1, "B": -1, "N": 3})
     assert doc["precondition_text"]
+    assert doc["check_seconds"] == 0.0
     assert doc["final_seconds"] >= 0 and doc["classify_seconds"] >= 0
 
 
 def test_text_report_times_the_work_after_the_steps(capsys):
     code, out, _ = run(capsys, "analyze", path("counter_loop.chc"), "--iterations", "1")
     assert code == 0
-    (line,) = [l for l in out.splitlines() if l.startswith("after the steps:")]
-    assert "final " in line and "classify " in line
+    (line,) = [l for l in out.splitlines() if l.startswith("outside the steps:")]
+    assert "round checks " in line and "final " in line and "classify " in line
 
 
 def test_missing_file(capsys):
@@ -125,7 +126,7 @@ def test_timeout_exit_code(capsys):
         capsys, "analyze", path("fig1.chc"), "--timeout", "1e-9"
     )
     assert code == 3
-    assert "(timeout, fell back)" in out
+    assert "iterations used: 0 of 3 (stop: timeout)\n" in out
     assert "warning:" in out
 
 
@@ -276,10 +277,21 @@ def test_dump_pe_strip_init(capsys, tmp_path):
 def test_text_report_says_when_it_stopped_early(capsys):
     code, out, _ = run(capsys, "analyze", path("already_safe.chc"))
     assert code == 0
-    assert (
-        "iterations used: 0 of 3 (stopped early: no counterexample within the node bound)\n"
-        in out
-    )
+    assert "iterations used: 0 of 3 (stop: no-counterexample)\n" in out
+
+
+@pytest.mark.parametrize(
+    "name, used, stop",
+    [("fig1.chc", 1, "unchanged"), ("already_safe.chc", 0, "no-counterexample")],
+)
+def test_both_report_forms_say_why_the_run_stopped(capsys, name, used, stop):
+    code, out, _ = run(capsys, "analyze", path(name), "--iterations", "4")
+    assert code == 0
+    assert f"iterations used: {used} of 4 (stop: {stop})\n" in out
+    code, out, _ = run(capsys, "analyze", path(name), "--iterations", "4", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["iterations_used"], doc["stop"], doc["timed_out"]) == (used, stop, False)
 
 
 def test_unknown_dump_choice_rejected(capsys):

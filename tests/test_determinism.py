@@ -27,7 +27,7 @@ runs += [(t, PipelineConfig(iterations=1)) for t in gen]
 for text, cfg in runs:
     r = run_pipeline(parse_program(text), cfg)
     print("precondition", r.precondition)
-    print(r.classification, r.iterations_used, r.timed_out, r.early_stop, r.warnings)
+    print(r.classification, r.iterations_used, r.timed_out, r.stop, r.warnings)
     for s in r.steps:
         print("step", s.label, s.feasible, s.trace, "swp", s.swp)
         print(format_program(s.program), end="")

@@ -24,8 +24,10 @@ from chcprecond.linarith import (
     implies_dnf,
     make_dnf,
 )
+from chcprecond.parser import parse_program
+from chcprecond.simplex import Budget, Undecided
 
-from helpers import conj_from, dnf_of_conj, holds_dnf, load
+from helpers import conj_from, dnf_of_conj, gen_multivar_texts, holds_dnf, load, oracle
 
 A, B, I, N = Var("A"), Var("B"), Var("I"), Var("N")
 
@@ -46,7 +48,7 @@ def test_one_round_splits_the_initial_state():
     r = run_pipeline(load("example_t4.chc"), PipelineConfig(iterations=1))
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs"]
     assert r.iterations_used == 1
-    assert not r.timed_out and not r.early_stop
+    assert r.stop == "iterations" and not r.timed_out
     te = r.steps[3]
     assert te.feasible is True
     assert te.trace == "c1(c2,c5)"
@@ -72,24 +74,68 @@ def test_time_after_the_step_loop_is_reported(name, iterations):
     t0 = time.monotonic()
     r = run_pipeline(p, PipelineConfig(iterations=iterations))
     wall = time.monotonic() - t0
-    assert r.final_seconds >= 0 and r.classify_seconds >= 0
-    assert sum(s.seconds for s in r.steps) + r.final_seconds + r.classify_seconds <= wall
+    assert r.check_seconds >= 0 and r.final_seconds >= 0 and r.classify_seconds >= 0
+    outside = r.check_seconds + r.final_seconds + r.classify_seconds
+    assert sum(s.seconds for s in r.steps) + outside <= wall
 
 
 def test_round_step_accounting():
-    r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
+    # generated program 5 changes its precondition in every round
+    p = parse_program(gen_multivar_texts()[5])
+    r = run_pipeline(p, PipelineConfig(iterations=2))
     assert [s.label for s in r.steps] == [
         "input", "pe", "cs", "te", "pe", "cs", "te", "pe", "cs",
     ]
     assert r.iterations_used == 2
+    assert r.stop == "iterations"
     for s in r.steps:
         if s.label == "te":
             assert s.trace is not None
 
 
+def test_a_round_that_leaves_the_precondition_unchanged_ends_the_run():
+    r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=4))
+    assert r.stop == "unchanged"
+    assert r.iterations_used == 1
+    assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs"]
+    # round 1's precondition, the same text a run allowed one round reports
+    one = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=1))
+    assert one.stop == "iterations"
+    assert r.precondition == one.precondition
+    assert r.program == one.program
+    assert r.check_seconds > 0
+
+
+def test_an_undecided_check_keeps_the_run_going(monkeypatch):
+    undecided = []
+
+    def no_nodes(a, b):
+        try:
+            return equiv_dnf(a, b, Budget(0))
+        except Undecided:
+            undecided.append(True)
+            raise
+
+    monkeypatch.setattr(driver_mod, "equiv_dnf", no_nodes)
+    r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
+    assert undecided == [True]
+    assert r.stop == "iterations"
+    assert r.iterations_used == 2
+    assert [s.label for s in r.steps] == [
+        "input", "pe", "cs", "te", "pe", "cs", "te", "pe", "cs",
+    ]
+    assert not r.warnings
+    # round 2's result is sound too: the derivation search finds no way to
+    # false from any point of the box it accepts
+    search = oracle.DerivationSearch(load("fig1.chc"), depth=20, window=200)
+    accepted = [pt for pt in FIG1_BOX if holds_dnf(r.precondition, pt)]
+    assert len(accepted) == 588
+    assert not any(search.reaches_false((pt[A], pt[B])) for pt in accepted)
+
+
 def test_early_stop_when_no_counterexample_left():
     r = run_pipeline(load("already_safe.chc"), PipelineConfig(iterations=2))
-    assert r.early_stop
+    assert r.stop == "no-counterexample"
     assert r.iterations_used == 0
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te"]
     last = r.steps[-1]
@@ -102,7 +148,7 @@ def test_step_plan_is_walked_not_built():
     # the round that stops early comes first; a plan of 3 * 10**18 steps
     # built up front would not fit in memory
     r = run_pipeline(load("already_safe.chc"), PipelineConfig(iterations=10**18))
-    assert r.early_stop
+    assert r.stop == "no-counterexample"
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te"]
 
 
@@ -126,7 +172,7 @@ def test_trivial_when_everything_is_unsafe():
 
 def test_timeout_falls_back_to_input_precondition():
     r = run_pipeline(load("fig1.chc"), PipelineConfig(timeout=1e-9))
-    assert r.timed_out
+    assert r.timed_out and r.stop == "timeout"
     assert r.iterations_used == 0
     assert r.precondition.is_false()
     assert r.classification == "trivial"
@@ -221,14 +267,18 @@ def test_step_swp_is_computed_only_when_read(monkeypatch):
     monkeypatch.setattr(precond_mod, "extract_swp", counting)
     monkeypatch.setattr(driver_mod, "extract_swp", counting)
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
-    # only final_precondition extracts when no step's swp is read
-    assert len(calls) == 1
+    # when no caller reads a step's swp, only round 1's check extracts: it
+    # reads the swp of round 0's cs step and of round 1's, finds the two
+    # preconditions equal and stops, and the report reuses round 1's
+    assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs"]
+    assert calls == [r.steps[5].program, r.steps[2].program]
     swps = [s.swp for s in r.steps]
-    assert len(calls) == 1 + len(r.steps)
+    # the two cs steps' swps were kept, so reading every step adds the others
+    assert len(calls) == len(r.steps)
     assert swps == [real(s.program) for s in r.steps]
     # a second read is served from the cache
     assert [s.swp for s in r.steps] == swps
-    assert len(calls) == 1 + len(r.steps)
+    assert len(calls) == len(r.steps)
 
 
 # -- the run context -------------------------------------------------------------
@@ -241,7 +291,7 @@ def _fields(r):
         r.classification,
         r.iterations_used,
         r.timed_out,
-        r.early_stop,
+        r.stop,
         [(s.label, format_program(s.program), s.feasible, s.trace) for s in r.steps],
         r.warnings,
         format_program(r.program),
@@ -352,12 +402,15 @@ def test_every_capped_projection_warns_although_answers_are_remembered(monkeypat
     assert r.warnings == ("projection exceeded 2 constraints, dropping the loosest",) * 12
 
 
-def test_a_run_keeps_operands_only_for_conjunctions_without_a_point():
+def test_a_run_keeps_operands_only_for_conjunctions_without_a_point(monkeypatch):
     # a conjunction with a point was answered by `satisfiable`, whose cache
     # answers it again, so its operands would never be read; on fig1 at 10
     # iterations 553 of the 701 entries left over were of that kind.  Nor
     # are they read for a false or one-constraint conjunction, which
-    # `satisfiable` answers without a point: 29 of the next 167 entries
+    # `satisfiable` answers without a point: 29 of the next 167 entries.
+    # fig1's round 1 leaves its precondition unchanged; every check here
+    # answers "changed", so that all ten rounds run
+    monkeypatch.setattr(driver_mod, "equiv_dnf", lambda a, b: False)
     p, cfg = load("fig1.chc"), PipelineConfig(iterations=10)
     linarith_mod.satisfiable.cache_clear()
     run = Run()
@@ -366,6 +419,7 @@ def test_a_run_keeps_operands_only_for_conjunctions_without_a_point():
         report = driver_mod._run(p, cfg, run)
     finally:
         RUN.reset(token)
+    assert report.iterations_used == 10
     assert not run.parents.keys() & run.models.keys()
     assert all(len(c) > 1 for c in run.parents)
     assert len(run.parents) < 150

@@ -28,7 +28,7 @@ def test_deadline_after_second_te_falls_back_to_round_one(monkeypatch):
     r = run_pipeline(load("example_t4.chc"), PipelineConfig(iterations=3, timeout=600))
     monkeypatch.undo()
 
-    assert r.timed_out and not r.early_stop
+    assert r.timed_out and r.stop == "timeout"
     # the partial round's te step is reported, but its result is discarded
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs", "te"]
     assert r.steps[-1].trace is not None

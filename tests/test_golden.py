@@ -4,8 +4,8 @@ The reported precondition is pinned byte for byte, so a change that only
 speeds up the algebra underneath cannot alter what a user reads.  A text
 may change only to an integer-equivalent one: the text it replaces is kept
 as a `BEFORE_*` entry, and `equiv_dnf` must hold between the two.  A text
-replaced once more moves on to an `OLDER_*` entry and must stay equivalent
-to the pinned one.
+replaced once more moves on to an `OLDER_*` entry, and one replaced twice
+more to an `OLDEST_*` entry; each must stay equivalent to the pinned one.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from chcprecond.linarith import equiv_dnf
 from helpers import load, parse_dnf
 
 # the texts before conjunctions kept one interval per coefficient row
-OLDER_FIG1_AT_3 = (
+OLDEST_FIG1_AT_3 = (
     "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
     "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
     "(A >= 101, B =< 7, B =< 5, B =< 3, B =< 1) ; "
@@ -29,7 +29,7 @@ OLDER_FIG1_AT_3 = (
     "(B =< 7, B =< 5, B =< 3, B =< 1, B =< -1)"
 )
 
-OLDER_FIG1_AT_4 = (
+OLDEST_FIG1_AT_4 = (
     "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
     "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
     "(A >= 101, B =< 9, B =< 7, B =< 5, B =< 3, B =< 1) ; "
@@ -45,7 +45,7 @@ OLDER_FIG1_AT_4 = (
 
 # the texts before a piece that misses a trace's theta stayed whole, and
 # before each final disjunct dropped its redundant constraints
-BEFORE_FIG1_AT_3 = (
+OLDER_FIG1_AT_3 = (
     "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
     "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
     "(A >= 101, B =< 1) ; "
@@ -54,12 +54,31 @@ BEFORE_FIG1_AT_3 = (
     "(B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
 )
 
-BEFORE_FIG1_AT_4 = (
+OLDER_FIG1_AT_4 = (
     "(2*A + B >= 201, 2*A - B >= 201, A >= 101) ; "
     "(2*A + B >= 201, 2*A - B =< 199, B >= 1) ; "
     "(A >= 101, B =< 1) ; "
     "(A =< 99, 2*A - B =< 199, 2*A + B =< 199) ; "
     "(A =< 99, B =< 1) ; "
+    "(B = 9) ; (B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
+)
+
+# the texts before a run stopped at a round that left the precondition
+# unchanged; fig1's is the same integer set at every round
+BEFORE_FIG1_AT_3 = (
+    "(2*A + B >= 201, 2*A - B =< 199) ; "
+    "(2*A - B >= 201) ; "
+    "(A =< 99, 2*A + B =< 199, B =< 3) ; "
+    "(2*A - B =< 199, 2*A + B =< 199) ; "
+    "(B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
+)
+
+BEFORE_FIG1_AT_4 = (
+    "(2*A + B >= 201, 2*A - B =< 199) ; "
+    "(2*A + B >= 201, B =< 1) ; "
+    "(2*A - B >= 201) ; "
+    "(2*A - B =< 199, 2*A + B =< 199) ; "
+    "(2*A + B =< 199, B =< 5) ; "
     "(B = 9) ; (B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
 )
 
@@ -69,21 +88,14 @@ BEFORE_AT_DEFAULTS = {
     "fig1.chc": BEFORE_FIG1_AT_3,
 }
 
-FIG1_AT_3 = (
+# fig1 stops after round 1 at 3 and at 4 iterations: round 2 leaves the
+# precondition unchanged
+FIG1_AT_1 = (
     "(2*A + B >= 201, 2*A - B =< 199) ; "
     "(2*A - B >= 201) ; "
-    "(A =< 99, 2*A + B =< 199, B =< 3) ; "
+    "(A =< 99, B =< 1) ; "
     "(2*A - B =< 199, 2*A + B =< 199) ; "
-    "(B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
-)
-
-FIG1_AT_4 = (
-    "(2*A + B >= 201, 2*A - B =< 199) ; "
-    "(2*A + B >= 201, B =< 1) ; "
-    "(2*A - B >= 201) ; "
-    "(2*A - B =< 199, 2*A + B =< 199) ; "
-    "(2*A + B =< 199, B =< 5) ; "
-    "(B = 9) ; (B = 7) ; (B = 5) ; (B = 3) ; (B = 1) ; (B =< -1)"
+    "(B = 1) ; (B =< -1)"
 )
 
 # every corpus program at the default settings
@@ -95,7 +107,7 @@ AT_DEFAULTS = {
     "cs_example.chc": "(A - B >= 1) ; (A =< -1) ; (A - B =< -1)",
     "example_t4.chc": "A + B - 3*N = 0, I - N >= 0",
     "example_t4_cs0.chc": "A - D >= 0, B + C - 3*D = 0",
-    "fig1.chc": FIG1_AT_3,
+    "fig1.chc": FIG1_AT_1,
     "no_safe_states.chc": "false",
     "two_inits.chc": "(A >= 1) ; (A =< -1)",
 }
@@ -108,17 +120,17 @@ def test_corpus_precondition_text(name):
 
 def test_fig1_at_four_iterations_text():
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=4))
-    assert r.iterations_used == 4
-    assert str(r.precondition) == FIG1_AT_4
+    assert r.iterations_used == 1
+    assert str(r.precondition) == FIG1_AT_1
 
 
 # each changed text against the one it replaced
 CHANGED = {name: (BEFORE_AT_DEFAULTS[name], AT_DEFAULTS[name]) for name in BEFORE_AT_DEFAULTS}
-CHANGED["fig1.chc at 4 iterations"] = (BEFORE_FIG1_AT_4, FIG1_AT_4)
-# each text replaced twice against the pinned one
+CHANGED["fig1.chc at 4 iterations"] = (BEFORE_FIG1_AT_4, FIG1_AT_1)
+# each text replaced more than once, oldest first, against the pinned one
 OLDER = {
-    "fig1.chc": (OLDER_FIG1_AT_3, FIG1_AT_3),
-    "fig1.chc at 4 iterations": (OLDER_FIG1_AT_4, FIG1_AT_4),
+    "fig1.chc": ((OLDEST_FIG1_AT_3, OLDER_FIG1_AT_3), FIG1_AT_1),
+    "fig1.chc at 4 iterations": ((OLDEST_FIG1_AT_4, OLDER_FIG1_AT_4), FIG1_AT_1),
 }
 
 
@@ -131,6 +143,7 @@ def test_changed_text_is_integer_equivalent_to_the_one_before(name):
 
 @pytest.mark.parametrize("name", sorted(OLDER))
 def test_older_text_is_integer_equivalent_to_the_current_one(name):
-    older, now = OLDER[name]
-    assert older != now
-    assert equiv_dnf(parse_dnf(older), parse_dnf(now))
+    olders, now = OLDER[name]
+    for older in olders:
+        assert older != now
+        assert equiv_dnf(parse_dnf(older), parse_dnf(now))

@@ -82,7 +82,7 @@ def test_final_precondition_conjoins_side_conditions():
         ":- initial(i/1).\nc1. i(A) :- A >= 0.\nc2. false :- i(A).\n"
     )
     theta = conj_from([({A: 1}, -3, ">=")])
-    got = final_precondition(p, [theta])
+    got = final_precondition(extract_swp(p), [theta])
     assert equiv_dnf(got, dnf_of_conj(conj_from([({A: 1}, 1, "<=")])))
 
 

@@ -11,7 +11,6 @@ nor `simplex`.  Draw 11 also runs in this process, so that `implies_dnf`
 can compare one of its intermediate preconditions with an older form.
 """
 
-import importlib.util
 import itertools
 import json
 import os
@@ -37,12 +36,7 @@ from chcprecond.linarith import (
 from chcprecond.parser import parse_program
 from chcprecond.precond import extract_swp
 
-from helpers import gen_twoloop_texts, parse_dnf
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-_spec = importlib.util.spec_from_file_location("bench_oracle", BENCH / "oracle.py")
-oracle = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
+from helpers import gen_twoloop_texts, oracle, parse_dnf
 
 # seconds for all twelve programs, and for draw 11 alone; both run in well
 # under a second on a 2-CPU x86_64 machine
