@@ -99,7 +99,6 @@ def _report_json(args: argparse.Namespace, rep: PipelineReport) -> dict:
             {"label": s.label, "seconds": s.seconds, "swp": _dnf_json(s.swp)}
             for s in rep.steps
         ],
-        "check_seconds": rep.check_seconds,
         "final_seconds": rep.final_seconds,
         "classify_seconds": rep.classify_seconds,
         "eliminated_traces": [
@@ -123,10 +122,7 @@ def _print_text(args: argparse.Namespace, rep: PipelineReport) -> None:
         if s.label == "te" and s.trace is not None:
             line += f"  {s.trace}  [{'feasible' if s.feasible else 'infeasible'}]"
         print(line)
-    print(
-        f"outside the steps: round checks {rep.check_seconds:.3f}s, "
-        f"final {rep.final_seconds:.3f}s, classify {rep.classify_seconds:.3f}s"
-    )
+    print(f"after the steps: final {rep.final_seconds:.3f}s, classify {rep.classify_seconds:.3f}s")
     for w in rep.warnings:
         print(f"warning: {w}")
 

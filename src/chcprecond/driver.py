@@ -9,11 +9,13 @@ precondition at the end.
 `iterations` is an upper bound on the rounds.  A run stops before it when
 no counterexample is left within the node bound, or when a round leaves
 the precondition unchanged: after round k >= 1, while another round is
-allowed, round k's precondition is compared with round k-1's by integer
-equivalence (`equiv_dnf`), and an equal pair ends the run with round k's.
-Every round's result is sound, so stopping only gives up what a later
-round might still have found; an undecided comparison keeps the run going.
-The report's `stop` names the reason.
+allowed, the initial states round k excludes (its initial facts and side
+conditions, whose integer complement is its precondition) are compared
+with round k-1's by integer equivalence (`equiv_dnf`), and an equal pair
+ends the run with round k's precondition.  Every round's result is sound,
+so stopping only gives up what a later round might still have found; an
+undecided comparison keeps the run going.  The report's `stop` names the
+reason.
 
 The wall clock is checked between transformation steps, and the time of the
 round checks counts against it; when time runs out mid-round the partial
@@ -24,8 +26,8 @@ reported through `linarith.warn`, which appends to the run's own `Run`;
 the report's `warnings` are that list, in order.
 
 Each step keeps the program it produced, and its precondition (`swp`) is
-computed only when it is read: by the round check, by the final
-precondition, or by a caller.  A step's `seconds` is its transformation
+computed only when it is read: a run that reports just the final
+precondition extracts once, and a step's `seconds` is its transformation
 alone.
 """
 
@@ -38,7 +40,7 @@ from typing import NamedTuple, Optional
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, equiv_dnf, warn
+from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, equiv_dnf, make_dnf, warn
 from .pe import pe_run
 from .precond import classify, extract_swp, final_precondition
 from .simplex import Undecided
@@ -100,11 +102,7 @@ class StepRecord(_StepRecordFields):
 
 
 class _Round:
-    """A completed round: its last step, side conditions and number.
-
-    Its precondition is read on first access and then kept, so a round
-    compared twice, or compared and then reported, computes it once.
-    """
+    """A completed round: its last step, side conditions and number."""
 
     def __init__(self, step: StepRecord, thetas: tuple[ConstraintConj, ...], number: int):
         self.step = step
@@ -112,8 +110,20 @@ class _Round:
         self.number = number
 
     @cached_property
-    def precondition(self) -> DNF:
-        return final_precondition(self.step.swp, self.thetas)
+    def excluded(self) -> DNF:
+        """The initial states the round's precondition leaves out.
+
+        These are its program's initial facts and the side conditions.
+        `extract_swp` complements the facts and `final_precondition`
+        subtracts the side conditions, both exactly over the integers up to
+        the negation cap, and the simplification after keeps the integer
+        set.  So two rounds have the same precondition iff they exclude the
+        same integer points, and the round check compares these instead:
+        it reads no complement, so it neither pays for `negate_dnf` nor
+        compares truncated sets.  The value is kept, so a round compared
+        twice computes it once.
+        """
+        return make_dnf((*initial_constraint_dnf(self.step.program), *self.thetas))
 
 
 class PipelineReport(NamedTuple):
@@ -123,10 +133,8 @@ class PipelineReport(NamedTuple):
     round ran, `no-counterexample` when none was left within the node
     bound, `unchanged` when a round left the precondition as it was, and
     `timeout` when the wall clock ran out.  `steps` times the
-    transformations; `check_seconds` is the time of the round checks
-    between them, precondition reads included.  `final_seconds` is the time
-    to read the precondition off the last completed round after the step
-    loop, about zero when a round check already read it, and
+    transformations; `final_seconds` is the time to read the precondition
+    off the last completed round after the step loop, and
     `classify_seconds` the time to compare it with the program's own
     initial condition.
     """
@@ -139,7 +147,6 @@ class PipelineReport(NamedTuple):
     steps: tuple[StepRecord, ...]
     warnings: tuple[str, ...]
     program: Program
-    check_seconds: float
     final_seconds: float
     classify_seconds: float
 
@@ -187,7 +194,6 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
 
     cur = p
     stop = "iterations"
-    check_seconds = 0.0
     # the last completed round; the unspecialised program is itself a sound
     # fallback
     last = _Round(steps[0], (), 0)
@@ -221,12 +227,13 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
             prev, last = last, _Round(steps[-1], tuple(thetas), k // 3)
             # the last allowed round needs no check: the run ends there anyway
             if 0 < last.number < cfg.iterations:
-                t0 = time.monotonic()
+                # on every program tested, a round that changed the
+                # precondition excluded fewer states than the one before,
+                # so the inclusion that fails on a change is tried first
                 try:
-                    unchanged = equiv_dnf(last.precondition, prev.precondition)
+                    unchanged = equiv_dnf(prev.excluded, last.excluded)
                 except Undecided:
                     unchanged = False
-                check_seconds += time.monotonic() - t0
                 if unchanged:
                     stop = "unchanged"
                     break
@@ -238,7 +245,7 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
         warn(f"timeout: falling back to iteration {last.number} result")
 
     t0 = time.monotonic()
-    pre = last.precondition
+    pre = final_precondition(last.step.swp, last.thetas)
     t1 = time.monotonic()
     cls = classify(pre, original)
     t2 = time.monotonic()
@@ -251,7 +258,6 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
         steps=tuple(steps),
         warnings=tuple(run.warnings),
         program=last.step.program,
-        check_seconds=check_seconds,
         final_seconds=t1 - t0,
         classify_seconds=t2 - t1,
     )

@@ -74,8 +74,8 @@ def test_time_after_the_step_loop_is_reported(name, iterations):
     t0 = time.monotonic()
     r = run_pipeline(p, PipelineConfig(iterations=iterations))
     wall = time.monotonic() - t0
-    assert r.check_seconds >= 0 and r.final_seconds >= 0 and r.classify_seconds >= 0
-    outside = r.check_seconds + r.final_seconds + r.classify_seconds
+    assert r.final_seconds >= 0 and r.classify_seconds >= 0
+    outside = r.final_seconds + r.classify_seconds
     assert sum(s.seconds for s in r.steps) + outside <= wall
 
 
@@ -103,7 +103,6 @@ def test_a_round_that_leaves_the_precondition_unchanged_ends_the_run():
     assert one.stop == "iterations"
     assert r.precondition == one.precondition
     assert r.program == one.program
-    assert r.check_seconds > 0
 
 
 def test_an_undecided_check_keeps_the_run_going(monkeypatch):
@@ -117,7 +116,9 @@ def test_an_undecided_check_keeps_the_run_going(monkeypatch):
             raise
 
     monkeypatch.setattr(driver_mod, "equiv_dnf", no_nodes)
-    r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
+    # counter_loop stops after round 1 when the check is decided, and its
+    # check needs a branch-and-bound node; fig1's is decided without one
+    r = run_pipeline(load("counter_loop.chc"), PipelineConfig(iterations=2))
     assert undecided == [True]
     assert r.stop == "iterations"
     assert r.iterations_used == 2
@@ -126,11 +127,26 @@ def test_an_undecided_check_keeps_the_run_going(monkeypatch):
     ]
     assert not r.warnings
     # round 2's result is sound too: the derivation search finds no way to
-    # false from any point of the box it accepts
-    search = oracle.DerivationSearch(load("fig1.chc"), depth=20, window=200)
-    accepted = [pt for pt in FIG1_BOX if holds_dnf(r.precondition, pt)]
-    assert len(accepted) == 588
-    assert not any(search.reaches_false((pt[A], pt[B])) for pt in accepted)
+    # false from any point it accepts, and it accepts every safe point
+    search = oracle.DerivationSearch(load("counter_loop.chc"), depth=40, window=8)
+    accepted = [a for a in range(-30, 31) if holds_dnf(r.precondition, {A: a})]
+    assert accepted == list(range(-30, 0))
+    assert not any(search.reaches_false((a,)) for a in accepted)
+    assert all(search.reaches_false((a,)) for a in range(0, 31))
+
+
+def test_the_check_compares_no_truncated_complement(monkeypatch):
+    # with every complement cut to one piece, a check on preconditions
+    # would compare truncated sets; the check compares what each round
+    # excludes, which needs no complement, so it decides on exact sets,
+    # warns nothing, and the run reports what a run allowed one round
+    # does, warnings included
+    monkeypatch.setattr(linarith_mod, "NEGATION_CAP", 1)
+    r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
+    one = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=1))
+    assert r.stop == "unchanged" and r.iterations_used == 1
+    assert r.warnings == one.warnings == ("negation exceeded 1 disjuncts, truncating",)
+    assert r.precondition == one.precondition
 
 
 def test_early_stop_when_no_counterexample_left():
@@ -231,6 +247,9 @@ FIG1_BOX = [{A: a, B: b} for a in range(90, 111) for b in range(-4, 25)]
 
 @pytest.mark.parametrize("cap, accepted", [(1, 156), (2, 440), (4, 586)])
 def test_negation_cap_truncates_to_a_sound_subset(monkeypatch, cap, accepted):
+    # all four rounds run: the stop rule would end fig1 after round 1, whose
+    # complement never grows past four pieces
+    monkeypatch.setattr(driver_mod, "equiv_dnf", lambda a, b: False)
     cfg = PipelineConfig(iterations=4)
     full = run_pipeline(load("fig1.chc"), cfg).precondition
     monkeypatch.setattr(linarith_mod, "NEGATION_CAP", cap)
@@ -267,13 +286,13 @@ def test_step_swp_is_computed_only_when_read(monkeypatch):
     monkeypatch.setattr(precond_mod, "extract_swp", counting)
     monkeypatch.setattr(driver_mod, "extract_swp", counting)
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
-    # when no caller reads a step's swp, only round 1's check extracts: it
-    # reads the swp of round 0's cs step and of round 1's, finds the two
-    # preconditions equal and stops, and the report reuses round 1's
+    # only final_precondition extracts when no step's swp is read: round 1's
+    # check compares what rounds 0 and 1 exclude, which takes no swp, finds
+    # it the same and stops
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs"]
-    assert calls == [r.steps[5].program, r.steps[2].program]
+    assert calls == [r.steps[5].program]
     swps = [s.swp for s in r.steps]
-    # the two cs steps' swps were kept, so reading every step adds the others
+    # the last step's swp was kept, so reading every step adds the others
     assert len(calls) == len(r.steps)
     assert swps == [real(s.program) for s in r.steps]
     # a second read is served from the cache
