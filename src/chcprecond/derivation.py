@@ -22,7 +22,6 @@ from typing import Iterator, NamedTuple, Optional
 from .core import Atom, Pred, Program, rename_clause
 from .linarith import (
     ConstraintConj,
-    TRUE_CONJ,
     Var,
     conj_and,
     make_conj,
@@ -238,17 +237,9 @@ def _trees_for_list(p: Program, atoms: tuple[Atom, ...], size: int, acc: Constra
 
 
 def iter_and_trees(
-    p: Program,
-    max_nodes: int,
-    root: Optional[Pred] = None,
-    prune: bool = True,
+    p: Program, max_nodes: int, prune: bool = True
 ) -> Iterator[tuple[AndTree, ConstraintConj]]:
-    """Complete AND-trees in increasing node count.
-
-    With the default root the trees derive `false` through the goal clauses;
-    passing a predicate enumerates derivations of that predicate instead
-    (used by the query-answer adequacy checks).
-    """
+    """Complete AND-trees for `false`, through the goal clauses, in increasing node count."""
     masks = _size_masks(p, max_nodes)
     for n in range(1, max_nodes + 1):
         counter = itertools.count(1)
@@ -256,18 +247,14 @@ def iter_and_trees(
         def fresh() -> Var:
             return Var(f"T{next(counter)}")
 
-        if root is None:
-            for cl in p.goal_clauses():
-                if len(cl.body) > n - 1:
-                    continue
-                constr, body = rename_clause(cl, None, fresh)
-                if prune and not satisfiable(constr):
-                    continue
-                for children, acc in _trees_for_list(p, body, n - 1, constr, prune, fresh, masks):
-                    yield AndTree(cl.cid, None, constr, tuple(children)), acc
-        else:
-            atom = Atom(root, tuple(Var(f"R{i}") for i in range(root.arity)))
-            yield from _trees_for_atom(p, atom, n, TRUE_CONJ, prune, fresh, masks)
+        for cl in p.goal_clauses():
+            if len(cl.body) > n - 1:
+                continue
+            constr, body = rename_clause(cl, None, fresh)
+            if prune and not satisfiable(constr):
+                continue
+            for children, acc in _trees_for_list(p, body, n - 1, constr, prune, fresh, masks):
+                yield AndTree(cl.cid, None, constr, tuple(children)), acc
 
 
 def find_counterexample(p: Program, max_nodes: int = 40) -> Optional[tuple[AndTree, bool]]:

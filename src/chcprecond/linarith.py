@@ -28,13 +28,10 @@ top and may raise `Undecided` when the node budget runs out.  Projection is
 exact Fourier-Motzkin over the rationals with Gaussian elimination through
 equalities first, which keeps the common cases small.
 
-Entailment and the redundancy sweep first try two certificates read off the
-constraints' syntax, and build a tableau only when neither settles the
-question.  A bound on the same signed row at least as tight entails a
-constraint outright.  And by Farkas' lemma a satisfiable conjunction entails
-`a.x + b <= 0` only if some row carries each variable of `a` with the sign
-`a` gives it, an equality carrying both; when one is missing, the answer is
-that of `satisfiable`, whose cache has usually seen the conjunction.
+Entailment builds a tableau only when the constraints' syntax leaves the
+question open: a bound on the same signed row at least as tight entails a
+constraint outright.  The redundancy sweep asks one tableau about every
+constraint of a conjunction.
 
 Within one `run_pipeline` call, `project`, `_drop_redundant` and
 `_entails_one` remember their answers in the `Run` that `RUN` holds, since
@@ -57,7 +54,6 @@ to the current run's `warnings` and prints it to stderr outside a run.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from contextvars import ContextVar
 from functools import lru_cache, total_ordering
 from math import gcd
@@ -110,10 +106,6 @@ class LinConstraint(NamedTuple):
     def __str__(self) -> str:
         return format_constraint(self)
 
-
-# a sign-normalised row (first coefficient positive) -> its `[lo, hi]`
-# bounds, None for a side without one
-RowBounds = dict[tuple[tuple[Var, int], ...], list]
 
 TRUE_K = LinConstraint((), 0, "<=")
 FALSE_K = LinConstraint((), 1, "<=")
@@ -196,20 +188,13 @@ class ConstraintConj:
     A conjunction equals only another conjunction, and conjunctions order
     by their constraint tuples.  They are hashed in every `satisfiable`
     cache lookup and DNF set, so the hash is computed once and kept.
-    `_rows` maps each sign-normalised row to its `[lo, hi]` bounds (see
-    `RowBounds`); `make_conj` and `conj_and` pass the map they built, and
-    `row_bounds` builds it on first use for the others.  A map is never
-    changed once made, so conjunctions may share it and its lists.
     """
 
-    __slots__ = ("constraints", "_hash", "_rows")
+    __slots__ = ("constraints", "_hash")
 
-    def __init__(
-        self, constraints: tuple[LinConstraint, ...], rows: Optional[RowBounds] = None
-    ) -> None:
+    def __init__(self, constraints: tuple[LinConstraint, ...]) -> None:
         self.constraints = constraints
         self._hash = hash((constraints,))
-        self._rows = rows
 
     def __hash__(self) -> int:
         return self._hash
@@ -256,7 +241,9 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
     Each row keeps the tightest bound on each side; bounds that meet make an
     equality, and bounds that cross make the conjunction false.
     """
-    bounds: RowBounds = {}
+    # sign-normalised row (first coefficient positive) -> its `[lo, hi]`
+    # bounds, None for a side without one
+    bounds: dict[tuple[tuple[Var, int], ...], list] = {}
     for k in constraints:
         if not k.coeffs:
             if is_false_constraint(k):
@@ -274,18 +261,10 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
         if hi is not None and (cur[1] is None or hi < cur[1]):
             cur[1] = hi
     out: list[LinConstraint] = []
-    if not _emit(bounds, out):
-        return FALSE_CONJ
-    out.sort()
-    return ConstraintConj(tuple(out), bounds)
-
-
-def _emit(bounds: RowBounds, out: list[LinConstraint]) -> bool:
-    """Append each row's constraints to `out`; False when some row's bounds cross."""
     for row, (lo, hi) in bounds.items():
         if lo is not None and hi is not None:
             if lo > hi:
-                return False
+                return FALSE_CONJ
             if lo == hi:
                 out.append(LinConstraint(row, -lo, "="))
                 continue
@@ -293,32 +272,24 @@ def _emit(bounds: RowBounds, out: list[LinConstraint]) -> bool:
             out.append(LinConstraint(row, -hi, "<="))
         if lo is not None:
             out.append(LinConstraint(tuple((v, -c) for v, c in row), lo, "<="))
-    return True
-
-
-def row_bounds(c: ConstraintConj) -> RowBounds:
-    """The row -> `[lo, hi]` map of a canonical c, built on first use."""
-    if c._rows is None:
-        c._rows = make_conj(c.constraints)._rows
-    return c._rows
+    out.sort()
+    return ConstraintConj(tuple(out))
 
 
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
-    """`make_conj(a.constraints + b.constraints)` of two canonical operands.
+    """`make_conj(a.constraints + b.constraints)`; a true or false operand decides it.
 
-    The rows of the shorter operand are folded into the longer one's map,
-    and the longer operand comes back when they add nothing.  A row of the
-    shorter one's own adds its constraints as they are.  A shared row that
-    one of them tightens gets a copy of its `[lo, hi]` bounds, and only its
-    constraints are emitted again; the longer operand's others stay.
+    Within a run the result, unless it has a point already, remembers a and
+    b as its parents, whose points `satisfiable` tries first.
     """
-    big, small = (a, b) if len(a) >= len(b) else (b, a)
-    if not small.constraints:
-        c = big
-    elif big.constraints[0] == FALSE_K or small.constraints[0] == FALSE_K:
+    if not b.constraints:
+        c = a
+    elif not a.constraints:
+        c = b
+    elif a.is_false() or b.is_false():
         c = FALSE_CONJ
     else:
-        c = _fold(big, small)
+        c = make_conj(a.constraints + b.constraints)
     run = RUN.get()
     if run is not None and len(c) > 1 and c not in run.models:
         # a point of a or b may lie in c too; `satisfiable` tries them.  It
@@ -326,52 +297,6 @@ def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
         # a c with a point of its own was answered, and its answer is cached
         run.parents[c] = (a, b)
     return c
-
-
-def _fold(big: ConstraintConj, small: ConstraintConj) -> ConstraintConj:
-    rows = row_bounds(big)
-    added: RowBounds = {}
-    tight: RowBounds = {}
-    extra = []
-    for k in small.constraints:
-        row, edge = k.coeffs, -k.const
-        if row[0][1] > 0:
-            lo, hi = (edge if k.rel == "=" else None), edge
-        else:
-            row, lo, hi = tuple((v, -c) for v, c in row), -edge, None
-        cur = rows.get(row)
-        if cur is None:
-            # a row of small's own, which holds at most one bound per side
-            extra.append(k)
-            cur = added.get(row)
-            if cur is not None:
-                lo, hi = (cur[0], hi) if lo is None else (lo, cur[1])
-            added[row] = [lo, hi]
-            continue
-        up = lo is not None and (cur[0] is None or lo > cur[0])
-        down = hi is not None and (cur[1] is None or hi < cur[1])
-        if up or down:
-            # big's map is shared, so the tightened bounds go in a copy
-            new = tight.get(row)
-            if new is None:
-                new = tight[row] = list(cur)
-            if up:
-                new[0] = lo
-            if down:
-                new[1] = hi
-    if not tight:
-        if not extra:
-            return big
-        return ConstraintConj(tuple(sorted(big.constraints + tuple(extra))), {**rows, **added})
-    out = extra
-    if not _emit(tight, out):
-        return FALSE_CONJ
-    # big's constraints on the tightened rows give way to those just emitted
-    stale: list[LinConstraint] = []
-    _emit({row: rows[row] for row in tight}, stale)
-    out.extend(j for j in big.constraints if j not in stale)
-    out.sort()
-    return ConstraintConj(tuple(out), {**rows, **added, **tight})
 
 
 def conj_vars(c: ConstraintConj) -> frozenset[Var]:
@@ -553,10 +478,6 @@ def _entails_one(c: ConstraintConj, k: LinConstraint) -> bool:
     point = None if run is None else run.models.get(c)
     if _same_row_bound(c, k):
         ok = True
-    elif not _supplies(c, _signs(k)):
-        # a satisfiable c cannot entail k, and an unsatisfiable one entails
-        # everything
-        ok = not satisfiable(c)
     elif point is not None and not _holds_at(k, point):
         # a point of c violates k
         ok = False
@@ -596,35 +517,12 @@ def _same_row_bound(c: ConstraintConj, k: LinConstraint) -> bool:
     return False
 
 
-def _signs(k: LinConstraint) -> list[tuple[Var, bool]]:
-    """The (variable, sign) pairs that k supplies to a Farkas combination.
-
-    By Farkas' lemma a satisfiable set of rows entails `a.x + b <= 0` only
-    if `a` is a sum of its rows, each inequality taken with a non-negative
-    multiplier and each equality with any.  So for every variable the
-    entailed row mentions, some row must carry it with the same sign.  An
-    inequality supplies the signs of its own coefficients, and an equality
-    both; an entailed equality is two inequalities and needs both too.  So
-    the pairs k supplies are also the pairs entailing k needs.
-    """
-    if k.rel == "=":
-        return [(v, s) for v, _ in k.coeffs for s in (True, False)]
-    return [(v, cf > 0) for v, cf in k.coeffs]
-
-
-def _supplies(c: ConstraintConj, pairs: list[tuple[Var, bool]]) -> bool:
-    """True when the rows of c supply every (variable, sign) pair given."""
-    have = {p for j in c for p in _signs(j)}
-    return all(p in have for p in pairs)
-
-
-def _drop_redundant(c: ConstraintConj, known_sat: bool = False) -> ConstraintConj:
+def _drop_redundant(c: ConstraintConj) -> ConstraintConj:
     """Drop constraints entailed by the rest.  Rational, so sound.
 
     The constraints are visited in sorted order, and each one entailed by
-    the others still kept is dropped for good.  The answer is remembered for
-    the rest of the run.  A caller that knows c is satisfiable says so with
-    `known_sat`, which spares the check the sign test needs (see `_sweep`).
+    the others still kept is dropped for good (see `_sweep`).  The answer is
+    remembered for the rest of the run.
     """
     if c.is_false() or len(c) <= 1:
         return c
@@ -633,21 +531,16 @@ def _drop_redundant(c: ConstraintConj, known_sat: bool = False) -> ConstraintCon
         hit = run.drop_redundant.get(c)
         if hit is not None:
             return hit
-    out = _sweep(c, known_sat)
+    out = _sweep(c)
     if run is not None:
         run.drop_redundant[c] = out
     return out
 
 
-def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
-    """The redundancy sweep of `_drop_redundant`, on one tableau.
+def _sweep(c: ConstraintConj) -> ConstraintConj:
+    """The redundancy sweep of `_drop_redundant`: a query per constraint, on one tableau.
 
-    A constraint the rest lacks a (variable, sign) pair for (see `_signs`)
-    is not entailed when the rest is satisfiable, and is kept without a
-    query.  The rest is part of c, so that test is used only when c is
-    satisfiable; an unsatisfiable c gets every query.
-
-    All the queries share one tableau.  `c` comes from `make_conj`, so no
+    `c` comes from `make_conj`, so no
     constraint is ground and no two share a signed row.  A constraint on
     one variable with coefficient +-1 bounds that variable; per variable
     there is at most one such upper and one lower bound, or one equality.
@@ -657,14 +550,6 @@ def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
     from the last assignment: k is entailed iff that is infeasible.  A kept
     constraint restores the bounds, and a dropped one clears its side.
     """
-    signs = [_signs(k) for k in c]
-    # how many of the constraints still kept supply each pair
-    supply: Optional[Counter] = Counter(p for ps in signs for p in ps)
-    open_ = [all(supply[p] > 1 for p in ps) for ps in signs]
-    if all(open_) or not (known_sat or satisfiable(c)):
-        supply = None
-    elif not any(open_):
-        return c
     index = _index_vars(c)
     sx = Simplex(len(index))
     lb, ub = sx.lb, sx.ub
@@ -688,10 +573,7 @@ def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
         if hi is not None:
             ub[s] = (hi, 0)
     kept = []
-    for k, ps, (s, lo, hi) in zip(c, signs, sides):
-        if supply is not None and any(supply[p] < 2 for p in ps):
-            kept.append(k)
-            continue
+    for k, (s, lo, hi) in zip(c, sides):
         # k fails above its upper edge and below its lower one.  A bound the
         # rest keeps on the other side lies beyond the edge, since no two
         # canonical bounds on one variable meet or cross, so it holds there
@@ -712,8 +594,6 @@ def _sweep(c: ConstraintConj, known_sat: bool) -> ConstraintConj:
         else:
             # k goes, and with it its side of the bounds
             sx.set_bounds(s, was[0] if lo is None else None, was[1] if hi is None else None)
-            if supply is not None:
-                supply.subtract(ps)
     # a subset of a canonical conjunction is canonical, and still sorted
     return ConstraintConj(tuple(kept))
 
@@ -914,9 +794,8 @@ def _project(
     result = make_conj(work)
     if len(result) <= 60:
         # entailment-based cleanup only; gcd tightening would shrink the
-        # rational shadow and projection promises exactness over rationals.
-        # The projection of a satisfiable system is satisfiable.
-        result = _drop_redundant(result, known_sat=True)
+        # rational shadow and projection promises exactness over rationals
+        result = _drop_redundant(result)
     return result, capped
 
 
@@ -1095,9 +974,9 @@ def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
     return True
 
 
-def equiv_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
-    if budget is None:
-        budget = Budget(DEFAULT_BUDGET_NODES)
+def equiv_dnf(a: DNF, b: DNF) -> bool:
+    """Integer equivalence: `implies_dnf` both ways, on one node budget."""
+    budget = Budget(DEFAULT_BUDGET_NODES)
     return implies_dnf(a, b, budget) and implies_dnf(b, a, budget)
 
 

@@ -70,7 +70,7 @@ def final_precondition(swp: DNF, thetas: Iterable[ConstraintConj]) -> DNF:
     out = swp.disjuncts
     for theta in thetas:
         out = make_dnf(subtract(out, theta)).disjuncts
-    return prune_disjuncts(make_dnf(_drop_redundant(c, known_sat=True) for c in out))
+    return prune_disjuncts(make_dnf(_drop_redundant(c) for c in out))
 
 
 def classify(derived: DNF, original: DNF) -> str:

@@ -15,12 +15,13 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from chcprecond.core import FALSE_PRED, Clause, Pred, Program, initial_constraint_dnf
+from chcprecond.core import FALSE_PRED, Atom, Clause, Pred, Program, initial_constraint_dnf
 from chcprecond.derivation import AndTree, constr_of
 from chcprecond.linarith import (
     DNF,
     DNF_FALSE,
     DNF_TRUE,
+    TRUE_CONJ,
     ConstraintConj,
     LinConstraint,
     Var,
@@ -34,6 +35,7 @@ from chcprecond.linarith import (
     satisfiable,
 )
 from chcprecond.parser import parse_program
+from chcprecond.qa import answer_pred
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -52,6 +54,15 @@ def load(name: str) -> Program:
 
 def corpus_files() -> list[str]:
     return sorted(f.name for f in CORPUS.glob("*.chc"))
+
+
+def with_answer_goal(qa: Program) -> Program:
+    """A QA program plus the goal clause `false :- false#a`.
+
+    Its goal trees are the derivations of `false#a` under one more node.
+    """
+    goal = Clause("answer_goal", None, TRUE_CONJ, (Atom(answer_pred(FALSE_PRED), ()),))
+    return qa.with_clauses((*qa.clauses, goal))
 
 
 def _fixture_texts(name: str) -> list[str]:

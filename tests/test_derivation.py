@@ -9,7 +9,6 @@ import pytest
 
 import chcprecond
 
-from chcprecond.core import Pred
 from chcprecond.derivation import (
     constr_of,
     find_counterexample,
@@ -132,13 +131,6 @@ def test_find_counterexample_none_when_no_goal_tree():
         "c3. false :- i(A), q(A).\n"
     )
     assert find_counterexample(p, max_nodes=8) is None
-
-
-def test_root_atom_enumeration():
-    p = load("fig1.chc")
-    trees = [t for t, _ in iter_and_trees(p, 3, root=Pred("if", 2), prune=False)]
-    assert {str(t.trace()) for t in trees} == {"c2(c1)", "c3(c1)"}
-    assert all(t.atom is not None and t.atom.pred == Pred("if", 2) for t in trees)
 
 
 def test_initial_nodes_order_is_leftmost_outermost():

@@ -119,3 +119,68 @@ def _unused_definitions(package: Path) -> list[str]:
 def test_no_unused_definitions():
     # a public name only the tests call belongs in `tests/helpers.py`
     assert _unused_definitions(Path(chcprecond.__file__).parent) == []
+
+
+# functions whose options callers outside the package pass, besides the names
+# an `__all__` lists, which are the public API
+_CALLED_FROM_OUTSIDE = {
+    "cli.main",  # the console script calls it bare; tests pass `argv`
+}
+
+
+def _unpassed_options(package: Path) -> list[str]:
+    """Optional parameters of the package's functions that no call in it passes.
+
+    A call is matched to a function by name, `f(...)` or `x.f(...)`, and to
+    `__init__` or `__new__` by its class's name.  It passes a parameter by
+    keyword, by position (after a method's `self` or `cls`), or possibly
+    through `*args` or `**kwargs`.
+    """
+    trees = {f.stem: ast.parse(f.read_text(), str(f)) for f in sorted(package.glob("*.py"))}
+    public: set[str] = set()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                public.update(ast.literal_eval(node.value))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    # (qualified name, name calls use, definition, leading parameters calls skip)
+    defs = []
+    for module, tree in trees.items():
+        methods = set()
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for f in cls.body:
+                if isinstance(f, ast.FunctionDef):
+                    methods.add(f)
+                    called_as = cls.name if f.name in ("__init__", "__new__") else f.name
+                    defs.append((f"{module}.{cls.name}.{f.name}", called_as, f, 1))
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef) and f not in methods:
+                defs.append((f"{module}.{f.name}", f.name, f, 0))
+    out = []
+    for qualname, called_as, f, skip in defs:
+        if called_as in public or qualname in _CALLED_FROM_OUTSIDE:
+            continue
+        positional = [a.arg for a in (*f.args.posonlyargs, *f.args.args)]
+        optional = positional[len(positional) - len(f.args.defaults) :]
+        optional += [a.arg for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+        for name in optional:
+            at = positional.index(name) - skip if name in positional else None
+            if not any(
+                any(kw.arg in (name, None) for kw in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or (at is not None and len(call.args) > at)
+                for call in calls.get(called_as, ())
+            ):
+                out.append(f"{qualname}.{name}")
+    return out
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # an option no call in the package passes is dead code or a test hook
+    assert _unpassed_options(Path(chcprecond.__file__).parent) == []

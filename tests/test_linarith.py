@@ -18,10 +18,9 @@ from chcprecond.linarith import (
     Run,
     Var,
     _drop_redundant,
+    _holds_at,
     _sweep,
     _same_row_bound,
-    _signs,
-    _supplies,
     conj_and,
     conj_vars,
     entails,
@@ -36,7 +35,6 @@ from chcprecond.linarith import (
     project,
     rename_conj,
     rename_constraint,
-    row_bounds,
     satisfiable,
     simplify,
 )
@@ -304,8 +302,9 @@ def test_certificates_agree_with_the_simplex():
     decided = Counter()
     for run in (None, Run()):
         # the same draws outside a run and inside one, whose memo answers
-        # the draws that repeat
+        # the draws that repeat and whose witness points answer some
         rng = random.Random(47)
+        satisfiable.cache_clear()
 
         def draw(n):
             return make_conj(
@@ -317,19 +316,22 @@ def test_certificates_agree_with_the_simplex():
         try:
             for _ in range(1500):
                 c, d = draw(rng.randint(1, 6)), draw(rng.randint(1, 2))
-                assert entails(c, d) == entails_by_simplex(c, d), (c, d)
-                assert _drop_redundant(c) == drop_redundant_pairwise(c, entails_by_simplex), c
-                if run is None and not c.is_false():
+                if run is not None and not c.is_false():
+                    # within a run a satisfiable c keeps its tableau's model
+                    point = run.models.get(c) if satisfiable(c) else None
                     for j in d:
                         if _same_row_bound(c, j):
                             decided["same row"] += 1
-                        elif not _supplies(c, _signs(j)):
-                            decided["sign, " + ("sat" if satisfiable(c) else "unsat")] += 1
+                        elif point is not None and not _holds_at(j, point):
+                            decided["witness point"] += 1
                         else:
                             decided["simplex"] += 1
+                assert entails(c, d) == entails_by_simplex(c, d), (c, d)
+                assert _drop_redundant(c) == drop_redundant_pairwise(c, entails_by_simplex), c
         finally:
             RUN.reset(token)
-    assert min(decided.values()) >= 20 and len(decided) == 4, decided
+            satisfiable.cache_clear()
+    assert min(decided.values()) >= 20 and len(decided) == 3, decided
 
 
 # -- witness points --------------------------------------------------------------
@@ -502,7 +504,7 @@ def test_unit_bounds_answer_as_a_slack_per_row_tableau(monkeypatch):
     got = answers()
     monkeypatch.setattr(simplex, "_solver_for", slack_per_row_solver)
     monkeypatch.setattr(
-        linarith, "_sweep", lambda c, known_sat: drop_redundant_pairwise(c, entails_by_simplex)
+        linarith, "_sweep", lambda c: drop_redundant_pairwise(c, entails_by_simplex)
     )
     want = answers()
     satisfiable.cache_clear()
@@ -569,11 +571,27 @@ def test_make_conj_keeps_one_interval_per_row():
     assert merged > 200 and false_seen > 100
 
 
+def _intervals(c):
+    """Each sign-normalised row of a canonical c -> its `[lo, hi]`, None for an open side."""
+    out = {}
+    for j in c:
+        row = _row(j)
+        bounds = out.setdefault(row, [None, None])
+        if j.coeffs != row:
+            # -row + const <= 0 is row >= const
+            bounds[0] = j.const
+        else:
+            bounds[1] = -j.const
+            if j.rel == "=":
+                bounds[0] = -j.const
+    return out
+
+
 def test_conj_and_equals_make_conj_of_both_operands():
     # operands straight from make_conj, and `_sweep` and `rename_conj`
-    # results, whose row maps are built on first use; and partners that
-    # bound an operand's own rows more tightly on both sides, or meet its
-    # one-sided bounds in an equality
+    # results, which are built without it; and partners that bound an
+    # operand's own rows more tightly on both sides, or meet its one-sided
+    # bounds in an equality
     rng = random.Random(61)
     z = Var("z")
     pool = [{x: 1}, {x: -1}, {x: 2}, {x: 1, y: 1}, {x: -1, y: -1}, {x: 1, y: -2},
@@ -587,14 +605,14 @@ def test_conj_and_equals_make_conj_of_both_operands():
         c = make_conj(ks)
         form = rng.randrange(3)
         if form == 1 and len(c) > 1 and satisfiable(c):
-            c, seen["sweep"] = _sweep(c, True), seen["sweep"] + 1
+            c, seen["sweep"] = _sweep(c), seen["sweep"] + 1
         elif form == 2:
             c, seen["rename"] = rename_conj(c, {x: y, y: x}), seen["rename"] + 1
         return c
 
     def partner(a):
         ks = [k(rng.choice(pool), rng.randint(-4, 4)) for _ in range(rng.randint(0, 2))]
-        for row, (lo, hi) in (row_bounds(a) if a != FALSE_CONJ else {}).items():
+        for row, (lo, hi) in (_intervals(a) if a != FALSE_CONJ else {}).items():
             if lo is not None and hi is not None and hi - lo >= 2:
                 # lo + 1 <= row <= hi - 1
                 ks += [k(dict(row), -(hi - 1)), k(dict(row), -(lo + 1), ">=")]
@@ -608,30 +626,25 @@ def test_conj_and_equals_make_conj_of_both_operands():
     def check(a, b):
         got = conj_and(a, b)
         assert got == make_conj(a.constraints + b.constraints), (a, b)
-        assert row_bounds(got) == make_conj(got.constraints)._rows, (a, b)
         assert conj_and(b, a) == got
         if FALSE_CONJ in (a, b):
             return
         rows_a = {_row(j): j for j in a}
         shared = [(rows_a[_row(j)], j) for j in b if _row(j) in rows_a]
-        if got == FALSE_CONJ:
-            seen["crossing"] += 1
-        elif got is a or got is b:
-            seen["an operand"] += 1
-        elif got.constraints == tuple(sorted(set(a) | set(b))):
-            seen["rows added"] += 1
-        else:
-            seen["tightens"] += 1
         seen["equality against negated row"] += any(
             (i.rel == "=") != (j.rel == "=") and i.coeffs != j.coeffs for i, j in shared
         )
         if got == FALSE_CONJ:
+            seen["crossing"] += 1
             return
-        bounds_a, bounds_b = row_bounds(a), row_bounds(b)
-        for row, (lo, hi) in row_bounds(got).items():
+        seen["an operand"] += got in (a, b)
+        bounds_a, bounds_b = _intervals(a), _intervals(b)
+        for row, (lo, hi) in _intervals(got).items():
             ends = [bounds_a.get(row), bounds_b.get(row)]
             if None in ends:
                 continue
+            # a shared row whose interval is neither operand's
+            seen["tightens"] += [lo, hi] not in ends
             # one operand's interval strictly inside the other's
             seen["tightens both sides"] += any(
                 None not in (*i, *j) and j[0] < i[0] and i[1] < j[1] for i, j in (ends, ends[::-1])
@@ -644,7 +657,7 @@ def test_conj_and_equals_make_conj_of_both_operands():
         a, b = operand(), operand()
         check(a, b)
         check(a, partner(a))
-    assert min(seen.values()) > 50 and len(seen) == 9, seen
+    assert min(seen.values()) > 50 and len(seen) == 8, seen
 
 
 def test_implies_dnf_walks_thousands_of_disjuncts_without_recursion():

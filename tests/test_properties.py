@@ -32,7 +32,15 @@ from chcprecond.polyhedra import join, widen
 from chcprecond.qa import GOAL_ID, qa_transform
 from chcprecond.te import eliminate_trace
 
-from helpers import equiv_conj, feasible, grid, holds_conj, holds_dnf, skeleton_language
+from helpers import (
+    equiv_conj,
+    feasible,
+    grid,
+    holds_conj,
+    holds_dnf,
+    skeleton_language,
+    with_answer_goal,
+)
 
 INSTANCES = 300
 
@@ -297,7 +305,6 @@ def test_query_answer_preserves_bounded_derivability():
     # smallest mapped size so the existence check stays constructive while
     # the enumeration stays bounded.
     rng = random.Random(1089)
-    false_a = Pred("false#a", 0)
     for _ in range(INSTANCES):
         p = _rand_source_program(rng)
         qa = qa_transform(p)
@@ -309,9 +316,10 @@ def test_query_answer_preserves_bounded_derivability():
             mapped_sizes.append(_size(qt))
         bound = min(min(mapped_sizes, default=11), 12)
         found = False
-        for tree, _ in iter_and_trees(qa, bound, root=false_a):
+        # the answer goal adds one node above each derivation of false#a
+        for tree, _ in iter_and_trees(with_answer_goal(qa), bound + 1):
             found = True
-            back = _erase(tree.trace())
+            back = _erase(tree.trace().children[0])
             assert feasible(instantiate(p, back)), (p, str(tree.trace()))
         if mapped_sizes and min(mapped_sizes) <= bound:
             assert found

@@ -7,7 +7,7 @@ from chcprecond.derivation import iter_and_trees
 from chcprecond.parser import parse_program
 from chcprecond.qa import GOAL_ID, answer_pred, qa_transform, query_pred
 
-from helpers import load
+from helpers import load, with_answer_goal
 
 
 def test_tags():
@@ -105,7 +105,5 @@ def test_bounded_adequacy_on_small_program():
     p = load("cs_example.chc")
     qa = qa_transform(p)
     has_false = any(True for _ in iter_and_trees(p, 4))
-    has_ans = any(
-        True for _ in iter_and_trees(qa, 12, root=Pred("false#a", 0))
-    )
+    has_ans = any(True for _ in iter_and_trees(with_answer_goal(qa), 13))
     assert has_false and has_ans
