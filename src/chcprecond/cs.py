@@ -29,12 +29,11 @@ the worked examples this code is tested against.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .core import Atom, Clause, Pred, Program, dependency_graph, sccs
 from .linarith import (
     FALSE_CONJ,
-    RUN,
     ConstraintConj,
     Var,
     conj_and,
@@ -56,19 +55,20 @@ def _dims(arity: int) -> tuple[Var, ...]:
     return tuple(Var(f"$a{i}") for i in range(arity))
 
 
-def _at(c: ConstraintConj, atom: Atom) -> ConstraintConj:
+# invariants renamed onto atoms' arguments, kept for one `constraint_specialise`
+Renamed = dict[tuple[ConstraintConj, tuple[Var, ...]], ConstraintConj]
+
+
+def _at(c: ConstraintConj, atom: Atom, memo: Renamed) -> ConstraintConj:
     """c, over the canonical dims, renamed positionally onto the atom's args.
 
-    Within a run the answer is kept in the run, since the worklist and
-    `strengthen` rename the same invariant onto the same atom again and again.
+    The answer is kept in `memo`, since the worklist and `strengthen` rename
+    the same invariant onto the same atom again and again.
     """
-    run = RUN.get()
-    if run is None:
-        return rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
     key = (c, atom.args)
-    out = run.at.get(key)
+    out = memo.get(key)
     if out is None:
-        out = run.at[key] = rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
+        out = memo[key] = rename_conj(c, dict(zip(_dims(len(atom.args)), atom.args)))
     return out
 
 
@@ -103,7 +103,7 @@ class CsResult(NamedTuple):
     deleted: tuple[str, ...] = ()
 
 
-def analyze(qa: Program) -> dict[Pred, ConstraintConj]:
+def analyze(qa: Program, memo: Renamed) -> dict[Pred, ConstraintConj]:
     """Least-fixpoint approximation over the QA program's predicates.
 
     Components go in `sccs` order, each by a worklist over its own clauses:
@@ -114,7 +114,7 @@ def analyze(qa: Program) -> dict[Pred, ConstraintConj]:
     constraints of the state it widens, starts from the hull of them all.
     Only the heads of a component with such a loop widen.  Every
     conjunction in the state is satisfiable; a predicate with none is
-    bottom.
+    bottom.  `memo` keeps the invariants `_at` renames.
     """
     comps = sccs(dependency_graph(qa))
     rank = {pred: r for r, comp in enumerate(comps) for pred in comp}
@@ -138,7 +138,7 @@ def analyze(qa: Program) -> dict[Pred, ConstraintConj]:
             i = worklist.popleft()
             queued.discard(i)
             cl = qa.clauses[i]
-            sp = _clause_post(cl, state)
+            sp = _clause_post(cl, state, memo)
             if sp is None:
                 continue
             head = cl.head.pred
@@ -161,7 +161,7 @@ def analyze(qa: Program) -> dict[Pred, ConstraintConj]:
     return state
 
 
-def _clause_post(cl: Clause, state: dict[Pred, ConstraintConj]):
+def _clause_post(cl: Clause, state: dict[Pred, ConstraintConj], memo: Renamed):
     """Strongest postcondition of one QA clause under the current state."""
     acc = cl.constr
     for b in cl.body:
@@ -169,22 +169,26 @@ def _clause_post(cl: Clause, state: dict[Pred, ConstraintConj]):
         if c is None:
             return None
         if not c.is_true():
-            acc = conj_and(acc, _at(c, b))
+            acc = conj_and(acc, _at(c, b, memo))
     if not satisfiable(acc):
         return None
     # acc is satisfiable, so its projection is too
     return project_onto(acc, cl.head.args, _dims(len(cl.head.args)))
 
 
-def invariants_for(p: Program) -> InvariantMap:
-    state = analyze(qa_transform(p))
+def invariants_for(p: Program, memo: Optional[Renamed] = None) -> InvariantMap:
+    """Call and answer invariants of p's predicates; `memo` as in `analyze`."""
+    state = analyze(qa_transform(p), {} if memo is None else memo)
     call = {pred: state.get(query_pred(pred), FALSE_CONJ) for pred in p.preds()}
     ans = {pred: state.get(answer_pred(pred), FALSE_CONJ) for pred in p.preds()}
     return InvariantMap(call, ans)
 
 
-def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]:
-    """Conjoin invariants per the body-and-fact rule; drop dead clauses."""
+def strengthen(p: Program, inv: InvariantMap, memo: Renamed) -> tuple[Program, tuple[str, ...]]:
+    """Conjoin invariants per the body-and-fact rule; drop dead clauses.
+
+    `memo` keeps the invariants `_at` renames.
+    """
     kept = []
     deleted = []
     for cl in p.clauses:
@@ -194,7 +198,7 @@ def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]
             if cp.is_false() or ap.is_false():
                 constr = FALSE_CONJ
                 break
-            constr = conj_and(conj_and(constr, _at(cp, a)), _at(ap, a))
+            constr = conj_and(conj_and(constr, _at(cp, a, memo)), _at(ap, a, memo))
         if not satisfiable(constr):
             deleted.append(cl.cid)
             continue
@@ -202,7 +206,7 @@ def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]
         if cl.body and cl.head is not None:
             head_call = inv.call_inv(cl.head.pred)
             if head_call.is_false() or not satisfiable(
-                conj_and(constr, _at(head_call, cl.head))
+                conj_and(constr, _at(head_call, cl.head, memo))
             ):
                 deleted.append(cl.cid)
                 continue
@@ -212,6 +216,9 @@ def strengthen(p: Program, inv: InvariantMap) -> tuple[Program, tuple[str, ...]]
 
 
 def constraint_specialise(p: Program) -> CsResult:
-    inv = invariants_for(p)
-    out, deleted = strengthen(p, inv)
+    # the fixpoint and `strengthen` rename the same invariants onto the same
+    # atoms, so one memo serves the whole call
+    memo: Renamed = {}
+    inv = invariants_for(p, memo)
+    out, deleted = strengthen(p, inv, memo)
     return CsResult(out, inv, deleted)

@@ -30,8 +30,10 @@ equalities first, which keeps the common cases small.
 
 Entailment builds a tableau only when the constraints' syntax leaves the
 question open: a bound on the same signed row at least as tight entails a
-constraint outright.  The redundancy sweep asks one tableau about every
-constraint of a conjunction.
+constraint outright.  Otherwise entailment, like the redundancy sweep,
+asks bound queries of one tableau from `simplex._solver_for`: a query
+sets the bounds of a constraint's variable or slack to its strict
+negation, and the constraint can fail iff the query is feasible.
 
 Within one `run_pipeline` call, `project`, `_drop_redundant` and
 `_entails_one` remember their answers in the `Run` that `RUN` holds, since
@@ -59,14 +61,7 @@ from functools import lru_cache, total_ordering
 from math import gcd
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .simplex import (
-    Budget,
-    Row,
-    Simplex,
-    feasible,
-    int_feasible,
-    solve,
-)
+from .simplex import Budget, Row, _solver_for, dmax, dmin, int_feasible, solve
 
 
 DEFAULT_BUDGET_NODES = 100_000
@@ -279,8 +274,8 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
     """`make_conj(a.constraints + b.constraints)`; a true or false operand decides it.
 
-    Within a run the result, unless it has a point already, remembers a and
-    b as its parents, whose points `satisfiable` tries first.
+    Within a run the result, unless the run answered it already, remembers
+    a and b as its parents, whose points `satisfiable` tries first.
     """
     if not b.constraints:
         c = a
@@ -294,7 +289,7 @@ def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
     if run is not None and len(c) > 1 and c not in run.models:
         # a point of a or b may lie in c too; `satisfiable` tries them.  It
         # answers false and one-constraint conjunctions without a point, and
-        # a c with a point of its own was answered, and its answer is cached
+        # a c the run has answered is answered again by its cache
         run.parents[c] = (a, b)
     return c
 
@@ -343,24 +338,21 @@ class Run:
     directly.
 
     `project`, `drop_redundant` and `entails_one` map a call's arguments to
-    its result, and `at` maps an invariant and an atom's arguments to the
-    invariant renamed onto them (`cs._at`).  `models` maps a satisfiable
-    conjunction to a point of it (see `satisfiable`), and `parents` maps a
-    conjunction of two or more constraints that `conj_and` made, and that
-    has no point yet, to its two operands, until `satisfiable` reads it.
-    `warnings` collects what the run gave up, in the order `warn` was called.
+    its result.  `models` maps each conjunction whose tableau or parents
+    `satisfiable` read to a point of it, or to None when it has none (see
+    `satisfiable`), and `parents` maps a conjunction of two or more
+    constraints that `conj_and` made, and that the run has not answered
+    yet, to its two operands, until `satisfiable` reads it.  `warnings`
+    collects what the run gave up, in the order `warn` was called.
     """
 
-    __slots__ = (
-        "project", "drop_redundant", "entails_one", "at", "models", "parents", "warnings"
-    )
+    __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents", "warnings")
 
     def __init__(self) -> None:
         self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
         self.drop_redundant: dict[ConstraintConj, ConstraintConj] = {}
         self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
-        self.at: dict[tuple[ConstraintConj, tuple[Var, ...]], ConstraintConj] = {}
-        self.models: dict[ConstraintConj, Point] = {}
+        self.models: dict[ConstraintConj, Optional[Point]] = {}
         self.parents: dict[ConstraintConj, tuple[ConstraintConj, ConstraintConj]] = {}
         self.warnings: list[str] = []
 
@@ -400,8 +392,8 @@ def satisfiable(c: ConstraintConj) -> bool:
 
     One constraint that is not false is satisfiable.  Within a run a point
     of either operand `conj_and` made c from answers too, once c holds at
-    it; otherwise the tableau decides, and its model is remembered as the
-    point of c.
+    it; otherwise the tableau decides, and its model, or None when there is
+    none, is remembered as the point of c.
     """
     if c.is_false():
         return False
@@ -415,11 +407,9 @@ def satisfiable(c: ConstraintConj) -> bool:
                 run.models[c] = point
                 return True
     point = _solve_point(c)
-    if point is None:
-        return False
     if run is not None:
         run.models[c] = point
-    return True
+    return point is not None
 
 
 def _solve_point(c: ConstraintConj) -> Optional[Point]:
@@ -482,18 +472,38 @@ def _entails_one(c: ConstraintConj, k: LinConstraint) -> bool:
         # a point of c violates k
         ok = False
     else:
-        index = _index_vars((*c, k))
-        rows = [_to_row(j, index) for j in c]
-        combo = _to_row(k, index)[0]
-        # k fails where its negation, a strict inequality over the rationals,
-        # holds; an equality fails on either side
-        sides = [(tuple((i, -cf) for i, cf in combo), -k.const, "<")]
-        if k.rel == "=":
-            sides.append((combo, k.const, "<"))
-        ok = not any(feasible(len(index), rows + [side]) for side in sides)
+        ok = not _can_fail(c, k)
     if run is not None:
         run.entails_one[(c, k)] = ok
     return ok
+
+
+def _can_fail(c: ConstraintConj, k: LinConstraint) -> bool:
+    """True when a point of c violates k, asked of one tableau.
+
+    The tableau is c's with k's row attached.  k fails above its upper edge
+    or below its lower one: a query per side, in turn, sets k's variable or
+    slack to the strict negation of that edge met with c's own bounds there.
+    """
+    if not k.coeffs:
+        # `entails` skips a true ground k, so k is false
+        return satisfiable(c)
+    index = _index_vars((*c, k))
+    sx, sides = _solver_for(len(index), [_to_row(j, index) for j in (*c, k)])
+    *rest, (s, lo, hi) = sides
+    # the bounds c puts on s, before k's own edges met them
+    c_lo = max(((e, 0) for v, e, _ in rest if v == s and e is not None), default=None)
+    c_hi = min(((e, 0) for v, _, e in rest if v == s and e is not None), default=None)
+    queries = []
+    if hi is not None:
+        queries.append((dmax(c_lo, (hi, 1)), c_hi))
+    if lo is not None:
+        queries.append((c_lo, dmin(c_hi, (lo, -1))))
+    for query in queries:
+        sx.set_bounds(s, *query)
+        if sx.check():
+            return True
+    return False
 
 
 def _same_row_bound(c: ConstraintConj, k: LinConstraint) -> bool:
@@ -540,38 +550,17 @@ def _drop_redundant(c: ConstraintConj) -> ConstraintConj:
 def _sweep(c: ConstraintConj) -> ConstraintConj:
     """The redundancy sweep of `_drop_redundant`: a query per constraint, on one tableau.
 
-    `c` comes from `make_conj`, so no
-    constraint is ground and no two share a signed row.  A constraint on
-    one variable with coefficient +-1 bounds that variable; per variable
-    there is at most one such upper and one lower bound, or one equality.
-    Every other constraint has a slack of its own, bounded by it.  Asking
-    whether the rest entails k replaces the bounds of k's variable by the
-    strict negation of k (each side in turn for an equality) and re-checks
-    from the last assignment: k is entailed iff that is infeasible.  A kept
-    constraint restores the bounds, and a dropped one clears its side.
+    `c` comes from `make_conj`, so no constraint is ground and no two share
+    a signed row: in the tableau `_solver_for` builds, a variable holds at
+    most one upper and one lower bound, or one equality, and each slack
+    belongs to one constraint.  Asking whether the rest entails k replaces
+    the bounds of k's variable by the strict negation of k (each side in
+    turn for an equality) and re-checks from the last assignment: k is
+    entailed iff that is infeasible.  A kept constraint restores the
+    bounds, and a dropped one clears its side.
     """
     index = _index_vars(c)
-    sx = Simplex(len(index))
-    lb, ub = sx.lb, sx.ub
-    # per constraint: the variable it bounds, and its lower and upper edge
-    # there, None for a side it leaves open
-    sides = []
-    for k in c:
-        row = k.coeffs
-        if len(row) == 1 and row[0][1] == -1:
-            # -x + const <= 0 is x >= const
-            s, lo, hi = index[row[0][0]], k.const, None
-        else:
-            if len(row) == 1 and row[0][1] == 1:
-                s = index[row[0][0]]
-            else:
-                s = sx.add_slack(dict(_to_row(k, index)[0]))
-            lo, hi = (-k.const if k.rel == "=" else None), -k.const
-        sides.append((s, lo, hi))
-        if lo is not None:
-            lb[s] = (lo, 0)
-        if hi is not None:
-            ub[s] = (hi, 0)
+    sx, sides = _solver_for(len(index), [_to_row(k, index) for k in c])
     kept = []
     for k, (s, lo, hi) in zip(c, sides):
         # k fails above its upper edge and below its lower one.  A bound the
@@ -583,7 +572,7 @@ def _sweep(c: ConstraintConj) -> ConstraintConj:
             queries.append(((hi, 1), None))
         if lo is not None:
             queries.append((None, (lo, -1)))
-        was = lb[s], ub[s]
+        was = sx.lb[s], sx.ub[s]
         for query in queries:
             sx.set_bounds(s, *query)
             if sx.check():

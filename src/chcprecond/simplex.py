@@ -7,8 +7,8 @@ by SMT solvers (Dutertre & de Moura, CAV 2006): a constraint
 part with `REL k` turned into bounds on the slack, and a constraint on one
 variable with coefficient +-1 becomes a bound on that variable itself, with
 no slack.  A scaled single-variable row keeps its slack, so that every
-bound stays a pair of integers.  Bland's rule makes the pivot loop
-terminate.
+bound stays a pair of integers.  Every tableau is built by `_solver_for`,
+the one home of that rule.  Bland's rule makes the pivot loop terminate.
 
 The tableau is fraction-free, in the manner of Bareiss (Math. Comp. 1968).
 The row of a basic variable `b` holds integer coefficients over one
@@ -18,15 +18,15 @@ nonbasic `x_j`, and the gcd of the denominator and all the coefficients is
 by that gcd when it is above 1.
 
 Bound values are "delta-rationals" `(r, d)` meaning `r + d * delta` for an
-infinitesimal positive delta.  They let us express strict inequalities
-exactly, which the entailment check in `linarith` needs when it negates a
-non-strict constraint over the rationals.  Plain tuples of numbers compare
-lexicographically, which is exactly the right order for delta-rationals.
-Every bound is a pair of integers, and a nonbasic variable only ever sits
-at 0 or at one of its bounds, so its value is an integer pair too.  A basic
-variable's value is kept as the integer pair `den[b]` times it, its row
-summed at the nonbasic values, and is compared with a bound scaled by
-`den[b]`; the denominator is positive, so the order is kept.
+infinitesimal positive delta.  Rows are non-strict; a strict bound is what
+a query sets when `linarith` asks one tableau whether a row can fail.
+Plain tuples of numbers compare lexicographically, which is exactly the
+right order for delta-rationals.  Every bound is a pair of integers, and a
+nonbasic variable only ever sits at 0 or at one of its bounds, so its
+value is an integer pair too.  A basic variable's value is kept as the
+integer pair `den[b]` times it, its row summed at the nonbasic values, and
+is compared with a bound scaled by `den[b]`; the denominator is positive,
+so the order is kept.
 
 The rational values are those a tableau over the rationals would hold, so
 Bland's rule makes the same pivots as one built from the same rows and
@@ -70,7 +70,7 @@ class Simplex:
     alike, then call `check()`.  Bounds may be replaced between checks with
     `set_bounds`, looser or tighter, and the next `check()` repairs the
     assignment the last one left instead of starting over; `linarith`'s
-    redundancy sweep asks all its queries of one tableau that way.  The
+    entailment check and redundancy sweep ask their queries that way.  The
     branch-and-bound below still builds a fresh tableau per node, which
     keeps its node count independent of pivots.
 
@@ -242,89 +242,85 @@ class Simplex:
 # -- building solvers from constraint rows ------------------------------------
 
 Row = tuple[tuple[tuple[int, int], ...], int, str]
-# ((var_index, coeff), ...), constant, rel with rel in {"=", "<=", "<"}
+# ((var_index, coeff), ...), constant, rel with rel in {"=", "<="}
 # meaning: sum(coeff * x) + constant  REL  0
+
+Side = tuple[int, Optional[int], Optional[int]]
+# the variable a row bounds, and its lower and upper edge there, None for a
+# side the row leaves open
 
 
 def _solver_for(
     nvars: int,
     rows: list[Row],
     bounds: Optional[dict[int, tuple[Optional[Delta], Optional[Delta]]]] = None,
-) -> Optional[Simplex]:
-    """Build a Simplex for the rows under extra variable bounds.
+) -> Optional[tuple[Simplex, list[Optional[Side]]]]:
+    """A Simplex for the rows under extra variable bounds, and each row's side.
 
-    None means a false ground row.  A row of one variable with coefficient
-    +-1 bounds that variable itself; every other row gets a slack, and rows
-    with one combination share it.  Each row meets the bounds already on
-    its variable, and an empty meet makes `check()` fail.
+    None means a false ground row; a ground row that holds has no side.  A
+    row of one variable with coefficient +-1 bounds that variable itself;
+    every other row gets a slack, and rows with one combination share it.
+    Each row meets the bounds already on its variable, and an empty meet
+    makes `check()` fail.
     """
     sx = Simplex(nvars)
     lb, ub = sx.lb, sx.ub
     for v, (lo, hi) in (bounds or {}).items():
         sx.set_bounds(v, lo, hi)
     merged: dict[tuple[tuple[int, int], ...], int] = {}
+    sides: list[Optional[Side]] = []
     for combo, const, rel in rows:
         if not combo:
             # a ground row holds or fails outright
-            if not {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]:
+            if not (const == 0 if rel == "=" else const <= 0):
                 return None
+            sides.append(None)
             continue
-        strict = -1 if rel == "<" else 0
         if len(combo) == 1 and combo[0][1] == -1:
             # -x + const REL 0 bounds x from below, by const
-            v = combo[0][0]
-            lb[v] = dmax(lb[v], (const, -strict))
-            if rel == "=":
-                ub[v] = dmin(ub[v], (const, 0))
-            continue
-        if len(combo) == 1 and combo[0][1] == 1:
-            s = combo[0][0]
+            s, lo, hi = combo[0][0], const, (const if rel == "=" else None)
         else:
-            if combo not in merged:
-                merged[combo] = sx.add_slack(dict(combo))
-            s = merged[combo]
-        # s + const REL 0 bounds s from above, by -const
-        edge = (-const, strict)
-        if rel == "=":
-            lb[s] = dmax(lb[s], edge)
-        ub[s] = dmin(ub[s], edge)
-    return sx
+            if len(combo) == 1 and combo[0][1] == 1:
+                s = combo[0][0]
+            else:
+                if combo not in merged:
+                    merged[combo] = sx.add_slack(dict(combo))
+                s = merged[combo]
+            # s + const REL 0 bounds s from above, by -const
+            lo, hi = (-const if rel == "=" else None), -const
+        if lo is not None:
+            lb[s] = dmax(lb[s], (lo, 0))
+        if hi is not None:
+            ub[s] = dmin(ub[s], (hi, 0))
+        sides.append((s, lo, hi))
+    return sx, sides
 
 
 def solve(nvars: int, rows: list[Row]) -> Optional[Model]:
     """A model of the rows, numerators over a denominator, or None if they are infeasible."""
-    sx = _solver_for(nvars, rows)
-    if sx is None or not sx.check():
+    built = _solver_for(nvars, rows)
+    if built is None or not built[0].check():
         return None
-    return sx.model()
-
-
-def feasible(nvars: int, rows: list[Row]) -> bool:
-    """True iff the rows have a model; builds none."""
-    sx = _solver_for(nvars, rows)
-    return sx is not None and sx.check()
+    return built[0].model()
 
 
 def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:
     """Integer feasibility by branch-and-bound over the rational relaxation.
 
-    All rows must be non-strict (`=` or `<=`), which is what the canonical
-    constraint form guarantees.  Raises Undecided when the budget runs dry.
+    Raises Undecided when the budget runs dry.
     """
     stack: list[dict[int, tuple[Optional[Delta], Optional[Delta]]]] = [{}]
     while stack:
         bounds = stack.pop()
         budget.spend()
-        sx = _solver_for(nvars, rows, bounds)
-        if sx is None or not sx.check():
+        built = _solver_for(nvars, rows, bounds)
+        if built is None or not built[0].check():
             continue
-        model, den = sx.model()
+        # rows and branch bounds are non-strict, so no value has a delta part
+        model, den = built[0].model()
         fractional = None
         for v in range(nvars):
-            r, d = model[v]
-            if d != 0:
-                # cannot happen for non-strict systems, but guard anyway
-                raise AssertionError("delta component in integer search")
+            r = model[v][0]
             if r % den:
                 fractional = (v, r // den)
                 break

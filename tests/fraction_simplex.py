@@ -4,7 +4,9 @@ This is the kernel as it was before its tableau went fraction-free: values
 are `int`s while they are integral and become `Fraction`s where a pivot
 divides inexactly.  It makes the same pivots by Bland's rule, so
 `tests/test_simplex.py` checks that the integer tableau pivots on the same
-pairs in the same order and leaves the same rational models.
+pairs in the same order and leaves the same rational models.  It still
+reads strict rows, which the kernel's tableau no longer takes, so
+`feasible` decides the strict questions the kernel asks as bound queries.
 """
 
 from __future__ import annotations
@@ -175,7 +177,9 @@ def _solver_for(
 ) -> Optional[FractionSimplex]:
     """Build a FractionSimplex for the rows under extra variable bounds.
 
-    The same construction as `chcprecond.simplex._solver_for`.
+    The construction of `chcprecond.simplex._solver_for`, which takes
+    non-strict rows only; here a strict row `<` also gives a strict bound,
+    the kind a query sets.
 
     None means a false ground row.  A row of one variable with coefficient
     +-1 bounds that variable itself; every other row gets a slack, and rows
@@ -213,3 +217,9 @@ def _solver_for(
             lb[s] = dmax(lb[s], edge)
         ub[s] = dmin(ub[s], edge)
     return sx
+
+
+def feasible(nvars: int, rows: list[Row]) -> bool:
+    """True iff the rows, strict ones included, have a rational model."""
+    sx = _solver_for(nvars, rows)
+    return sx is not None and sx.check()

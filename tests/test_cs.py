@@ -187,7 +187,7 @@ def test_program_shape_preserved(name):
 def test_strengthen_separately_matches_bundle():
     p = load("example_t4.chc")
     inv = invariants_for(p)
-    out, deleted = strengthen(p, inv)
+    out, deleted = strengthen(p, inv, {})
     r = constraint_specialise(p)
     assert deleted == r.deleted
     assert programs_equivalent(out, r.program)
@@ -230,9 +230,9 @@ def test_analyze_ends_at_a_post_fixpoint():
     programs += [parse_program(t) for t in gen_multivar_texts() + gen_twoloop_texts()]
     for p in programs:
         qa = qa_transform(pe_run(p).program)
-        state = cs.analyze(qa)
+        state = cs.analyze(qa, {})
         for cl in qa.clauses:
-            sp = cs._clause_post(cl, state)
+            sp = cs._clause_post(cl, state, {})
             assert sp is None or entails(sp, state[cl.head.pred]), cl
 
 
@@ -249,7 +249,7 @@ def _one_global_worklist(qa):
         i = worklist.popleft()
         queued.discard(i)
         cl = qa.clauses[i]
-        sp = cs._clause_post(cl, state)
+        sp = cs._clause_post(cl, state, {})
         head = cl.head.pred
         if sp is None or (head in state and entails(sp, state[head])):
             continue
@@ -280,7 +280,7 @@ def test_no_invariant_is_weaker_than_one_global_worklist_gives():
             if step.label != "cs":
                 continue
             qa = qa_transform(before.program)
-            now, then = cs.analyze(qa), _one_global_worklist(qa)
+            now, then = cs.analyze(qa, {}), _one_global_worklist(qa)
             for pred, old in then.items():
                 new = now.get(pred, FALSE_CONJ)
                 assert entails(new, old), (pred, old, new)

@@ -423,14 +423,13 @@ def test_every_capped_projection_warns_although_answers_are_remembered(monkeypat
     assert r.warnings == ("projection exceeded 2 constraints, dropping the loosest",) * 12
 
 
-def test_a_run_keeps_operands_only_for_conjunctions_without_a_point(monkeypatch):
-    # a conjunction with a point was answered by `satisfiable`, whose cache
-    # answers it again, so its operands would never be read; on fig1 at 10
-    # iterations 553 of the 701 entries left over were of that kind.  Nor
-    # are they read for a false or one-constraint conjunction, which
-    # `satisfiable` answers without a point: 29 of the next 167 entries.
-    # fig1's round 1 leaves its precondition unchanged; every check here
-    # answers "changed", so that all ten rounds run
+def _fig1_in_a_run(monkeypatch):
+    """fig1 at 10 iterations in a fresh `Run`, the cache cleared first.
+
+    fig1's round 1 leaves its precondition unchanged; every check here
+    answers "changed", so that all ten rounds run.  Returns the program,
+    its configuration, the run and the report.
+    """
     monkeypatch.setattr(driver_mod, "equiv_dnf", lambda a, b: False)
     p, cfg = load("fig1.chc"), PipelineConfig(iterations=10)
     linarith_mod.satisfiable.cache_clear()
@@ -441,6 +440,16 @@ def test_a_run_keeps_operands_only_for_conjunctions_without_a_point(monkeypatch)
     finally:
         RUN.reset(token)
     assert report.iterations_used == 10
+    return p, cfg, run, report
+
+
+def test_a_run_keeps_operands_only_for_conjunctions_without_a_point(monkeypatch):
+    # a conjunction with a point was answered by `satisfiable`, whose cache
+    # answers it again, so its operands would never be read; on fig1 at 10
+    # iterations 553 of the 701 entries left over were of that kind.  Nor
+    # are they read for a false or one-constraint conjunction, which
+    # `satisfiable` answers without a point: 29 of the next 167 entries.
+    p, cfg, run, report = _fig1_in_a_run(monkeypatch)
     assert not run.parents.keys() & run.models.keys()
     assert all(len(c) > 1 for c in run.parents)
     assert len(run.parents) < 150
@@ -448,3 +457,18 @@ def test_a_run_keeps_operands_only_for_conjunctions_without_a_point(monkeypatch)
     # report is the same
     linarith_mod.satisfiable.cache_clear()
     assert _fields(driver_mod._run(p, cfg, Run())) == _fields(report)
+
+
+def test_a_run_keeps_no_operands_of_a_conjunction_it_answered_unsatisfiable(monkeypatch):
+    # `satisfiable`'s cache answers such a conjunction false again without
+    # reading its operands.  Asked after the run, each entry left over is
+    # either new to the cache or such a hit: 6 of the 67 were hits before
+    # the run kept its unsatisfiable answers too
+    _, _, run, _ = _fig1_in_a_run(monkeypatch)
+    sat = linarith_mod.satisfiable
+    answered_false = []
+    for c in run.parents:
+        hits = sat.cache_info().hits
+        if not sat(c) and sat.cache_info().hits > hits:
+            answered_false.append(c)
+    assert run.parents and answered_false == []

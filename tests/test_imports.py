@@ -184,3 +184,40 @@ def _unpassed_options(package: Path) -> list[str]:
 def test_every_optional_parameter_is_passed_somewhere():
     # an option no call in the package passes is dead code or a test hook
     assert _unpassed_options(Path(chcprecond.__file__).parent) == []
+
+
+# what a module other than `linarith` may import from `simplex`: every
+# tableau is built in `simplex` and asked through `linarith`
+_SIMPLEX_ELSEWHERE = {"Budget", "Undecided"}
+
+
+def _simplex_imports(package: Path) -> list[str]:
+    """Names modules of `package` other than `linarith` import from `simplex` beyond those.
+
+    `from .simplex import a` takes `a`; `from . import simplex` and
+    `import chcprecond.simplex` take the whole module.
+    """
+    out = []
+    for f in sorted(package.glob("*.py")):
+        if f.stem in ("linarith", "simplex"):
+            continue
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("simplex"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names if alias.name == "simplex"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names if alias.name.endswith(".simplex")]
+            else:
+                continue
+            out += [f"{f.name}: {name}" for name in names if name not in _SIMPLEX_ELSEWHERE]
+    return out
+
+
+def test_only_linarith_builds_tableaux(tmp_path):
+    assert _simplex_imports(Path(chcprecond.__file__).parent) == []
+    (tmp_path / "a.py").write_text("from .simplex import Budget, _solver_for\n")
+    (tmp_path / "b.py").write_text("from . import simplex\nimport chcprecond.simplex\n")
+    assert _simplex_imports(tmp_path) == [
+        "a.py: _solver_for", "b.py: simplex", "b.py: chcprecond.simplex"
+    ]

@@ -40,8 +40,9 @@ from chcprecond.linarith import (
 )
 from chcprecond.precond import classify
 from chcprecond import linarith, simplex
-from chcprecond.simplex import Budget, Simplex, Undecided, dmax, dmin, feasible
+from chcprecond.simplex import Budget, Simplex, Undecided, dmax, dmin
 
+import fraction_simplex
 from helpers import dnf_of_conj, equiv_conj, grid, holds_conj, holds_dnf
 
 x, y = Var("x"), Var("y")
@@ -271,7 +272,7 @@ def test_drop_redundant_matches_pairwise_entailment():
 
 
 def entails_by_simplex(c, d):
-    """Entailment with no certificate: a simplex query per side of each k in d."""
+    """Entailment by the `Fraction` reference tableau: a strict row per side of each k in d."""
     if c.is_false():
         return True
     index = {}
@@ -288,7 +289,7 @@ def entails_by_simplex(c, d):
         sides = [(tuple((i, -cf) for i, cf in combo(j)), -j.const, "<")]
         if j.rel == "=":
             sides.append((combo(j), j.const, "<"))
-        if any(feasible(len(index), rows + [side]) for side in sides):
+        if any(fraction_simplex.feasible(len(index), rows + [side]) for side in sides):
             return False
     return True
 
@@ -397,10 +398,12 @@ def test_witness_points_leave_every_answer_unchanged():
 def test_every_witness_point_lies_in_its_conjunction():
     run = Run()
     chain_answers(run, seed=61)
-    assert len(run.models) > 1000
+    # an unsatisfiable conjunction the run answered has no point
+    points = {c: point for c, point in run.models.items() if point is not None}
+    assert all(satisfiable(c) == (c in points) for c in run.models)
+    assert len(points) > 1000
     fractional = 0
-    for c, (nums, den) in run.models.items():
-        assert satisfiable(c)
+    for c, (nums, den) in points.items():
         # integer numerators over one positive denominator
         assert type(den) is int and den > 0
         assert all(type(n) is int for n in nums.values())
@@ -455,23 +458,25 @@ def test_project_known_sat_matches_the_checked_projection():
 
 
 def slack_per_row_solver(nvars, rows, bounds=None):
-    """A tableau with a slack for every distinct row, unit rows included."""
+    """A tableau with a slack for every distinct row, unit rows included, and each row's side."""
     sx = Simplex(nvars)
     for v, (lo, hi) in (bounds or {}).items():
         sx.set_bounds(v, lo, hi)
-    merged = {}
+    merged, sides = {}, []
     for combo, const, rel in rows:
         if not combo:
-            if not {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]:
+            if not (const == 0 if rel == "=" else const <= 0):
                 return None
+            sides.append(None)
             continue
         if combo not in merged:
             merged[combo] = sx.add_slack(dict(combo))
         s = merged[combo]
-        edge = (-const, -1 if rel == "<" else 0)
+        edge = (-const, 0)
         lo = dmax(sx.lb[s], edge) if rel == "=" else sx.lb[s]
         sx.set_bounds(s, lo, dmin(sx.ub[s], edge))
-    return sx
+        sides.append((s, -const if rel == "=" else None, -const))
+    return sx, sides
 
 
 def test_unit_bounds_answer_as_a_slack_per_row_tableau(monkeypatch):
@@ -503,6 +508,7 @@ def test_unit_bounds_answer_as_a_slack_per_row_tableau(monkeypatch):
 
     got = answers()
     monkeypatch.setattr(simplex, "_solver_for", slack_per_row_solver)
+    monkeypatch.setattr(linarith, "_solver_for", slack_per_row_solver)
     monkeypatch.setattr(
         linarith, "_sweep", lambda c: drop_redundant_pairwise(c, entails_by_simplex)
     )
@@ -518,6 +524,68 @@ def test_unit_bounds_answer_as_a_slack_per_row_tableau(monkeypatch):
         seen["integer", integer] += 1
     for key in ("sat", "swept", "entails", "integer"):
         assert seen[key, True] > 100 and seen[key, False] > 100, seen
+
+
+# -- the kernel against the Fraction tableau ------------------------------------
+
+
+def test_the_kernel_agrees_with_the_fraction_tableau():
+    # `satisfiable`, `entails` and the redundancy sweep ask their questions
+    # as bound queries of one integer tableau; `fraction_simplex` answers
+    # them from strict rows, one fresh tableau each
+    rng = random.Random(89)
+    z = Var("z")
+    pool = [{x: 1}, {x: -1}, {y: 1}, {y: -1}, {z: 1}, {x: 2}, {y: -3}, {x: 1, y: 1},
+            {x: 1, y: -1}, {x: -1, z: 2}, {y: 2, z: -1}, {x: 1, y: 1, z: 1}]
+
+    def draw(n):
+        return make_conj(
+            k(rng.choice(pool), rng.randint(-3, 3), "=" if rng.random() < 0.2 else "<=")
+            for _ in range(n)
+        )
+
+    def reference(c, j):
+        return entails_by_simplex(c, ConstraintConj((j,)))
+
+    seen = Counter()
+    satisfiable.cache_clear()
+    for _ in range(500):
+        c = draw(rng.randint(1, 5))
+        if c.is_false():
+            continue
+        sat = satisfiable(c)
+        assert sat == (not reference(c, linarith.FALSE_K)), c
+        assert entails(c, FALSE_CONJ) == (not sat), c
+        # k on a row or variable c already bounds, on either sign of it and
+        # near its edge there, or a row of the pool
+        if rng.random() < 0.6:
+            i = rng.choice(c.constraints)
+            row, const = dict(i.coeffs), i.const + rng.choice((-1, 0, 0, 1))
+            if rng.random() < 0.5:
+                row, const = {v: -cf for v, cf in row.items()}, -const
+        else:
+            row, const = rng.choice(pool), rng.randint(-4, 4)
+        j = k(row, const, "=" if rng.random() < 0.3 else "<=")
+        if not j.coeffs:
+            continue
+        ent = entails(c, ConstraintConj((j,)))
+        assert ent == reference(c, j), (c, j)
+        seen["entails", j.rel, ent] += 1
+        kept = _drop_redundant(c)
+        for i in kept:
+            # no kept constraint is entailed by the other kept ones
+            others = ConstraintConj(tuple(o for o in kept if o != i))
+            assert not reference(others, i), (c, kept, i)
+        for i in set(c) - set(kept):
+            # a dropped constraint is entailed by the kept ones
+            assert reference(kept, i), (c, kept, i)
+        seen["sat", sat] += 1
+        seen["swept", len(kept) < len(c)] += 1
+    satisfiable.cache_clear()
+    for key in [("sat", True), ("sat", False), ("swept", True), ("swept", False)] + [
+        ("entails", rel, ans) for rel in ("=", "<=") for ans in (True, False)
+    ]:
+        assert seen[key] > 10, seen
 
 
 # -- canonical conjunctions ----------------------------------------------------

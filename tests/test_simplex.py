@@ -8,7 +8,9 @@ checked against the one it replaced, kept in `fraction_simplex` as a
 reference: on the same systems both pivot on the same pairs in the same
 order and leave the same rational models.  The type checks pin the kernel's
 arithmetic: every row holds `int`s alone over a positive denominator, with
-no common factor left.
+no common factor left.  The kernel's rows are non-strict; a strict row is
+built here as the strict bound a query would set on the variable or slack
+of its non-strict row.
 """
 
 import itertools
@@ -19,9 +21,32 @@ from fractions import Fraction
 import pytest
 
 import fraction_simplex
-from chcprecond.simplex import Budget, Simplex, Undecided, _solver_for, feasible, int_feasible
+from chcprecond.simplex import Budget, Simplex, Undecided, _solver_for, dmax, dmin, int_feasible
 
 RELS = ("=", "<=", "<")
+
+
+def solver_for(nvars, rows, bounds=None):
+    """`_solver_for`'s tableau, where a row may also be strict.
+
+    The kernel's rows are non-strict, and a strict bound comes from a query
+    on the variable or slack a row bounds.  So a strict row `<` is built as
+    its `<=` row, and then that row's edge is made strict.
+    """
+    if any(not combo and rel == "<" and const == 0 for combo, const, rel in rows):
+        return None
+    built = _solver_for(nvars, [(c, k, "<=" if rel == "<" else rel) for c, k, rel in rows], bounds)
+    if built is None:
+        return None
+    sx, sides = built
+    for (_, _, rel), side in zip(rows, sides):
+        if rel == "<" and side is not None:
+            v, lo, hi = side
+            if lo is not None:
+                sx.lb[v] = dmax(sx.lb[v], (lo, 1))
+            if hi is not None:
+                sx.ub[v] = dmin(sx.ub[v], (hi, -1))
+    return sx
 
 
 def fm_feasible(nvars, rows):
@@ -96,7 +121,8 @@ def test_feasible_matches_fourier_motzkin():
         nvars = rng.randint(1, 3)
         rows = random_rows(rng, nvars, rng.randint(1, 6))
         expected = fm_feasible(nvars, rows)
-        assert feasible(nvars, rows) == expected, rows
+        sx = solver_for(nvars, rows)
+        assert (sx is not None and sx.check()) == expected, rows
         feasible_seen += expected
         infeasible_seen += not expected
     # both answers are exercised
@@ -109,7 +135,7 @@ def test_models_satisfy_every_row():
     for _ in range(600):
         nvars = rng.randint(1, 3)
         rows = random_rows(rng, nvars, rng.randint(1, 6))
-        sx = _solver_for(nvars, rows)
+        sx = solver_for(nvars, rows)
         if sx is None or not sx.check():
             continue
         model = rational(sx.model())
@@ -124,7 +150,7 @@ def test_rows_are_integer_and_gcd_normalised():
     fractional_rows = 0
     for _ in range(600):
         nvars = rng.randint(1, 3)
-        sx = _solver_for(nvars, random_rows(rng, nvars, rng.randint(1, 6)))
+        sx = solver_for(nvars, random_rows(rng, nvars, rng.randint(1, 6)))
         if sx is None:
             continue
         sx.check()
@@ -187,7 +213,7 @@ def test_pivots_and_models_match_the_fraction_tableau(monkeypatch):
                                 rng.choice([None, (hi, 0), (hi, -1)]))})
         systems.append((nvars, rows, redraws))
     ints = pivots_and_models(
-        monkeypatch, Simplex, _solver_for, lambda sx: rational(sx.model()), systems
+        monkeypatch, Simplex, solver_for, lambda sx: rational(sx.model()), systems
     )
     fractions = pivots_and_models(
         monkeypatch, fraction_simplex.FractionSimplex, fraction_simplex._solver_for,
@@ -208,7 +234,7 @@ def test_unit_coefficients_keep_the_tableau_integral():
         (((0, -1), (1, -1)), 3, "<="),
         (((0, 1), (1, -1), (2, 1)), 0, "="),
     ]
-    sx = _solver_for(3, rows)
+    sx, _ = _solver_for(3, rows)
     assert sx.check()
     assert any(v < 3 for v in sx.rows), "no problem variable became basic"
     assert all(type(x) is int for x in values(sx))
@@ -221,7 +247,7 @@ def test_unit_coefficients_keep_the_tableau_integral():
 @pytest.mark.parametrize("rel", RELS)
 def test_a_unit_row_bounds_its_variable_with_no_slack(rel, sign):
     # sign * x + 2 REL 0
-    sx = _solver_for(1, [(((0, sign),), 2, rel)])
+    sx = solver_for(1, [(((0, sign),), 2, rel)])
     assert not sx.rows and len(sx.lb) == len(sx.ub) == 1
     delta = -1 if rel == "<" else 0
     if sign == 1:
@@ -231,6 +257,9 @@ def test_a_unit_row_bounds_its_variable_with_no_slack(rel, sign):
         # 2 REL x
         expected = ((2, -delta), (2, 0) if rel == "=" else None)
     assert (sx.lb[0], sx.ub[0]) == expected
+    # the row's side is x and its edges, without the delta of a strict row
+    _, sides = _solver_for(1, [(((0, sign),), 2, "<=" if rel == "<" else rel)])
+    assert sides == [(0, *(None if e is None else e[0] for e in expected))]
 
 
 def test_unit_rows_meet_on_their_variable_and_scaled_rows_keep_a_slack():
@@ -239,20 +268,24 @@ def test_unit_rows_meet_on_their_variable_and_scaled_rows_keep_a_slack():
         (((0, -1),), 1, "<"), (((0, -1),), 1, "<="), (((0, 1),), -5, "<"),
         (((0, 1),), -3, "<="), (((1, 1),), -2, "="), (((0, 2),), -7, "<="),
     ]
-    sx = _solver_for(2, rows)
+    sx = solver_for(2, rows)
     assert [(sx.lb[v], sx.ub[v]) for v in range(2)] == [((1, 1), (3, 0)), ((2, 0), (2, 0))]
     assert sx.rows == {2: {0: 2}} and (sx.lb[2], sx.ub[2]) == (None, (7, 0))
     assert sx.check() and rational(sx.model())[1] == (2, 0)
     # the rows meet the extra bounds too, and bounds that cross fail
-    sx = _solver_for(2, rows, {0: ((2, 0), (6, 0))})
+    sx = solver_for(2, rows, {0: ((2, 0), (6, 0))})
     assert (sx.lb[0], sx.ub[0]) == ((2, 0), (3, 0)) and sx.check()
-    assert not _solver_for(2, rows, {0: ((4, 0), None)}).check()
-    assert not _solver_for(2, rows + [(((1, -1),), 3, "<=")]).check()
+    assert not solver_for(2, rows, {0: ((4, 0), None)}).check()
+    assert not solver_for(2, rows + [(((1, -1),), 3, "<=")]).check()
+    # each row names the variable or slack it bounds, and its own edges
+    _, sides = _solver_for(2, [(c, k, "<=" if rel == "<" else rel) for c, k, rel in rows])
+    assert sides == [(0, 1, None), (0, 1, None), (0, None, 5), (0, None, 3), (1, 2, 2),
+                     (2, None, 7)]
 
 
 def test_inexact_division_gives_a_model_over_a_denominator():
     # 2x = 1
-    sx = _solver_for(1, [(((0, 2),), -1, "=")])
+    sx, _ = _solver_for(1, [(((0, 2),), -1, "=")])
     assert sx.check()
     assert sx.model() == ([(1, 0)], 2)
 
@@ -301,7 +334,8 @@ def test_set_bounds_loosens_and_rechecks_from_the_last_assignment():
 def test_ground_rows(rel):
     for const in (-1, 0, 1):
         expected = {"=": const == 0, "<=": const <= 0, "<": const < 0}[rel]
-        assert feasible(1, [((), const, rel)]) == expected
+        sx = solver_for(1, [((), const, rel)])
+        assert (sx is not None and sx.check()) == expected
 
 
 # (variables, rows, feasible, nodes spent); the counts were taken before the
