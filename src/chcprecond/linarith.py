@@ -43,9 +43,10 @@ outlives a run.
 
 The `Run` also keeps a witness point per satisfiable conjunction: the model
 the tableau that decided it leaves in its assignment, exact, as integer
-numerators over one common positive denominator.  A conjunction `conj_and`
-made inherits a point of one of its operands only after all of its own
-constraints hold at that point, and a premise whose point violates a
+numerators over one common positive denominator.  A conjunction inherits
+its point when `conj_and` makes it, from an operand whose point holds at
+every constraint of the other operand; `satisfiable` answers such a
+conjunction without a tableau, and a premise whose point violates a
 constraint does not entail it.  The points live only in the run, like the
 memo.
 
@@ -274,23 +275,23 @@ def make_conj(constraints: Iterable[LinConstraint]) -> ConstraintConj:
 def conj_and(a: ConstraintConj, b: ConstraintConj) -> ConstraintConj:
     """`make_conj(a.constraints + b.constraints)`; a true or false operand decides it.
 
-    Within a run the result, unless the run answered it already, remembers
-    a and b as its parents, whose points `satisfiable` tries first.
+    Within a run the result inherits a point of a that holds at every
+    constraint of b, or else a point of b that holds at every constraint of
+    a: c holds exactly where a and b both hold, so such a point lies in c.
     """
     if not b.constraints:
-        c = a
-    elif not a.constraints:
-        c = b
-    elif a.is_false() or b.is_false():
-        c = FALSE_CONJ
-    else:
-        c = make_conj(a.constraints + b.constraints)
+        return a
+    if not a.constraints:
+        return b
+    if a.is_false() or b.is_false():
+        return FALSE_CONJ
+    c = make_conj(a.constraints + b.constraints)
     run = RUN.get()
-    if run is not None and len(c) > 1 and c not in run.models:
-        # a point of a or b may lie in c too; `satisfiable` tries them.  It
-        # answers false and one-constraint conjunctions without a point, and
-        # a c the run has answered is answered again by its cache
-        run.parents[c] = (a, b)
+    if run is not None and c not in run.models:
+        for point, other in ((run.models.get(a), b), (run.models.get(b), a)):
+            if point is not None and all(_holds_at(k, point) for k in other):
+                run.models[c] = point
+                break
     return c
 
 
@@ -338,22 +339,19 @@ class Run:
     directly.
 
     `project`, `drop_redundant` and `entails_one` map a call's arguments to
-    its result.  `models` maps each conjunction whose tableau or parents
-    `satisfiable` read to a point of it, or to None when it has none (see
-    `satisfiable`), and `parents` maps a conjunction of two or more
-    constraints that `conj_and` made, and that the run has not answered
-    yet, to its two operands, until `satisfiable` reads it.  `warnings`
+    its result.  `models` maps a conjunction to a point of it, or to None
+    when it has none: each conjunction whose tableau `satisfiable` read,
+    and each that `conj_and` made at a point of an operand.  `warnings`
     collects what the run gave up, in the order `warn` was called.
     """
 
-    __slots__ = ("project", "drop_redundant", "entails_one", "models", "parents", "warnings")
+    __slots__ = ("project", "drop_redundant", "entails_one", "models", "warnings")
 
     def __init__(self) -> None:
         self.project: dict[tuple[ConstraintConj, frozenset[Var]], ConstraintConj] = {}
         self.drop_redundant: dict[ConstraintConj, ConstraintConj] = {}
         self.entails_one: dict[tuple[ConstraintConj, LinConstraint], bool] = {}
         self.models: dict[ConstraintConj, Optional[Point]] = {}
-        self.parents: dict[ConstraintConj, tuple[ConstraintConj, ConstraintConj]] = {}
         self.warnings: list[str] = []
 
 
@@ -390,22 +388,18 @@ def _to_row(k: LinConstraint, index: Mapping[Var, int]) -> Row:
 def satisfiable(c: ConstraintConj) -> bool:
     """Rational satisfiability, exact.
 
-    One constraint that is not false is satisfiable.  Within a run a point
-    of either operand `conj_and` made c from answers too, once c holds at
-    it; otherwise the tableau decides, and its model, or None when there is
-    none, is remembered as the point of c.
+    One constraint that is not false is satisfiable.  Within a run a
+    conjunction the run holds a point of, or knows has none, is answered
+    from `Run.models`; otherwise the tableau decides, and its model, or None
+    when there is none, is remembered as the point of c.
     """
     if c.is_false():
         return False
     if len(c) <= 1:
         return True
     run = RUN.get()
-    if run is not None:
-        for parent in run.parents.pop(c, ()):
-            point = run.models.get(parent)
-            if point is not None and all(_holds_at(k, point) for k in c):
-                run.models[c] = point
-                return True
+    if run is not None and c in run.models:
+        return run.models[c] is not None
     point = _solve_point(c)
     if run is not None:
         run.models[c] = point
@@ -424,15 +418,6 @@ def _solve_point(c: ConstraintConj) -> Optional[Point]:
         return None
     model, den = solution
     return {v: model[i][0] for v, i in index.items() if model[i][0]}, den
-
-
-def _point(c: ConstraintConj) -> Optional[Point]:
-    """A point of c, the run's witness if it has one; None when c is unsatisfiable."""
-    if not satisfiable(c):
-        return None
-    run = RUN.get()
-    point = None if run is None else run.models.get(c)
-    return _solve_point(c) if point is None else point
 
 
 def _holds_at(k: LinConstraint, point: Point) -> bool:
@@ -931,13 +916,14 @@ def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
     integer-feasible.  A piece that misses b's next disjunct stays whole and
     moves past it without a split, and so past every disjunct it misses;
     only a piece that meets a disjunct is split by its negated constraints.
-    A piece split by b's first i disjuncts that entails one of the rest over
-    the rationals lies in b, since rational entailment implies integer
-    inclusion, and is dropped before any integer check.  Only the next
-    `COVER_WINDOW` disjuncts are tried, and a disjunct is asked about only
-    when it holds at a point of the piece.  The check drops only pieces
-    that lie in b, so the window bounds its cost on a long b and keeps the
-    answer sound; it also spares budget nodes.
+    A piece with no rational point is dropped at once.  A piece split by b's
+    first i disjuncts that entails one of the rest over the rationals lies
+    in b, since rational entailment implies integer inclusion, and is
+    dropped before any integer check.  Only the next `COVER_WINDOW`
+    disjuncts are tried, each by `entails`, which within a run refutes a
+    constraint that fails at the piece's point without a tableau.  The
+    check drops only pieces that lie in b, so the window bounds its cost on
+    a long b and keeps the answer sound; it also spares budget nodes.
     """
     if budget is None:
         budget = Budget(DEFAULT_BUDGET_NODES)
@@ -945,11 +931,9 @@ def implies_dnf(a: DNF, b: DNF, budget: Optional[Budget] = None) -> bool:
     stack = [(d, 0) for d in reversed(a.disjuncts)]
     while stack:
         conj, i = stack.pop()
-        point = _point(conj)
-        if point is None:
+        if not satisfiable(conj):
             continue
-        window = b.disjuncts[i : i + COVER_WINDOW]
-        if any(all(_holds_at(k, point) for k in d) and entails(conj, d) for d in window):
+        if any(entails(conj, d) for d in b.disjuncts[i : i + COVER_WINDOW]):
             continue
         if not int_satisfiable(conj, budget):
             continue

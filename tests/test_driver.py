@@ -3,9 +3,12 @@
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
+import chcprecond.cs as cs_mod
+import chcprecond.derivation as derivation_mod
 import chcprecond.driver as driver_mod
 import chcprecond.linarith as linarith_mod
 import chcprecond.pe as pe_mod
@@ -20,6 +23,8 @@ from chcprecond.linarith import (
     RUN,
     Run,
     Var,
+    _holds_at,
+    conj_vars,
     equiv_dnf,
     implies_dnf,
     make_dnf,
@@ -27,7 +32,15 @@ from chcprecond.linarith import (
 from chcprecond.parser import parse_program
 from chcprecond.simplex import Budget, Undecided
 
-from helpers import conj_from, dnf_of_conj, gen_multivar_texts, holds_dnf, load, oracle
+from helpers import (
+    conj_from,
+    dnf_of_conj,
+    gen_multivar_texts,
+    holds_conj,
+    holds_dnf,
+    load,
+    oracle,
+)
 
 A, B, I, N = Var("A"), Var("B"), Var("I"), Var("N")
 
@@ -443,32 +456,35 @@ def _fig1_in_a_run(monkeypatch):
     return p, cfg, run, report
 
 
-def test_a_run_keeps_operands_only_for_conjunctions_without_a_point(monkeypatch):
-    # a conjunction with a point was answered by `satisfiable`, whose cache
-    # answers it again, so its operands would never be read; on fig1 at 10
-    # iterations 553 of the 701 entries left over were of that kind.  Nor
-    # are they read for a false or one-constraint conjunction, which
-    # `satisfiable` answers without a point: 29 of the next 167 entries.
+def test_a_run_keeps_a_point_of_every_conjunction_made_at_an_operand_point(monkeypatch):
+    # `conj_and` gives a conjunction the point of an operand that holds at
+    # every constraint of the other operand; each module that calls it is
+    # wrapped, and such a call is noted before `conj_and` runs
+    real, made = linarith_mod.conj_and, []
+
+    def noting(a, b):
+        run = RUN.get()
+        at_point = run is not None and any(
+            point is not None and all(_holds_at(k, point) for k in other)
+            for point, other in ((run.models.get(a), b), (run.models.get(b), a))
+        )
+        c = real(a, b)
+        if at_point:
+            made.append(c)
+        return c
+
+    for mod in (linarith_mod, cs_mod, derivation_mod, pe_mod):
+        monkeypatch.setattr(mod, "conj_and", noting)
     p, cfg, run, report = _fig1_in_a_run(monkeypatch)
-    assert not run.parents.keys() & run.models.keys()
-    assert all(len(c) > 1 for c in run.parents)
-    assert len(run.parents) < 150
+    assert len(made) > 100
+    assert all(run.models.get(c) is not None for c in made)
+    # every point the run keeps lies in its conjunction
+    points = {c: point for c, point in run.models.items() if point is not None}
+    assert len(points) > 200
+    for c, (nums, den) in points.items():
+        full = {v: Fraction(nums.get(v, 0), den) for v in conj_vars(c)}
+        assert holds_conj(c, full), (c, nums, den)
     # with no run installed every kernel answer is computed afresh, and the
     # report is the same
     linarith_mod.satisfiable.cache_clear()
     assert _fields(driver_mod._run(p, cfg, Run())) == _fields(report)
-
-
-def test_a_run_keeps_no_operands_of_a_conjunction_it_answered_unsatisfiable(monkeypatch):
-    # `satisfiable`'s cache answers such a conjunction false again without
-    # reading its operands.  Asked after the run, each entry left over is
-    # either new to the cache or such a hit: 6 of the 67 were hits before
-    # the run kept its unsatisfiable answers too
-    _, _, run, _ = _fig1_in_a_run(monkeypatch)
-    sat = linarith_mod.satisfiable
-    answered_false = []
-    for c in run.parents:
-        hits = sat.cache_info().hits
-        if not sat(c) and sat.cache_info().hits > hits:
-            answered_false.append(c)
-    assert run.parents and answered_false == []

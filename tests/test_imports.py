@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import chcprecond
+from chcprecond.linarith import Run
 
 SRC = str(Path(chcprecond.__file__).resolve().parents[1])
 ROOT = Path(__file__).resolve().parents[1]
@@ -221,3 +222,43 @@ def test_only_linarith_builds_tableaux(tmp_path):
     assert _simplex_imports(tmp_path) == [
         "a.py: _solver_for", "b.py: simplex", "b.py: chcprecond.simplex"
     ]
+
+
+def _unread_run_slots(package: Path, slots: tuple[str, ...]) -> list[str]:
+    """The `slots` of `Run` that no code in `package` reads outside `Run.__init__`.
+
+    A read is an attribute load, `x.name`: `run.models[c] = point` reads
+    `models`, and `self.models = {}` does not.
+    """
+    read: set[str] = set()
+    for f in sorted(package.glob("*.py")):
+        tree = ast.parse(f.read_text(), str(f))
+        init = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "Run"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in init:
+                read.add(node.attr)
+    return [name for name in slots if name not in read]
+
+
+def test_every_run_map_is_read(tmp_path):
+    # a kernel map the run fills and nothing reads only costs time and memory
+    package = Path(chcprecond.__file__).parent
+    assert _unread_run_slots(package, Run.__slots__) == []
+    (tmp_path / "a.py").write_text(
+        "class Run:\n"
+        "    __slots__ = ('used', 'idle')\n"
+        "    def __init__(self):\n"
+        "        self.used, self.idle = {}, {}\n"
+        "        self.idle.clear()\n"
+        "def f(run):\n"
+        "    run.idle = {}\n"
+        "    return run.used.get(1)\n"
+    )
+    assert _unread_run_slots(tmp_path, ("used", "idle")) == ["idle"]

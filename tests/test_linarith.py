@@ -342,8 +342,10 @@ def chain_answers(run, seed=59):
     """`satisfiable`, `entails` and `_drop_redundant` along seeded `conj_and` chains.
 
     Each chain starts from a drawn conjunction and adds drawn operands one at
-    a time, so a child's operand usually has a point and the child often
-    loses it.  The draws include equalities and unsatisfiable conjunctions.
+    a time.  `conj_and` makes a child before anything is asked of its new
+    operand, so the child can inherit only the point of the chain so far,
+    and it often loses it.  The draws include equalities and unsatisfiable
+    conjunctions.
     `satisfiable`'s cache is cleared first, so every answer is computed here.
     Returns the answers and how many children took an operand's point.
     """
@@ -388,7 +390,7 @@ def test_witness_points_leave_every_answer_unchanged():
     inside, inherited = chain_answers(run)
     assert inside == outside
     # operands and children take both answers, and children do take their
-    # parents' points
+    # operands' points
     for i in (1, 2):
         sat = Counter(a[i] for a in outside)
         assert sat[True] > 500 and sat[False] > 100, (i, sat)
