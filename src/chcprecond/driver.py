@@ -1,18 +1,19 @@
 """Pipeline orchestration.
 
-One analysis run is pe, cs, then up to n rounds of (te, pe, cs), reading
-the precondition off the last program.  Between rounds the run carries only
-the program and the side conditions: one initial-state projection `theta`
-per feasible trace eliminated, subtracted from the last program's
-precondition at the end.
+One analysis run is pe, cs, then up to n rounds of (te, pe, cs).  Between
+rounds the run carries only the program and the side conditions: one
+initial-state projection `theta` per feasible trace eliminated.  What a
+round excludes is its program's initial facts and the side conditions so
+far, and its precondition is the integer complement of that set
+(`precond.final_precondition`), computed once, for the last completed
+round, after the step loop.
 
 `iterations` is an upper bound on the rounds.  A run stops before it when
 no counterexample is left within the node bound, or when a round leaves
 the precondition unchanged: after round k >= 1, while another round is
-allowed, the initial states round k excludes (its initial facts and side
-conditions, whose integer complement is its precondition) are compared
-with round k-1's by integer equivalence (`equiv_dnf`), and an equal pair
-ends the run with round k's precondition.  Every round's result is sound,
+allowed, the initial states round k excludes are compared with round
+k-1's by integer equivalence (`equiv_dnf`), and an equal pair ends the run
+with round k's precondition.  Every round's result is sound,
 so stopping only gives up what a later round might still have found; an
 undecided comparison keeps the run going.  The report's `stop` names the
 reason.
@@ -26,9 +27,8 @@ reported through `linarith.warn`, which appends to the run's own `Run`;
 the report's `warnings` are that list, in order.
 
 Each step keeps the program it produced, and its precondition (`swp`) is
-computed only when it is read: a run that reports just the final
-precondition extracts once, and a step's `seconds` is its transformation
-alone.
+computed only when it is read: the run itself reads none, and a step's
+`seconds` is its transformation alone.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 from .core import Clause, Program, initial_constraint_dnf
 from .cs import constraint_specialise
 from .derivation import find_counterexample
-from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, equiv_dnf, make_dnf, warn
+from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, equiv_dnf, warn
 from .pe import pe_run
 from .precond import classify, extract_swp, final_precondition
 from .simplex import Undecided
@@ -113,17 +113,16 @@ class _Round:
     def excluded(self) -> DNF:
         """The initial states the round's precondition leaves out.
 
-        These are its program's initial facts and the side conditions.
-        `extract_swp` complements the facts and `final_precondition`
-        subtracts the side conditions, both exactly over the integers up to
-        the negation cap, and the simplification after keeps the integer
-        set.  So two rounds have the same precondition iff they exclude the
-        same integer points, and the round check compares these instead:
-        it reads no complement, so it neither pays for `negate_dnf` nor
-        compares truncated sets.  The value is kept, so a round compared
-        twice computes it once.
+        Its program's initial facts, in `initial_constraint_dnf`'s order,
+        then its side conditions in elimination order, not re-sorted: the
+        round's precondition is `final_precondition` of this set, which
+        subtracts them in this order.  That is its integer complement, up
+        to the negation cap, so two rounds that exclude the same integer
+        points have the same precondition, and the round check compares
+        these sets without computing a complement.  The value is kept, so a
+        round compared twice computes it once.
         """
-        return make_dnf((*initial_constraint_dnf(self.step.program), *self.thetas))
+        return DNF((*initial_constraint_dnf(self.step.program), *self.thetas))
 
 
 class PipelineReport(NamedTuple):
@@ -245,7 +244,7 @@ def _run(p: Program, cfg: PipelineConfig, run: Run) -> PipelineReport:
         warn(f"timeout: falling back to iteration {last.number} result")
 
     t0 = time.monotonic()
-    pre = final_precondition(last.step.swp, last.thetas)
+    pre = final_precondition(last.excluded)
     t1 = time.monotonic()
     cls = classify(pre, original)
     t2 = time.monotonic()

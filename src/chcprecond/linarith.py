@@ -43,7 +43,8 @@ outlives a run.
 
 The `Run` also keeps a witness point per satisfiable conjunction: the model
 the tableau that decided it leaves in its assignment, exact, as integer
-numerators over one common positive denominator.  A conjunction inherits
+numerators over one common positive denominator.  One constraint needs no
+tableau: its point is written down.  A conjunction inherits
 its point when `conj_and` makes it, from an operand whose point holds at
 every constraint of the other operand; `satisfiable` answers such a
 conjunction without a tableau, and a premise whose point violates a
@@ -388,14 +389,13 @@ def _to_row(k: LinConstraint, index: Mapping[Var, int]) -> Row:
 def satisfiable(c: ConstraintConj) -> bool:
     """Rational satisfiability, exact.
 
-    One constraint that is not false is satisfiable.  Within a run a
-    conjunction the run holds a point of, or knows has none, is answered
-    from `Run.models`; otherwise the tableau decides, and its model, or None
-    when there is none, is remembered as the point of c.
+    Within a run a conjunction the run holds a point of, or knows has none,
+    is answered from `Run.models`; otherwise `_solve_point` decides, and the
+    point it finds, or None when there is none, is remembered as c's.
     """
     if c.is_false():
         return False
-    if len(c) <= 1:
+    if not c.constraints:
         return True
     run = RUN.get()
     if run is not None and c in run.models:
@@ -407,11 +407,17 @@ def satisfiable(c: ConstraintConj) -> bool:
 
 
 def _solve_point(c: ConstraintConj) -> Optional[Point]:
-    """The model of c the tableau finds, or None when c has none.
+    """A point of c, or None when c has none; variables at 0 are left out.
 
-    Variables at 0 are left out of the numerators.  The rows are non-strict,
-    so the model has no delta part.
+    One constraint `a*v + ... + const REL 0` holds where its first variable
+    v is -const/a and every other one is 0.  Otherwise the point is the
+    tableau's model, which has no delta part: the rows are non-strict.
     """
+    if len(c) == 1:
+        (k,) = c.constraints
+        (v, a), const = k.coeffs[0], k.const
+        num = -const if a > 0 else const
+        return ({v: num} if num else {}), abs(a)
     index = _index_vars(c)
     solution = solve(len(index), [_to_row(k, index) for k in c])
     if solution is None:
@@ -633,16 +639,14 @@ def _int_preprocess(constraints: tuple[LinConstraint, ...]):
             if k.rel == "=":
                 for v, c in k.coeffs:
                     if abs(c) == 1:
-                        pivot = (k, v, c)
+                        pivot = (k, v)
                         break
             if pivot:
                 break
         if pivot is None:
             break
-        eq, v, c = pivot
-        # v = -(rest + const) / c with c = +-1, so substituting it into a k
-        # that holds b*v is adding -b*c times eq, which cancels v
-        work = [_combine(k, 1, eq, -dict(k.coeffs).get(v, 0) * c) for k in work if k is not eq]
+        eq, v = pivot
+        work = _eliminate(work, v, eq)
     if not work:
         return True, ()
     return None, tuple(work)
@@ -720,19 +724,7 @@ def _project(
         if chosen is None:
             break
         v, eq = chosen
-        a = dict(eq.coeffs)[v]
-        out = []
-        for k, d in rows:
-            if k is eq:
-                continue
-            b = d.get(v, 0)
-            if b == 0:
-                out.append(k)
-                continue
-            combined = _combine(k, abs(a), eq, -(1 if a > 0 else -1) * b)
-            if not is_true_constraint(combined):
-                out.append(combined)
-        work = out
+        work = _eliminate(work, v, eq)
         drop.remove(v)
     # Fourier-Motzkin phase for the rest
     while drop:
@@ -771,6 +763,25 @@ def _project(
         # rational shadow and projection promises exactness over rationals
         result = _drop_redundant(result)
     return result, capped
+
+
+def _eliminate(work: list[LinConstraint], v: Var, eq: LinConstraint) -> list[LinConstraint]:
+    """One Gaussian step: v cancelled from every constraint through the equality eq.
+
+    A constraint that holds b*v, scaled by |a| with a v's coefficient in eq,
+    gains the multiple of eq that cancels v; a = +-1 scales nothing.  A
+    constraint made true is dropped, and eq itself cancels to true.
+    """
+    a = dict(eq.coeffs)[v]
+    out = []
+    for k in work:
+        b = dict(k.coeffs).get(v)
+        if b:
+            k = _combine(k, abs(a), eq, -b if a > 0 else b)
+            if is_true_constraint(k):
+                continue
+        out.append(k)
+    return out
 
 
 def _combine(a: LinConstraint, ka: int, b: LinConstraint, kb: int) -> LinConstraint:

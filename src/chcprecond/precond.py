@@ -1,17 +1,16 @@
 """Safe preconditions on the initial states.
 
-The precondition read off a specialised program is the negated disjunction
-of its initial facts' constraints.  Eliminating a feasible trace adds a
-side condition: the states outside `theta`, what that trace demanded of the
-initial state.  The driver keeps each `theta` as it is until the end, when
-they are subtracted from the last program's precondition one at a time.
-Every complement here is `linarith.subtract`'s: a piece that misses what is
-taken away stays whole, and only a piece that meets it is split.
+A round excludes the initial states of its program's initial facts, and
+eliminating a feasible trace excludes one more set: `theta`, what that
+trace demanded of the initial state.  The precondition is the integer
+complement of everything excluded (`final_precondition`).  `extract_swp`
+complements the facts alone, the precondition read off one program.
+Every complement here is `linarith.negate_dnf`'s, which subtracts one
+excluded set at a time: a piece that misses what is taken away stays
+whole, and only a piece that meets it is split.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .core import Program, initial_constraint_dnf
 from .linarith import (
@@ -24,7 +23,6 @@ from .linarith import (
     implies_dnf,
     make_dnf,
     negate_dnf,
-    subtract,
     warn,
 )
 from .simplex import Undecided
@@ -56,20 +54,17 @@ def prune_disjuncts(d: DNF) -> DNF:
     return make_dnf(out)
 
 
-def final_precondition(swp: DNF, thetas: Iterable[ConstraintConj]) -> DNF:
-    """A program's swp minus each eliminated trace's theta, simplified.
+def final_precondition(excluded: DNF) -> DNF:
+    """The integer complement of the excluded initial states, simplified.
 
-    `swp` is the last program's `extract_swp`, which the driver keeps on
-    the step that made the program.  `thetas` holds one initial-state
-    projection per feasible trace removed, in elimination order; the psi of
-    the iteration scheme is the conjunction of their complements.  Each
-    theta is subtracted from the swp in turn (`linarith.subtract`), then
-    every disjunct loses the constraints the rest of it implies, and
-    `prune_disjuncts` drops whole disjuncts.
+    `excluded` is a round's: its program's initial facts, in
+    `core.initial_constraint_dnf`'s order, then one `theta` per feasible
+    trace eliminated, in elimination order.  `negate_dnf` subtracts them
+    from true in that order, so the facts' complement is the program's
+    `extract_swp`.  Then every disjunct loses the constraints the rest of
+    it implies, and `prune_disjuncts` drops whole disjuncts.
     """
-    out = swp.disjuncts
-    for theta in thetas:
-        out = make_dnf(subtract(out, theta)).disjuncts
+    out = negate_dnf(excluded)
     return prune_disjuncts(make_dnf(_drop_redundant(c) for c in out))
 
 

@@ -71,8 +71,9 @@ class Simplex:
     `set_bounds`, looser or tighter, and the next `check()` repairs the
     assignment the last one left instead of starting over; `linarith`'s
     entailment check and redundancy sweep ask their queries that way.  The
-    branch-and-bound below still builds a fresh tableau per node, which
-    keeps its node count independent of pivots.
+    branch-and-bound below builds a fresh tableau per node from the rows
+    and the node's branch rows, which keeps its node count independent of
+    pivots.
 
     The tableau is `rows`, a map from each basic variable to its row, with
     the row's denominator in `den`; a nonbasic variable's `den` is 1, so
@@ -250,12 +251,8 @@ Side = tuple[int, Optional[int], Optional[int]]
 # side the row leaves open
 
 
-def _solver_for(
-    nvars: int,
-    rows: list[Row],
-    bounds: Optional[dict[int, tuple[Optional[Delta], Optional[Delta]]]] = None,
-) -> Optional[tuple[Simplex, list[Optional[Side]]]]:
-    """A Simplex for the rows under extra variable bounds, and each row's side.
+def _solver_for(nvars: int, rows: list[Row]) -> Optional[tuple[Simplex, list[Optional[Side]]]]:
+    """A Simplex for the rows, and each row's side.
 
     None means a false ground row; a ground row that holds has no side.  A
     row of one variable with coefficient +-1 bounds that variable itself;
@@ -265,8 +262,6 @@ def _solver_for(
     """
     sx = Simplex(nvars)
     lb, ub = sx.lb, sx.ub
-    for v, (lo, hi) in (bounds or {}).items():
-        sx.set_bounds(v, lo, hi)
     merged: dict[tuple[tuple[int, int], ...], int] = {}
     sides: list[Optional[Side]] = []
     for combo, const, rel in rows:
@@ -307,16 +302,18 @@ def solve(nvars: int, rows: list[Row]) -> Optional[Model]:
 def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:
     """Integer feasibility by branch-and-bound over the rational relaxation.
 
+    A node is the unit rows its branches added, each a bound on one
+    variable; the side below the fractional value is visited first.
     Raises Undecided when the budget runs dry.
     """
-    stack: list[dict[int, tuple[Optional[Delta], Optional[Delta]]]] = [{}]
+    stack: list[list[Row]] = [[]]
     while stack:
-        bounds = stack.pop()
+        branch = stack.pop()
         budget.spend()
-        built = _solver_for(nvars, rows, bounds)
+        built = _solver_for(nvars, rows + branch)
         if built is None or not built[0].check():
             continue
-        # rows and branch bounds are non-strict, so no value has a delta part
+        # rows and branch rows are non-strict, so no value has a delta part
         model, den = built[0].model()
         fractional = None
         for v in range(nvars):
@@ -327,13 +324,9 @@ def int_feasible(nvars: int, rows: list[Row], budget: Budget) -> bool:
         if fractional is None:
             return True
         v, lo = fractional
-        cur = bounds.get(v, (None, None))
-        above = dict(bounds)
-        above[v] = (dmax(cur[0], (lo + 1, 0)), cur[1])
-        below = dict(bounds)
-        below[v] = (cur[0], dmin(cur[1], (lo, 0)))
-        stack.append(above)
-        stack.append(below)
+        # v >= lo + 1, as -v + lo + 1 <= 0, and v <= lo, as v - lo <= 0
+        stack.append(branch + [(((v, -1),), lo + 1, "<=")])
+        stack.append(branch + [(((v, 1),), -lo, "<=")])
     return False
 
 

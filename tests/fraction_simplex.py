@@ -170,12 +170,8 @@ class FractionSimplex:
         return self.assign[: self.n]
 
 
-def _solver_for(
-    nvars: int,
-    rows: list[Row],
-    bounds: Optional[dict[int, tuple[Optional[Delta], Optional[Delta]]]] = None,
-) -> Optional[FractionSimplex]:
-    """Build a FractionSimplex for the rows under extra variable bounds.
+def _solver_for(nvars: int, rows: list[Row]) -> Optional[FractionSimplex]:
+    """Build a FractionSimplex for the rows.
 
     The construction of `chcprecond.simplex._solver_for`, which takes
     non-strict rows only; here a strict row `<` also gives a strict bound,
@@ -188,8 +184,6 @@ def _solver_for(
     """
     sx = FractionSimplex(nvars)
     lb, ub = sx.lb, sx.ub
-    for v, (lo, hi) in (bounds or {}).items():
-        sx.set_bounds(v, lo, hi)
     merged: dict[tuple[tuple[int, int], ...], int] = {}
     for combo, const, rel in rows:
         if not combo:

@@ -25,6 +25,7 @@ from chcprecond.linarith import (
     ConstraintConj,
     LinConstraint,
     Var,
+    _drop_redundant,
     conj_and,
     entails,
     make_conj,
@@ -33,8 +34,10 @@ from chcprecond.linarith import (
     project,
     rename_conj,
     satisfiable,
+    subtract,
 )
 from chcprecond.parser import parse_program
+from chcprecond.precond import extract_swp, prune_disjuncts
 from chcprecond.qa import answer_pred
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -245,6 +248,19 @@ def dnf_of_conj(c: ConstraintConj) -> DNF:
 def feasible(t: AndTree) -> bool:
     """Whether the constraints of every node of `t` have a rational model."""
     return satisfiable(constr_of(t))
+
+
+def swp_minus_thetas(p: Program, thetas: Iterable[ConstraintConj]) -> DNF:
+    """A round's precondition computed the second way: the program's swp,
+    then each theta subtracted in turn, then `final_precondition`'s cleanup.
+
+    The reference that `final_precondition` of the round's excluded states
+    must print the same as (`tests/test_round_premise.py`).
+    """
+    out = extract_swp(p).disjuncts
+    for theta in thetas:
+        out = make_dnf(subtract(out, theta)).disjuncts
+    return prune_disjuncts(make_dnf(_drop_redundant(c) for c in out))
 
 
 def parse_dnf(text: str) -> DNF:

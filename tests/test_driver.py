@@ -301,14 +301,13 @@ def test_step_swp_is_computed_only_when_read(monkeypatch):
     monkeypatch.setattr(precond_mod, "extract_swp", counting)
     monkeypatch.setattr(driver_mod, "extract_swp", counting)
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
-    # only final_precondition extracts when no step's swp is read: round 1's
-    # check compares what rounds 0 and 1 exclude, which takes no swp, finds
-    # it the same and stops
+    # the run extracts no swp: round 1's check compares what rounds 0 and 1
+    # exclude, finds it the same and stops, and the precondition is the
+    # complement of what round 1 excludes
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs"]
-    assert calls == [r.steps[5].program]
+    assert calls == []
     swps = [s.swp for s in r.steps]
-    # the last step's swp was kept, so reading every step adds the others
-    assert len(calls) == len(r.steps)
+    assert calls == [s.program for s in r.steps]
     assert swps == [real(s.program) for s in r.steps]
     # a second read is served from the cache
     assert [s.swp for s in r.steps] == swps

@@ -414,6 +414,11 @@ def test_every_witness_point_lies_in_its_conjunction():
         fractional += any(n % den for n in nums.values())
     # some points are not integral, and those are exact too
     assert fractional > 0
+    # 132 of the 4,453 points are written down for one constraint, with no
+    # tableau, and some of those are not integral either
+    single = [(c, point) for c, point in points.items() if len(c) == 1]
+    assert len(single) == 132
+    assert any(n % den for _, (nums, den) in single for n in nums.values())
 
 
 def test_rename_conj_equals_renaming_each_constraint():
@@ -459,11 +464,9 @@ def test_project_known_sat_matches_the_checked_projection():
 # -- unit rows as variable bounds ----------------------------------------------
 
 
-def slack_per_row_solver(nvars, rows, bounds=None):
+def slack_per_row_solver(nvars, rows):
     """A tableau with a slack for every distinct row, unit rows included, and each row's side."""
     sx = Simplex(nvars)
-    for v, (lo, hi) in (bounds or {}).items():
-        sx.set_bounds(v, lo, hi)
     merged, sides = {}, []
     for combo, const, rel in rows:
         if not combo:

@@ -2,10 +2,11 @@
 
 import pytest
 
-from chcprecond.core import Program
+from chcprecond.core import Program, initial_constraint_dnf
 from chcprecond.cs import constraint_specialise
 import chcprecond.linarith as linarith
 from chcprecond.linarith import (
+    DNF,
     DNF_FALSE,
     Var,
     equiv_dnf,
@@ -82,7 +83,7 @@ def test_final_precondition_conjoins_side_conditions():
         ":- initial(i/1).\nc1. i(A) :- A >= 0.\nc2. false :- i(A).\n"
     )
     theta = conj_from([({A: 1}, -3, ">=")])
-    got = final_precondition(extract_swp(p), [theta])
+    got = final_precondition(DNF((*initial_constraint_dnf(p), theta)))
     assert equiv_dnf(got, dnf_of_conj(conj_from([({A: 1}, 1, "<=")])))
 
 

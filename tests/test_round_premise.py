@@ -9,26 +9,30 @@ cs, the counterexample search and trace elimination directly for
 program, each of the sixteen gen-multivar draws and each of the twelve
 two-loop draws of `tests/test_twoloop.py` it checks that:
 
+- every round's precondition, the complement of the initial states it
+  excludes (`final_precondition`), prints the same as the last program's
+  swp minus each theta in turn (`helpers.swp_minus_thetas`);
 - no unchanged round is followed by a changing one;
 - the driver's run, stopped or not, reports a precondition integer
   equivalent to the full loop's last one.
 
-All 38 programs take about 3.5 s on a 2-CPU x86_64 machine, the loop
+All 38 programs take about 4 s on a 2-CPU x86_64 machine, the loop
 and the driver's runs together.
 """
 
 import pytest
 
+from chcprecond.core import initial_constraint_dnf
 from chcprecond.cs import constraint_specialise
 from chcprecond.derivation import find_counterexample
 from chcprecond.driver import PipelineConfig, run_pipeline
-from chcprecond.linarith import RUN, Run, equiv_dnf
+from chcprecond.linarith import DNF, RUN, Run, equiv_dnf
 from chcprecond.parser import parse_program
 from chcprecond.pe import pe_run
-from chcprecond.precond import extract_swp, final_precondition
+from chcprecond.precond import final_precondition
 from chcprecond.te import eliminate_trace
 
-from helpers import corpus_files, gen_multivar_texts, gen_twoloop_texts, load
+from helpers import corpus_files, gen_multivar_texts, gen_twoloop_texts, load, swp_minus_thetas
 
 # the corpus default; 3 of the 38 programs still change in round 3
 ROUNDS = 3
@@ -43,11 +47,18 @@ PROGRAMS.update(
 )
 
 
+def precondition(p, thetas):
+    """The complement of what a round excludes, checked against the reference."""
+    pre = final_precondition(DNF((*initial_constraint_dnf(p), *thetas)))
+    assert str(pre) == str(swp_minus_thetas(p, thetas))
+    return pre
+
+
 def every_round(p):
     """The precondition after rounds 0, 1, ..., up to `ROUNDS` or no counterexample."""
     cur = constraint_specialise(pe_run(p).program).program
     thetas = []
-    pres = [final_precondition(extract_swp(cur), thetas)]
+    pres = [precondition(cur, thetas)]
     for _ in range(ROUNDS):
         cex = find_counterexample(cur, MAX_CEX_NODES)
         if cex is None:
@@ -56,7 +67,7 @@ def every_round(p):
         if theta is not None:
             thetas.append(theta)
         cur = constraint_specialise(pe_run(cur).program).program
-        pres.append(final_precondition(extract_swp(cur), thetas))
+        pres.append(precondition(cur, thetas))
     return pres
 
 

@@ -26,7 +26,7 @@ from chcprecond.simplex import Budget, Simplex, Undecided, _solver_for, dmax, dm
 RELS = ("=", "<=", "<")
 
 
-def solver_for(nvars, rows, bounds=None):
+def solver_for(nvars, rows):
     """`_solver_for`'s tableau, where a row may also be strict.
 
     The kernel's rows are non-strict, and a strict bound comes from a query
@@ -35,7 +35,7 @@ def solver_for(nvars, rows, bounds=None):
     """
     if any(not combo and rel == "<" and const == 0 for combo, const, rel in rows):
         return None
-    built = _solver_for(nvars, [(c, k, "<=" if rel == "<" else rel) for c, k, rel in rows], bounds)
+    built = _solver_for(nvars, [(c, k, "<=" if rel == "<" else rel) for c, k, rel in rows])
     if built is None:
         return None
     sx, sides = built
@@ -272,10 +272,11 @@ def test_unit_rows_meet_on_their_variable_and_scaled_rows_keep_a_slack():
     assert [(sx.lb[v], sx.ub[v]) for v in range(2)] == [((1, 1), (3, 0)), ((2, 0), (2, 0))]
     assert sx.rows == {2: {0: 2}} and (sx.lb[2], sx.ub[2]) == (None, (7, 0))
     assert sx.check() and rational(sx.model())[1] == (2, 0)
-    # the rows meet the extra bounds too, and bounds that cross fail
-    sx = solver_for(2, rows, {0: ((2, 0), (6, 0))})
+    # the rows meet the unit rows branch-and-bound adds too, and bounds
+    # that cross fail
+    sx = solver_for(2, rows + [(((0, -1),), 2, "<="), (((0, 1),), -6, "<=")])
     assert (sx.lb[0], sx.ub[0]) == ((2, 0), (3, 0)) and sx.check()
-    assert not solver_for(2, rows, {0: ((4, 0), None)}).check()
+    assert not solver_for(2, rows + [(((0, -1),), 4, "<=")]).check()
     assert not solver_for(2, rows + [(((1, -1),), 3, "<=")]).check()
     # each row names the variable or slack it bounds, and its own edges
     _, sides = _solver_for(2, [(c, k, "<=" if rel == "<" else rel) for c, k, rel in rows])
@@ -339,7 +340,8 @@ def test_ground_rows(rel):
 
 
 # (variables, rows, feasible, nodes spent); the counts were taken before the
-# bounds of `_solver_for` went through `set_bounds`
+# bounds of `_solver_for` went through `set_bounds`, and before a branch
+# became a unit row
 PINNED_NODES = [
     # 2x = 1
     (1, [(((0, 2),), -1, "=")], False, 3),
