@@ -28,7 +28,8 @@ def main() -> None:
             else:
                 kind = "feasible" if step.feasible else "infeasible"
                 extra = f"  removed {step.trace} ({kind})"
-        print(f"{step.label:6s} {step.seconds:6.3f}s  swp has {len(step.swp)} disjunct(s){extra}")
+        clauses = len(step.program.clauses)
+        print(f"{step.label:6s} {step.seconds:6.3f}s  {clauses} clause(s){extra}")
     print()
 
     print(f"iterations used: {rep.iterations_used} of {opts.iterations} (stop: {rep.stop})")

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--format", choices=("text", "json"), default="text")
     an.add_argument(
         "--dump",
-        choices=("pe", "cs", "invariants", "trace"),
+        choices=("pe", "cs", "invariants"),
         help="print one intermediate artifact instead of the report",
     )
     return ap
@@ -95,10 +95,7 @@ def _report_json(args: argparse.Namespace, rep: PipelineReport) -> dict:
         "precondition": _dnf_json(rep.precondition),
         "precondition_text": format_dnf(rep.precondition),
         "classification": rep.classification,
-        "steps": [
-            {"label": s.label, "seconds": s.seconds, "swp": _dnf_json(s.swp)}
-            for s in rep.steps
-        ],
+        "steps": [{"label": s.label, "seconds": s.seconds} for s in rep.steps],
         "final_seconds": rep.final_seconds,
         "classify_seconds": rep.classify_seconds,
         "eliminated_traces": [
@@ -127,16 +124,8 @@ def _print_text(args: argparse.Namespace, rep: PipelineReport) -> None:
         print(f"warning: {w}")
 
 
-def _dump(args: argparse.Namespace, p: Program, cfg: PipelineConfig) -> int:
-    if args.dump == "trace":
-        rep = run_pipeline(p, cfg)
-        rows = [s for s in rep.steps if s.label == "te" and s.trace is not None]
-        if not rows:
-            print("no traces eliminated")
-        for s in rows:
-            print(f"{s.trace}  [{'feasible' if s.feasible else 'infeasible'}]")
-        return 3 if rep.timed_out else 0
-    if cfg.strip_init:
+def _dump(args: argparse.Namespace, p: Program) -> int:
+    if args.strip_init:
         p = strip_init(p)
     if args.dump == "pe":
         r = pe_run(p)
@@ -182,7 +171,7 @@ def _analyze(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.dump:
-        return _dump(args, p, cfg)
+        return _dump(args, p)
     rep = run_pipeline(p, cfg)
     if args.format == "json":
         print(json.dumps(_report_json(args, rep), indent=2))

@@ -26,9 +26,8 @@ What a run gives up (a cap, an exhausted budget, a timeout fallback) is
 reported through `linarith.warn`, which appends to the run's own `Run`;
 the report's `warnings` are that list, in order.
 
-Each step keeps the program it produced, and its precondition (`swp`) is
-computed only when it is read: the run itself reads none, and a step's
-`seconds` is its transformation alone.
+Each step keeps the program it produced and the time its transformation
+took; the only precondition a run computes is the last completed round's.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .cs import constraint_specialise
 from .derivation import find_counterexample
 from .linarith import DNF, RUN, TRUE_CONJ, ConstraintConj, Run, equiv_dnf, warn
 from .pe import pe_run
-from .precond import classify, extract_swp, final_precondition
+from .precond import classify, final_precondition
 from .simplex import Undecided
 from .te import eliminate_trace
 
@@ -71,34 +70,26 @@ class PipelineConfig(_PipelineConfigFields):
         return self
 
 
-class _StepRecordFields(NamedTuple):
+class StepRecord(NamedTuple):
+    """One transformation step: its duration and the program it produced.
+
+    For trace-elimination steps `feasible` tells whether the removed trace
+    was feasible and `trace` holds its term notation; a round where no
+    counterexample exists within the node bound records neither.  The repr
+    leaves the program out.
+    """
+
     label: str
     seconds: float
     program: Program
     feasible: Optional[bool] = None
     trace: Optional[str] = None
 
-
-class StepRecord(_StepRecordFields):
-    """One transformation step: its duration and the program it produced.
-
-    `swp`, the precondition read off that program, is computed on first
-    access and then cached in the instance dict, so the class has no
-    `__slots__`.  For trace-elimination steps `feasible` tells whether the
-    removed trace was feasible and `trace` holds its term notation; a round
-    where no counterexample exists within the node bound records neither.
-    The repr leaves the program out.
-    """
-
     def __repr__(self) -> str:
         return (
             f"StepRecord(label={self.label!r}, seconds={self.seconds!r}, "
             f"feasible={self.feasible!r}, trace={self.trace!r})"
         )
-
-    @cached_property
-    def swp(self) -> DNF:
-        return extract_swp(self.program)
 
 
 class _Round:

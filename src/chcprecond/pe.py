@@ -18,7 +18,7 @@ the unfolding depend on the call context in ways that reorder versions.
 from __future__ import annotations
 
 import itertools
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, NamedTuple
 
 from .core import (
@@ -110,7 +110,9 @@ class _Element(NamedTuple):
     step: int
 
 
-class _PeResultFields(NamedTuple):
+class PeResult(NamedTuple):
+    """The specialised program, and what each step added to S and R."""
+
     program: Program
     # per step: the elements of S it added, as (name, args, theta), and the
     # clauses of R they gave
@@ -119,33 +121,14 @@ class _PeResultFields(NamedTuple):
         ...,
     ]
 
-
-class PeResult(_PeResultFields):
-    """The specialised program, and what each step added to S and R.
-
-    `table`, the same rows as text, is formatted on first access and then
-    cached in the instance dict, so the class has no `__slots__`.
-    """
-
-    @cached_property
-    def table(self) -> tuple[tuple[int, tuple[str, ...], tuple[str, ...]], ...]:
-        return tuple(
-            (
-                step,
-                tuple(f"{name}{_args_str(args)} <- {format_conj(theta)}" for name, args, theta in s),
-                tuple(format_clause(cl) for cl in r),
-            )
-            for step, s, r in self.added
-        )
-
     def dump(self) -> str:
         lines = []
-        for step, added_s, added_r in self.table:
+        for step, added_s, added_r in self.added:
             lines.append(f"step {step}:")
-            for s in added_s:
-                lines.append(f"  S + {s}")
-            for r in added_r:
-                lines.append(f"  R + {r}")
+            for name, args, theta in added_s:
+                lines.append(f"  S + {name}{_args_str(args)} <- {format_conj(theta)}")
+            for cl in added_r:
+                lines.append(f"  R + {format_clause(cl)}")
         return "\n".join(lines)
 
 

@@ -4,7 +4,8 @@ A round excludes the initial states of its program's initial facts, and
 eliminating a feasible trace excludes one more set: `theta`, what that
 trace demanded of the initial state.  The precondition is the integer
 complement of everything excluded (`final_precondition`).  `extract_swp`
-complements the facts alone, the precondition read off one program.
+complements one program's initial facts alone, without the side
+conditions; the run does not call it.
 Every complement here is `linarith.negate_dnf`'s, which subtracts one
 excluded set at a time: a piece that misses what is taken away stays
 whole, and only a piece that meets it is split.

@@ -25,6 +25,7 @@ from chcprecond.linarith import (
 )
 from chcprecond.parser import parse_program
 from chcprecond.pe import pe_run
+from chcprecond.precond import extract_swp
 
 import test_properties
 from helpers import (
@@ -170,7 +171,9 @@ def test_criterion_6_monotone_preconditions():
                 if cur.label in ("pe", "cs") or (
                     cur.label == "te" and cur.feasible is not True
                 ):
-                    assert implies_dnf(prev.swp, cur.swp), (name, cur.label)
+                    assert implies_dnf(
+                        extract_swp(prev.program), extract_swp(cur.program)
+                    ), (name, cur.label)
 
 
 def test_criterion_7_randomised_kernel_suites():

@@ -1,9 +1,11 @@
 """Command line behaviour: exit codes, report formats, dumps."""
 
 import json
+import sys
 
 import pytest
 
+import chcprecond.linarith as linarith_mod
 from chcprecond.cli import main
 
 from helpers import CORPUS
@@ -62,6 +64,43 @@ def test_json_report(capsys):
     assert eq["coeffs"] in ({"A": 1, "B": 1, "N": -3}, {"A": -1, "B": -1, "N": 3})
     assert doc["precondition_text"]
     assert doc["final_seconds"] >= 0 and doc["classify_seconds"] >= 0
+
+
+def test_json_report_holds_only_what_the_run_computed(capsys, monkeypatch):
+    # every module that imported negate_dnf calls the counting one
+    calls = []
+    real = linarith_mod.negate_dnf
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("chcprecond") and getattr(mod, "negate_dnf", None) is real:
+            monkeypatch.setattr(mod, "negate_dnf", counting)
+    argv = ["analyze", path("fig1.chc"), "--iterations", "2", "--format"]
+    for fmt in ("text", "json"):
+        calls.clear()
+        code, out, _ = run(capsys, *argv, fmt)
+        assert code == 0
+        # the one complement is the round's precondition, in either format
+        assert len(calls) == 1, fmt
+    doc = json.loads(out)
+    assert sorted(doc) == [
+        "classification", "classify_seconds", "eliminated_traces", "file",
+        "final_seconds", "iterations", "iterations_used", "mode", "precondition",
+        "precondition_text", "steps", "stop", "timed_out", "warnings",
+    ]
+    assert [sorted(s) for s in doc["steps"]] == [["label", "seconds"]] * 6
+    # (A,B) = (100,0) lies on B = 2*|A-100|, from where the loop exits
+    # with A =< 0 and B = 0: the precondition leaves it out
+    point = {"A": 100, "B": 0}
+
+    def holds(k):
+        value = sum(c * point[v] for v, c in k["coeffs"].items()) + k["const"]
+        return value == 0 if k["rel"] == "=" else value <= 0
+
+    assert not any(all(holds(k) for k in conj) for conj in doc["precondition"])
 
 
 def test_text_report_times_the_work_after_the_steps(capsys):
@@ -217,28 +256,6 @@ def test_dump_cs_lists_deletions(capsys):
     assert code == 0
     assert "deleted: c5" in out
     assert "init_3(A,B) :- A =< 99, 2*A + B = 200." in out
-
-
-def test_dump_trace(capsys):
-    code, out, _ = run(
-        capsys,
-        "analyze",
-        path("example_t4.chc"),
-        "--dump",
-        "trace",
-        "--iterations",
-        "1",
-    )
-    assert code == 0
-    assert out.splitlines() == ["c1(c2,c5)  [feasible]"]
-
-
-def test_dump_trace_empty(capsys):
-    code, out, _ = run(
-        capsys, "analyze", path("already_safe.chc"), "--dump", "trace"
-    )
-    assert code == 0
-    assert "no traces eliminated" in out
 
 
 def test_strip_init_mode_line(capsys):

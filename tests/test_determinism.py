@@ -21,6 +21,7 @@ import sys
 from chcprecond.core import format_program
 from chcprecond.driver import PipelineConfig, run_pipeline
 from chcprecond.parser import parse_program
+from chcprecond.precond import extract_swp
 texts, gen = sys.argv[1:11], sys.argv[11:]
 runs = [(t, PipelineConfig()) for t in texts]
 runs += [(t, PipelineConfig(iterations=1)) for t in gen]
@@ -29,7 +30,7 @@ for text, cfg in runs:
     print("precondition", r.precondition)
     print(r.classification, r.iterations_used, r.timed_out, r.stop, r.warnings)
     for s in r.steps:
-        print("step", s.label, s.feasible, s.trace, "swp", s.swp)
+        print("step", s.label, s.feasible, s.trace, "swp", extract_swp(s.program))
         print(format_program(s.program), end="")
     print(format_program(r.program), end="")
 """

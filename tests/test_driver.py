@@ -30,6 +30,7 @@ from chcprecond.linarith import (
     make_dnf,
 )
 from chcprecond.parser import parse_program
+from chcprecond.precond import extract_swp
 from chcprecond.simplex import Budget, Undecided
 
 from helpers import (
@@ -76,7 +77,7 @@ def test_zero_iterations_is_propagation_only():
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=0))
     assert [s.label for s in r.steps] == ["input", "pe", "cs"]
     assert r.steps[0].seconds == 0.0
-    assert r.steps[0].swp.is_false()
+    assert extract_swp(r.steps[0].program).is_false()
     assert r.iterations_used == 0
     assert len(r.precondition) == 5
 
@@ -285,33 +286,20 @@ def test_reports_are_deterministic_up_to_timing():
     b = run_pipeline(load("example_t4.chc"), cfg)
     assert a.precondition == b.precondition
     assert a.classification == b.classification
-    assert [(s.label, s.swp, s.feasible, s.trace) for s in a.steps] == [
-        (s.label, s.swp, s.feasible, s.trace) for s in b.steps
+    assert [(s.label, extract_swp(s.program), s.feasible, s.trace) for s in a.steps] == [
+        (s.label, extract_swp(s.program), s.feasible, s.trace) for s in b.steps
     ]
 
 
-def test_step_swp_is_computed_only_when_read(monkeypatch):
+def test_the_run_extracts_no_step_swp(monkeypatch):
     calls = []
-    real = precond_mod.extract_swp
-
-    def counting(p):
-        calls.append(p)
-        return real(p)
-
-    monkeypatch.setattr(precond_mod, "extract_swp", counting)
-    monkeypatch.setattr(driver_mod, "extract_swp", counting)
+    monkeypatch.setattr(precond_mod, "extract_swp", calls.append)
     r = run_pipeline(load("fig1.chc"), PipelineConfig(iterations=2))
-    # the run extracts no swp: round 1's check compares what rounds 0 and 1
-    # exclude, finds it the same and stops, and the precondition is the
-    # complement of what round 1 excludes
+    # round 1's check compares what rounds 0 and 1 exclude, finds it the
+    # same and stops, and the precondition is the complement of what round
+    # 1 excludes
     assert [s.label for s in r.steps] == ["input", "pe", "cs", "te", "pe", "cs"]
     assert calls == []
-    swps = [s.swp for s in r.steps]
-    assert calls == [s.program for s in r.steps]
-    assert swps == [real(s.program) for s in r.steps]
-    # a second read is served from the cache
-    assert [s.swp for s in r.steps] == swps
-    assert len(calls) == len(r.steps)
 
 
 # -- the run context -------------------------------------------------------------

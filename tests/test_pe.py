@@ -5,7 +5,7 @@ import pytest
 from chcprecond.core import Pred
 from chcprecond.derivation import find_counterexample
 from chcprecond.driver import PipelineConfig, run_pipeline
-from chcprecond.linarith import Var, implies_dnf
+from chcprecond.linarith import Var, format_conj, implies_dnf
 from chcprecond.parser import parse_program
 import chcprecond.pe as pe_mod
 from chcprecond.pe import canonical_args, gen_properties, pe_run
@@ -56,24 +56,23 @@ def test_canonical_args_first_occurrence():
     assert canon[Pred("while", 2)] == (Var("A"), Var("B"))
 
 
-def _added_names(row):
-    return [s.split("(")[0].split(" ")[0] for s in row[1]]
-
-
 def test_version_table_on_loop_program():
     r = pe_run(load("fig1.chc"))
-    by_step = {row[0]: row for row in r.table}
+    by_step = {step: added_s for step, added_s, _ in r.added}
     assert sorted(by_step) == [0, 1, 2, 3, 4]
-    assert _added_names(by_step[0]) == ["false"]
-    assert _added_names(by_step[1]) == ["while_1"]
-    assert sorted(_added_names(by_step[2])) == ["if_1", "while_2"]
-    assert sorted(_added_names(by_step[3])) == ["if_2", "init_1", "init_2"]
-    assert _added_names(by_step[4]) == ["init_3"]
-    assert by_step[1][1] == ("while_1(A,B) <- A =< 0, B = 0",)
-    assert by_step[4][1] == ("init_3(A,B) <- A =< 99",)
-    assert "if_1(A,B) <- true" in by_step[2][1]
+    names = {step: [name for name, _, _ in s] for step, s in by_step.items()}
+    assert names[0] == ["false"]
+    assert names[1] == ["while_1"]
+    assert sorted(names[2]) == ["if_1", "while_2"]
+    assert sorted(names[3]) == ["if_2", "init_1", "init_2"]
+    assert names[4] == ["init_3"]
+    rows = {name: (args, format_conj(theta)) for s in by_step.values() for name, args, theta in s}
+    assert rows["false"] == ((), "true")
+    assert rows["while_1"] == ((A, B), "A =< 0, B = 0")
+    assert rows["init_3"] == ((A, B), "A =< 99")
+    assert rows["if_1"] == ((A, B), "true")
     # one resultant row per emitted clause
-    assert sum(len(row[2]) for row in r.table) == len(r.program.clauses)
+    assert sum(len(added_r) for _, _, added_r in r.added) == len(r.program.clauses)
 
 
 def test_emitted_program_shape():
