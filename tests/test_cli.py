@@ -258,6 +258,25 @@ def test_dump_cs_lists_deletions(capsys):
     assert "init_3(A,B) :- A =< 99, 2*A + B = 200." in out
 
 
+def test_dump_offers_no_trace(capsys):
+    # the eliminated traces are the report's te lines and JSON's eliminated_traces
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", path("example_t4.chc"), "--dump", "trace"])
+    assert exc.value.code == 2
+    assert "trace" in capsys.readouterr().err
+
+
+def test_reports_list_no_trace_when_none_is_eliminated(capsys):
+    code, out, _ = run(capsys, "analyze", path("already_safe.chc"))
+    assert code == 0
+    te = [line.split() for line in out.splitlines() if line.strip().startswith("te ")]
+    # one te step, with its time and no trace after it
+    assert len(te) == 1 and len(te[0]) == 2
+    code, out, _ = run(capsys, "analyze", path("already_safe.chc"), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["eliminated_traces"] == []
+
+
 def test_strip_init_mode_line(capsys):
     code, out, _ = run(
         capsys,
