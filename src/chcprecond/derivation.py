@@ -5,12 +5,14 @@ derives (None at the goal root), and the clause constraint with variables
 renamed apart.  A trace tree is the same thing stripped to clause ids, and
 prints in term notation like `c1(c10,c2(c8,c6))`.
 
-The counterexample search enumerates trace trees for false in increasing
-node count with a fixed order (clause file order at every choice point,
-leftmost atom first, smaller left subtrees first), pruning any partial tree
-whose accumulated constraint is rationally unsatisfiable.  That pruning
-never loses a feasible tree because satisfiability of the accumulation is
-monotone along a feasible derivation.
+The counterexample search enumerates trace trees for the goal in
+increasing node count with a fixed order (clause file order at every
+choice point, leftmost atom first, smaller left subtrees first), pruning
+any partial tree whose accumulated constraint is rationally
+unsatisfiable.  That pruning never loses a feasible tree because
+satisfiability of the accumulation is monotone along a feasible
+derivation.  The goal is expanded like any atom, with None standing for
+it: its clauses are the goal clauses, and its root derives no atom.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import itertools
 import re
 from typing import Iterator, NamedTuple, Optional
 
-from .core import Atom, Pred, Program, rename_clause
+from .core import FALSE_PRED, Atom, Pred, Program, rename_clause
 from .linarith import (
     ConstraintConj,
+    TRUE_CONJ,
     Var,
     conj_and,
     make_conj,
@@ -186,12 +189,10 @@ def _size_masks(p: Program, max_nodes: int) -> dict[Pred, int]:
     while changed:
         changed = False
         for cl in p.clauses:
-            if cl.head is None:
-                continue
             new = (_list_mask(cl.body, masks, cap) << 1) & cap
-            old = masks.get(cl.head.pred, 0)
+            old = masks.get(cl.head_pred(), 0)
             if new & ~old:
-                masks[cl.head.pred] = old | new
+                masks[cl.head_pred()] = old | new
                 changed = True
     return masks
 
@@ -205,13 +206,19 @@ def _list_mask(atoms: tuple[Atom, ...], masks: dict[Pred, int], cap: int) -> int
     return comb
 
 
-def _trees_for_atom(p: Program, atom: Atom, size: int, acc: ConstraintConj, prune: bool, fresh, masks: dict[Pred, int]):
-    if size < 1 or not (masks.get(atom.pred, 0) >> size) & 1:
+def _trees_for_atom(p: Program, atom: Optional[Atom], size: int, acc: ConstraintConj, prune: bool, fresh, masks: dict[Pred, int]):
+    """Each tree of `size` nodes that derives `atom`, with acc and its constraints conjoined.
+
+    `None` stands for the goal: the tree's root is a goal clause, and it
+    derives no atom.
+    """
+    pred = FALSE_PRED if atom is None else atom.pred
+    if size < 1 or not (masks.get(pred, 0) >> size) & 1:
         return
-    for cl in p.clauses_for(atom.pred):
+    for cl in p.clauses_for(pred):
         if len(cl.body) > size - 1:
             continue
-        constr, body = rename_clause(cl, atom.args, fresh)
+        constr, body = rename_clause(cl, None if atom is None else atom.args, fresh)
         acc2 = conj_and(acc, constr)
         if prune and not satisfiable(acc2):
             continue
@@ -239,7 +246,7 @@ def _trees_for_list(p: Program, atoms: tuple[Atom, ...], size: int, acc: Constra
 def iter_and_trees(
     p: Program, max_nodes: int, prune: bool = True
 ) -> Iterator[tuple[AndTree, ConstraintConj]]:
-    """Complete AND-trees for `false`, through the goal clauses, in increasing node count."""
+    """Complete AND-trees for the goal, in increasing node count."""
     masks = _size_masks(p, max_nodes)
     for n in range(1, max_nodes + 1):
         counter = itertools.count(1)
@@ -247,14 +254,7 @@ def iter_and_trees(
         def fresh() -> Var:
             return Var(f"T{next(counter)}")
 
-        for cl in p.goal_clauses():
-            if len(cl.body) > n - 1:
-                continue
-            constr, body = rename_clause(cl, None, fresh)
-            if prune and not satisfiable(constr):
-                continue
-            for children, acc in _trees_for_list(p, body, n - 1, constr, prune, fresh, masks):
-                yield AndTree(cl.cid, None, constr, tuple(children)), acc
+        yield from _trees_for_atom(p, None, n, TRUE_CONJ, prune, fresh, masks)
 
 
 def find_counterexample(p: Program, max_nodes: int = 40) -> Optional[tuple[AndTree, bool]]:

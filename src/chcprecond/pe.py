@@ -1,12 +1,15 @@
 """Partial evaluation with property-based abstraction.
 
-The run keeps a set S of constrained facts, seeded with false <- true.
-Each element is unfolded against the program; every remaining body atom
-contributes a new constrained fact, abstracted to the conjunction of the
-properties it entails.  Versions are identified by the satisfied-property
-subset, except for the initial predicate, whose versions are kept apart by
-their projected call constraint so distinct call contexts stay distinct.
-The emitted program renames every predicate occurrence to its version.
+The run keeps a set S of constrained facts, seeded with false <- true, and
+works it off as a queue.  An element `pred(args) <- theta` is unfolded from
+its own atom: resolving that atom against pred's clauses is the same step
+as resolving any body atom selected later.  Each resultant's remaining
+body atoms become constrained facts of their own, abstracted to the
+conjunction of the properties they entail.  Versions are identified by the
+satisfied-property subset, except for the initial predicate, whose
+versions are kept apart by their projected call constraint so distinct
+call contexts stay distinct.  The element's clauses, with every predicate
+occurrence renamed to its version, are emitted as it is unfolded.
 
 Unfolding selects body atoms that are never initial and never recursive,
 and either have a single defining clause or cannot reach the initial
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     FALSE_PRED,
@@ -89,12 +92,12 @@ def gen_properties(
 
 
 def rep_psi(
-    props: Callable[[Pred], tuple[ConstraintConj, ...]], pred: Pred, constr: ConstraintConj
+    props: tuple[ConstraintConj, ...], constr: ConstraintConj
 ) -> tuple[ConstraintConj, frozenset[int]]:
-    """Abstract constr to the conjunction of pred's entailed properties."""
+    """Abstract constr to the conjunction of the properties in props it entails."""
     acc = TRUE_CONJ
     sat = []
-    for i, psi in enumerate(props(pred)):
+    for i, psi in enumerate(props):
         if entails(constr, psi):
             acc = conj_and(acc, psi)
             sat.append(i)
@@ -134,17 +137,19 @@ class PeResult(NamedTuple):
 
 def _unfold(
     p: Program,
-    pred: Pred,
+    atom: Atom,
     theta: ConstraintConj,
-    canon: dict[Pred, tuple[Var, ...]],
     unfoldable,
     fresh,
-) -> list[tuple[ConstraintConj, tuple[Atom, ...]]]:
-    """Resolve a constrained fact against the program, unfolding eagerly.
+) -> Iterator[tuple[ConstraintConj, tuple[Atom, ...]]]:
+    """Resolve the constrained fact `atom <- theta` against the program, unfolding eagerly.
 
-    Returns the satisfiable resultants as (constraint, remaining body atoms).
+    Yields the satisfiable resultants as (constraint, remaining body atoms).
+    The element's own atom is resolved like every atom unfolded after it:
+    depth first, with one lazy iterator per resolved atom on an explicit
+    stack, so a resolvent is renamed only after its elder sibling has been
+    expanded completely and fresh names come in recursion order.
     """
-    out: list[tuple[ConstraintConj, tuple[Atom, ...]]] = []
 
     def resolvents(constr: ConstraintConj, atoms: tuple[Atom, ...], i: int):
         """The satisfiable resolvents on atom i, renamed apart as they are drawn."""
@@ -158,43 +163,36 @@ def _unfold(
             if satisfiable(merged):
                 yield merged, atoms[:i] + dbody + atoms[i + 1 :]
 
-    def expand(constr: ConstraintConj, atoms: tuple[Atom, ...]) -> None:
-        # depth first, with one lazy iterator per unfolded atom on an explicit
-        # stack: a resolvent is renamed only after its elder sibling has been
-        # expanded completely, so fresh names come in recursion order
-        stack = [iter(((constr, atoms),))]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                continue
-            constr, atoms = nxt
-            i = next((i for i, a in enumerate(atoms) if unfoldable(a.pred)), None)
-            if i is None:
-                out.append((constr, atoms))
-            else:
-                stack.append(resolvents(constr, atoms, i))
-
-    for cl in p.clauses_for(pred):
-        expected = canon.get(pred)
-        taken = {v.name for v in expected} if expected else set()
-        taken.update(v.name for v in conj_vars(theta))
-        constr0, body = rename_clause(cl, expected, fresh, taken)
-        merged = conj_and(theta, constr0)
-        if satisfiable(merged):
-            expand(merged, body)
-    return out
+    stack = [resolvents(theta, (atom,), 0)]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+            continue
+        constr, atoms = nxt
+        i = next((i for i, a in enumerate(atoms) if unfoldable(a.pred)), None)
+        if i is None:
+            yield constr, atoms
+        else:
+            stack.append(resolvents(constr, atoms, i))
 
 
 def pe_run(p: Program) -> PeResult:
-    """Iterate S to its finite limit and emit the renamed unfolded program."""
+    """Iterate S to its finite limit, emitting each element's clauses as it is unfolded.
+
+    S is worked off as a queue, in the order it was filled.  Unfolding an
+    element makes its children, which join the end of the queue one step
+    later, and emits its row of the table at once: the element itself, then
+    its clauses, renamed to the versions of their atoms and numbered c1,
+    c2, ... in emission order.
+    """
     if not check_initial_coverage(p):
         raise ValueError("coverage check failed")
     canon = canonical_args(p)
     canon[FALSE_PRED] = ()
 
     # rep_psi never runs for initial or unfolded predicates, so each
-    # predicate's properties are projected when rep_psi first reads them
+    # predicate's properties are projected when a version first needs them
     @cache
     def props(pred: Pred) -> tuple[ConstraintConj, ...]:
         return gen_properties(p, canon, pred)
@@ -215,7 +213,7 @@ def pe_run(p: Program) -> PeResult:
         return Var(f"U{next(counter)}")
 
     elements: dict[object, _Element] = {}
-    resultants: dict[object, list] = {}
+    queue: list[_Element] = []
     name_counts: dict[str, int] = {}
     capped = False
 
@@ -223,7 +221,7 @@ def pe_run(p: Program) -> PeResult:
         """The key of projected's version of pred, and the constraint it stores."""
         if pred in p.initial_preds and not capped:
             return ("init", pred, projected), projected
-        abstracted, subset = rep_psi(props, pred, projected)
+        abstracted, subset = rep_psi(props(pred), projected)
         return ("psi", pred, subset), abstracted
 
     def new_element(pred: Pred, projected: ConstraintConj, step: int) -> _Element:
@@ -245,50 +243,31 @@ def pe_run(p: Program) -> PeResult:
             name = f"{pred.name}_{k}"
         elem = _Element(pred, name, theta, step)
         elements[key] = elem
-        queue.append(key)
+        queue.append(elem)
         return elem
 
-    queue: list = []
     new_element(FALSE_PRED, TRUE_CONJ, 0)
-    qi = 0
-    while qi < len(queue):
-        key = queue[qi]
-        qi += 1
-        elem = elements[key]
-        rs = _unfold(p, elem.pred, elem.theta, canon, unfoldable, fresh)
-        annotated = []
-        for constr, atoms in rs:
-            children = []
+    clauses: list[Clause] = []
+    steps: dict[int, tuple[list, list[Clause]]] = {}
+    # the loop also visits the elements that new_element appends to the queue
+    for elem in queue:
+        args = canon[elem.pred]
+        row = steps.setdefault(elem.step, ([], []))
+        # false's name is "false", its args () and its theta true
+        row[0].append((elem.name, args, elem.theta))
+        head = None if elem.pred == FALSE_PRED else Atom(Pred(elem.name, elem.pred.arity), args)
+        for constr, atoms in _unfold(p, Atom(elem.pred, args), elem.theta, unfoldable, fresh):
+            body = []
             for a in atoms:
                 projected = project_onto(constr, a.args, canon[a.pred])
                 child = new_element(a.pred, projected, elem.step + 1)
-                children.append(child.name)
-            annotated.append((constr, atoms, tuple(children)))
-        resultants[key] = annotated
-
-    clauses = []
-    cid = itertools.count(1)
-    steps: dict[int, tuple[list, list[Clause]]] = {}
-    for key, elem in elements.items():
-        row = steps.setdefault(elem.step, ([], []))
-        # false's name is "false", its args () and its theta true
-        row[0].append((elem.name, canon[elem.pred], elem.theta))
-        for constr, atoms, children in resultants[key]:
-            if elem.pred == FALSE_PRED:
-                head = None
-            else:
-                head = Atom(Pred(elem.name, elem.pred.arity), canon[elem.pred])
-            body = tuple(
-                Atom(Pred(child, a.pred.arity), a.args) for a, child in zip(atoms, children)
-            )
-            cl = Clause(f"c{next(cid)}", head, simplify(constr), body)
+                body.append(Atom(Pred(child.name, a.pred.arity), a.args))
+            cl = Clause(f"c{len(clauses) + 1}", head, simplify(constr), tuple(body))
             clauses.append(cl)
             row[1].append(cl)
 
     initial_preds = frozenset(
-        Pred(elem.name, elem.pred.arity)
-        for elem in elements.values()
-        if elem.pred in p.initial_preds
+        Pred(elem.name, elem.pred.arity) for elem in queue if elem.pred in p.initial_preds
     )
     program = p.with_clauses(clauses, initial_preds)
     added = tuple((s, tuple(steps[s][0]), tuple(steps[s][1])) for s in sorted(steps))

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import chcprecond.linarith as linarith_mod
+import chcprecond.pe as pe_mod
 from chcprecond.cli import main
 
 from helpers import CORPUS
@@ -249,6 +250,304 @@ def test_dump_invariants_full_text(capsys, name):
     code, out, _ = run(capsys, "analyze", path(name), "--dump", "invariants")
     assert code == 0
     assert out == INVARIANT_DUMPS[name]
+
+
+# the whole `--dump pe` text of each corpus program: the S/R table, a blank
+# line, then the specialised program
+PE_DUMPS = {
+    "already_safe.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "\n"
+        "\n"
+        "\n"
+    ),
+    "branch_split.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- B = 5, p_1(B).\n"
+        "step 1:\n"
+        "  S + p_1(B) <- B = 5\n"
+        "  R + c2. p_1(B) :- A - B = 0, B = 5, init_1(A).\n"
+        "  R + c3. p_1(B) :- A - B = 30, B = 5, init_2(A).\n"
+        "step 2:\n"
+        "  S + init_1(A) <- A = 5\n"
+        "  S + init_2(A) <- A = 35\n"
+        "  R + c4. init_1(A) :- A = 5.\n"
+        "  R + c5. init_2(A) :- A = 35.\n"
+        "\n"
+        ":- initial(init_1/1).\n"
+        ":- initial(init_2/1).\n"
+        "c1. false :- B = 5, p_1(B).\n"
+        "c2. p_1(B) :- A - B = 0, B = 5, init_1(A).\n"
+        "c3. p_1(B) :- A - B = 30, B = 5, init_2(A).\n"
+        "c4. init_1(A) :- A = 5.\n"
+        "c5. init_2(A) :- A = 35.\n"
+        "\n"
+    ),
+    "chain_skip.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- A >= 10, init_1(A).\n"
+        "  R + c2. false :- A =< -10, init_2(A).\n"
+        "step 1:\n"
+        "  S + init_1(A) <- A >= 10\n"
+        "  S + init_2(A) <- A =< -10\n"
+        "  R + c3. init_1(A) :- A >= 10.\n"
+        "  R + c4. init_2(A) :- A =< -10.\n"
+        "\n"
+        ":- initial(init_1/1).\n"
+        ":- initial(init_2/1).\n"
+        "c1. false :- A >= 10, init_1(A).\n"
+        "c2. false :- A =< -10, init_2(A).\n"
+        "c3. init_1(A) :- A >= 10.\n"
+        "c4. init_2(A) :- A =< -10.\n"
+        "\n"
+    ),
+    "counter_loop.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- A = 0, loop_1(A).\n"
+        "step 1:\n"
+        "  S + loop_1(A) <- A = 0\n"
+        "  R + c2. loop_1(A) :- A = 0, init_1(A).\n"
+        "  R + c3. loop_1(A) :- A = 0, A - U1 = -1, loop_2(U1).\n"
+        "step 2:\n"
+        "  S + init_1(A) <- A = 0\n"
+        "  S + loop_2(A) <- A >= 1\n"
+        "  R + c4. init_1(A) :- A = 0.\n"
+        "  R + c5. loop_2(A) :- A >= 1, init_2(A).\n"
+        "  R + c6. loop_2(A) :- A >= 1, A - U2 = -1, loop_2(U2).\n"
+        "step 3:\n"
+        "  S + init_2(A) <- A >= 1\n"
+        "  R + c7. init_2(A) :- A >= 1.\n"
+        "\n"
+        ":- initial(init_1/1).\n"
+        ":- initial(init_2/1).\n"
+        "c1. false :- A = 0, loop_1(A).\n"
+        "c2. loop_1(A) :- A = 0, init_1(A).\n"
+        "c3. loop_1(A) :- A = 0, A - U1 = -1, loop_2(U1).\n"
+        "c4. init_1(A) :- A = 0.\n"
+        "c5. loop_2(A) :- A >= 1, init_2(A).\n"
+        "c6. loop_2(A) :- A >= 1, A - U2 = -1, loop_2(U2).\n"
+        "c7. init_2(A) :- A >= 1.\n"
+        "\n"
+    ),
+    "cs_example.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- A >= 0, p_1(A,B).\n"
+        "step 1:\n"
+        "  S + p_1(A,B) <- A >= 0\n"
+        "  R + c2. p_1(A,B) :- A >= 0, A - C =< 0, p_1(C,B).\n"
+        "  R + c3. p_1(A,B) :- A >= 0, A - B = 0.\n"
+        "\n"
+        ":- initial(p_1/2).\n"
+        "c1. false :- A >= 0, p_1(A,B).\n"
+        "c2. p_1(A,B) :- A >= 0, A - C =< 0, p_1(C,B).\n"
+        "c3. p_1(A,B) :- A >= 0, A - B = 0.\n"
+        "\n"
+    ),
+    "example_t4.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- init_1(I,A,B,N), l_1(I,A,B,N).\n"
+        "step 1:\n"
+        "  S + init_1(I,A,B,N) <- true\n"
+        "  S + l_1(I,A,B,N) <- true\n"
+        "  R + c2. init_1(I,A,B,N).\n"
+        "  R + c3. l_1(I,A,B,N) :- A - A1 = -1, B - B1 = -2, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "  R + c4. l_1(I,A,B,N) :- A - A1 = -2, B - B1 = -1, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "  R + c5. l_1(I,A,B,N) :- A + B - 3*N >= 1, I - N >= 0.\n"
+        "  R + c6. l_1(I,A,B,N) :- A + B - 3*N =< -1, I - N >= 0.\n"
+        "step 2:\n"
+        "  S + l_2(I,A,B,N) <- I - N =< 0\n"
+        "  R + c7. l_2(I,A,B,N) :- A - A1 = -1, B - B1 = -2, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "  R + c8. l_2(I,A,B,N) :- A - A1 = -2, B - B1 = -1, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "  R + c9. l_2(I,A,B,N) :- A + B - 3*N >= 1, I - N = 0.\n"
+        "  R + c10. l_2(I,A,B,N) :- A + B - 3*N =< -1, I - N = 0.\n"
+        "\n"
+        ":- initial(init_1/4).\n"
+        "c1. false :- init_1(I,A,B,N), l_1(I,A,B,N).\n"
+        "c2. init_1(I,A,B,N).\n"
+        "c3. l_1(I,A,B,N) :- A - A1 = -1, B - B1 = -2, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "c4. l_1(I,A,B,N) :- A - A1 = -2, B - B1 = -1, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "c5. l_1(I,A,B,N) :- A + B - 3*N >= 1, I - N >= 0.\n"
+        "c6. l_1(I,A,B,N) :- A + B - 3*N =< -1, I - N >= 0.\n"
+        "c7. l_2(I,A,B,N) :- A - A1 = -1, B - B1 = -2, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "c8. l_2(I,A,B,N) :- A - A1 = -2, B - B1 = -1, I - I1 = -1, I - N =< -1, l_2(I1,A1,B1,N).\n"
+        "c9. l_2(I,A,B,N) :- A + B - 3*N >= 1, I - N = 0.\n"
+        "c10. l_2(I,A,B,N) :- A + B - 3*N =< -1, I - N = 0.\n"
+        "\n"
+    ),
+    "example_t4_cs0.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- A - D =< -1, A - E = -1, B - G = -1, C - F = -2, init_1(A,B,C,D), l_1_1(E,G,F,D).\n"
+        "  R + c2. false :- A - D =< -1, A - E = -1, B - G = -2, C - F = -1, init_1(A,B,C,D), l_1_1(E,G,F,D).\n"
+        "  R + c3. false :- A - D >= 0, B + C - 3*D >= 1, init_2(A,B,C,D).\n"
+        "  R + c4. false :- A - D >= 0, B + C - 3*D =< -1, init_3(A,B,C,D).\n"
+        "step 1:\n"
+        "  S + init_1(A,B,C,D) <- A - D =< -1\n"
+        "  S + l_1_1(E,G,F,D) <- D - E >= 0\n"
+        "  S + init_2(A,B,C,D) <- A - D >= 0, B + C - 3*D >= 1\n"
+        "  S + init_3(A,B,C,D) <- A - D >= 0, B + C - 3*D =< -1\n"
+        "  R + c5. init_1(A,B,C,D) :- A - D =< -1.\n"
+        "  R + c6. l_1_1(E,G,F,D) :- D - E >= 1, E - U3 = -1, F - U2 = -2, G - U1 = -1, l_1_1(U3,U1,U2,D).\n"
+        "  R + c7. l_1_1(E,G,F,D) :- D - E >= 1, E - U3 = -1, F - U2 = -1, G - U1 = -2, l_1_1(U3,U1,U2,D).\n"
+        "  R + c8. l_1_1(E,G,F,D) :- D - E = 0, 3*D - F - G =< -1.\n"
+        "  R + c9. l_1_1(E,G,F,D) :- 3*D - F - G >= 1, D - E = 0.\n"
+        "  R + c10. init_2(A,B,C,D) :- A - D >= 0, B + C - 3*D >= 1.\n"
+        "  R + c11. init_3(A,B,C,D) :- A - D >= 0, B + C - 3*D =< -1.\n"
+        "\n"
+        ":- initial(init_1/4).\n"
+        ":- initial(init_2/4).\n"
+        ":- initial(init_3/4).\n"
+        "c1. false :- A - D =< -1, A - E = -1, B - G = -1, C - F = -2, init_1(A,B,C,D), l_1_1(E,G,F,D).\n"
+        "c2. false :- A - D =< -1, A - E = -1, B - G = -2, C - F = -1, init_1(A,B,C,D), l_1_1(E,G,F,D).\n"
+        "c3. false :- A - D >= 0, B + C - 3*D >= 1, init_2(A,B,C,D).\n"
+        "c4. false :- A - D >= 0, B + C - 3*D =< -1, init_3(A,B,C,D).\n"
+        "c5. init_1(A,B,C,D) :- A - D =< -1.\n"
+        "c6. l_1_1(E,G,F,D) :- D - E >= 1, E - U3 = -1, F - U2 = -2, G - U1 = -1, l_1_1(U3,U1,U2,D).\n"
+        "c7. l_1_1(E,G,F,D) :- D - E >= 1, E - U3 = -1, F - U2 = -1, G - U1 = -2, l_1_1(U3,U1,U2,D).\n"
+        "c8. l_1_1(E,G,F,D) :- D - E = 0, 3*D - F - G =< -1.\n"
+        "c9. l_1_1(E,G,F,D) :- 3*D - F - G >= 1, D - E = 0.\n"
+        "c10. init_2(A,B,C,D) :- A - D >= 0, B + C - 3*D >= 1.\n"
+        "c11. init_3(A,B,C,D) :- A - D >= 0, B + C - 3*D =< -1.\n"
+        "\n"
+    ),
+    "fig1.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- A =< 0, B = 0, while_1(A,B).\n"
+        "step 1:\n"
+        "  S + while_1(A,B) <- A =< 0, B = 0\n"
+        "  R + c2. while_1(A,B) :- A =< 0, B = 0, if_1(A,B).\n"
+        "  R + c3. while_1(A,B) :- A =< 0, A - A0 = -1, A0 >= 1, B = 0, B - B0 = -2, while_2(A0,B0).\n"
+        "step 2:\n"
+        "  S + if_1(A,B) <- true\n"
+        "  S + while_2(A,B) <- A >= 1\n"
+        "  R + c4. if_1(A,B) :- A + A0 = 100, A0 =< 100, init_1(A0,B).\n"
+        "  R + c5. if_1(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+        "  R + c6. while_2(A,B) :- A >= 1, if_2(A,B).\n"
+        "  R + c7. while_2(A,B) :- A >= 1, A - A0 = -1, B - B0 = -2, while_2(A0,B0).\n"
+        "step 3:\n"
+        "  S + init_1(A,B) <- A =< 100\n"
+        "  S + init_2(A,B) <- A >= 101\n"
+        "  S + if_2(A,B) <- A >= 1\n"
+        "  R + c8. init_1(A,B) :- A =< 100.\n"
+        "  R + c9. init_2(A,B) :- A >= 101.\n"
+        "  R + c10. if_2(A,B) :- A >= 1, A + A0 = 100, init_3(A0,B).\n"
+        "  R + c11. if_2(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+        "step 4:\n"
+        "  S + init_3(A,B) <- A =< 99\n"
+        "  R + c12. init_3(A,B) :- A =< 99.\n"
+        "\n"
+        ":- initial(init_1/2).\n"
+        ":- initial(init_2/2).\n"
+        ":- initial(init_3/2).\n"
+        "c1. false :- A =< 0, B = 0, while_1(A,B).\n"
+        "c2. while_1(A,B) :- A =< 0, B = 0, if_1(A,B).\n"
+        "c3. while_1(A,B) :- A =< 0, A - A0 = -1, A0 >= 1, B = 0, B - B0 = -2, while_2(A0,B0).\n"
+        "c4. if_1(A,B) :- A + A0 = 100, A0 =< 100, init_1(A0,B).\n"
+        "c5. if_1(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+        "c6. while_2(A,B) :- A >= 1, if_2(A,B).\n"
+        "c7. while_2(A,B) :- A >= 1, A - A0 = -1, B - B0 = -2, while_2(A0,B0).\n"
+        "c8. init_1(A,B) :- A =< 100.\n"
+        "c9. init_2(A,B) :- A >= 101.\n"
+        "c10. if_2(A,B) :- A >= 1, A + A0 = 100, init_3(A0,B).\n"
+        "c11. if_2(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+        "c12. init_3(A,B) :- A =< 99.\n"
+        "\n"
+    ),
+    "no_safe_states.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- init_1(A).\n"
+        "step 1:\n"
+        "  S + init_1(A) <- true\n"
+        "  R + c2. init_1(A).\n"
+        "\n"
+        ":- initial(init_1/1).\n"
+        "c1. false :- init_1(A).\n"
+        "c2. init_1(A).\n"
+        "\n"
+    ),
+    "two_inits.chc": (
+        "step 0:\n"
+        "  S + false <- true\n"
+        "  R + c1. false :- A = 0, init_1(A).\n"
+        "step 1:\n"
+        "  S + init_1(A) <- A = 0\n"
+        "  R + c2. init_1(A) :- A = 0.\n"
+        "\n"
+        ":- initial(init_1/1).\n"
+        "c1. false :- A = 0, init_1(A).\n"
+        "c2. init_1(A) :- A = 0.\n"
+        "\n"
+    ),
+}
+
+# fig1's `--dump pe` with `pe.VERSION_CAP` at 2, where the initial versions
+# are re-keyed by property subset while S is still being unfolded
+FIG1_CAPPED_PE_DUMP = (
+    "step 0:\n"
+    "  S + false <- true\n"
+    "  R + c1. false :- A =< 0, B = 0, while_1(A,B).\n"
+    "step 1:\n"
+    "  S + while_1(A,B) <- A =< 0, B = 0\n"
+    "  R + c2. while_1(A,B) :- A =< 0, B = 0, if_1(A,B).\n"
+    "  R + c3. while_1(A,B) :- A =< 0, A - A0 = -1, A0 >= 1, B = 0, B - B0 = -2, while_2(A0,B0).\n"
+    "step 2:\n"
+    "  S + if_1(A,B) <- true\n"
+    "  S + while_2(A,B) <- A >= 1\n"
+    "  R + c4. if_1(A,B) :- A + A0 = 100, A0 =< 100, init_1(A0,B).\n"
+    "  R + c5. if_1(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+    "  R + c6. while_2(A,B) :- A >= 1, if_2(A,B).\n"
+    "  R + c7. while_2(A,B) :- A >= 1, A - A0 = -1, B - B0 = -2, while_2(A0,B0).\n"
+    "step 3:\n"
+    "  S + init_1(A,B) <- A =< 100\n"
+    "  S + init_2(A,B) <- A >= 101\n"
+    "  S + if_2(A,B) <- A >= 1\n"
+    "  R + c8. init_1(A,B) :- A =< 100.\n"
+    "  R + c9. init_2(A,B) :- A >= 101.\n"
+    "  R + c10. if_2(A,B) :- A >= 1, A + A0 = 100, init_1(A0,B).\n"
+    "  R + c11. if_2(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+    "\n"
+    ":- initial(init_1/2).\n"
+    ":- initial(init_2/2).\n"
+    "c1. false :- A =< 0, B = 0, while_1(A,B).\n"
+    "c2. while_1(A,B) :- A =< 0, B = 0, if_1(A,B).\n"
+    "c3. while_1(A,B) :- A =< 0, A - A0 = -1, A0 >= 1, B = 0, B - B0 = -2, while_2(A0,B0).\n"
+    "c4. if_1(A,B) :- A + A0 = 100, A0 =< 100, init_1(A0,B).\n"
+    "c5. if_1(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+    "c6. while_2(A,B) :- A >= 1, if_2(A,B).\n"
+    "c7. while_2(A,B) :- A >= 1, A - A0 = -1, B - B0 = -2, while_2(A0,B0).\n"
+    "c8. init_1(A,B) :- A =< 100.\n"
+    "c9. init_2(A,B) :- A >= 101.\n"
+    "c10. if_2(A,B) :- A >= 1, A + A0 = 100, init_1(A0,B).\n"
+    "c11. if_2(A,B) :- A - A0 = -100, A0 >= 101, init_2(A0,B).\n"
+    "\n"
+)
+
+
+def test_pe_dumps_cover_the_corpus():
+    assert sorted(PE_DUMPS) == sorted(f.name for f in CORPUS.glob("*.chc"))
+
+
+@pytest.mark.parametrize("name", sorted(PE_DUMPS))
+def test_dump_pe_full_text(capsys, name):
+    code, out, _ = run(capsys, "analyze", path(name), "--dump", "pe")
+    assert code == 0
+    assert out == PE_DUMPS[name]
+
+
+def test_dump_pe_full_text_past_the_version_cap(capsys, monkeypatch):
+    monkeypatch.setattr(pe_mod, "VERSION_CAP", 2)
+    code, out, err = run(capsys, "analyze", path("fig1.chc"), "--dump", "pe")
+    assert code == 0
+    assert out == FIG1_CAPPED_PE_DUMP
+    assert err == "version cap reached; keying initial versions by property subset\n"
 
 
 def test_dump_cs_lists_deletions(capsys):

@@ -18,11 +18,20 @@ from chcprecond.derivation import (
     iter_nodes,
     parse_trace,
 )
+from chcprecond.driver import PipelineConfig, run_pipeline
 from chcprecond.linarith import Var, format_conj, project
 from chcprecond.parser import parse_program
 from chcprecond.te import eliminate_trace
 
-from helpers import conj_from, equiv_conj, feasible, load, skeleton_language
+from helpers import (
+    conj_from,
+    corpus_files,
+    equiv_conj,
+    feasible,
+    gen_multivar_texts,
+    load,
+    skeleton_language,
+)
 
 
 def test_parse_trace_round_trip():
@@ -194,3 +203,130 @@ def test_trace_deeper_than_the_recursion_limit():
     # leaves no clause, and it puts A >= 5 on the initial state
     newp, theta = eliminate_trace(p, tt)
     assert newp.clauses == () and format_conj(theta) == "A >= 5"
+
+
+# every te step's (trace, feasible) of a default run of each corpus program;
+# (None, None) is a round with no tree for the goal within the node bound
+CORPUS_TE_STEPS = {
+    "already_safe.chc": [(None, None)],
+    "branch_split.chc": [("c1(c2(c4))", True)],
+    "chain_skip.chc": [("c1(c3)", True)],
+    "counter_loop.chc": [("c1(c2(c4))", True)],
+    "cs_example.chc": [("c1(c3)", True)],
+    "example_t4.chc": [("c1(c2,c5)", True), ("c3(c9)", True)],
+    "example_t4_cs0.chc": [("c3(c10)", True)],
+    "fig1.chc": [("c1(c2(c4(c8)))", True)],
+    "no_safe_states.chc": [("c1(c2)", True)],
+    "two_inits.chc": [("c1(c2)", True)],
+}
+
+# the same for each program of `gen_multivar_texts()`, at one iteration
+GEN_MULTIVAR_TE_STEPS = [
+    [("c1(c2(c4))", True)],
+    [("c1(c2(c5(c3(c6))))", True)],
+    [(None, None)],
+    [("c1(c2(c3))", True)],
+    [("c1(c2(c4))", True)],
+    [("c1(c2(c4))", True)],
+    [("c1(c2(c4))", True)],
+    [("c1(c2(c5))", True)],
+    [("c1(c2(c5))", True)],
+    [("c1(c2(c4))", True)],
+    [("c1(c2(c4))", True)],
+    [("c1(c2(c5))", True)],
+    [(None, None)],
+    [("c1(c2(c5))", True)],
+    [("c1(c2(c5))", True)],
+    [("c1(c2(c5))", True)],
+]
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_TE_STEPS))
+def test_counterexamples_of_a_default_run(name):
+    r = run_pipeline(load(name))
+    assert [(s.trace, s.feasible) for s in r.steps if s.label == "te"] == CORPUS_TE_STEPS[name]
+
+
+def test_te_steps_cover_the_corpus():
+    assert sorted(CORPUS_TE_STEPS) == corpus_files()
+
+
+@pytest.mark.parametrize("i", range(len(GEN_MULTIVAR_TE_STEPS)))
+def test_counterexamples_of_gen_multivar_at_one_iteration(i):
+    texts = gen_multivar_texts()
+    assert len(texts) == len(GEN_MULTIVAR_TE_STEPS)
+    r = run_pipeline(parse_program(texts[i]), PipelineConfig(iterations=1))
+    assert [(s.trace, s.feasible) for s in r.steps if s.label == "te"] == GEN_MULTIVAR_TE_STEPS[i]
+
+
+# the trees iter_and_trees yields up to 9 nodes, in order: find_counterexample
+# returns the first one.  Pruning drops only fig1's c6(c4(c3(c1))), whose
+# constraint is rationally unsatisfiable, and none of example_t4_cs0's
+TREE_ORDER = {
+    ("fig1.chc", True): [
+        "c6(c4(c2(c1)))",
+        "c6(c5(c4(c2(c1))))",
+        "c6(c5(c4(c3(c1))))",
+        "c6(c5(c5(c4(c2(c1)))))",
+        "c6(c5(c5(c4(c3(c1)))))",
+        "c6(c5(c5(c5(c4(c2(c1))))))",
+        "c6(c5(c5(c5(c4(c3(c1))))))",
+        "c6(c5(c5(c5(c5(c4(c2(c1)))))))",
+        "c6(c5(c5(c5(c5(c4(c3(c1)))))))",
+        "c6(c5(c5(c5(c5(c5(c4(c2(c1))))))))",
+        "c6(c5(c5(c5(c5(c5(c4(c3(c1))))))))",
+    ],
+    ("fig1.chc", False): [
+        "c6(c4(c2(c1)))",
+        "c6(c4(c3(c1)))",
+        "c6(c5(c4(c2(c1))))",
+        "c6(c5(c4(c3(c1))))",
+        "c6(c5(c5(c4(c2(c1)))))",
+        "c6(c5(c5(c4(c3(c1)))))",
+        "c6(c5(c5(c5(c4(c2(c1))))))",
+        "c6(c5(c5(c5(c4(c3(c1))))))",
+        "c6(c5(c5(c5(c5(c4(c2(c1)))))))",
+        "c6(c5(c5(c5(c5(c4(c3(c1)))))))",
+        "c6(c5(c5(c5(c5(c5(c4(c2(c1))))))))",
+        "c6(c5(c5(c5(c5(c5(c4(c3(c1))))))))",
+    ],
+    ("example_t4_cs0.chc", True): [
+        "c1(c10,c3)",
+        "c1(c10,c4)",
+        "c1(c10,c2(c8,c6))",
+        "c1(c10,c2(c8,c7))",
+        "c1(c10,c2(c9,c6))",
+        "c1(c10,c2(c9,c7))",
+        "c1(c10,c2(c8,c5(c8,c6)))",
+        "c1(c10,c2(c8,c5(c8,c7)))",
+        "c1(c10,c2(c8,c5(c9,c6)))",
+        "c1(c10,c2(c8,c5(c9,c7)))",
+        "c1(c10,c2(c9,c5(c8,c6)))",
+        "c1(c10,c2(c9,c5(c8,c7)))",
+        "c1(c10,c2(c9,c5(c9,c6)))",
+        "c1(c10,c2(c9,c5(c9,c7)))",
+        "c1(c10,c2(c8,c5(c8,c5(c8,c6))))",
+        "c1(c10,c2(c8,c5(c8,c5(c8,c7))))",
+        "c1(c10,c2(c8,c5(c8,c5(c9,c6))))",
+        "c1(c10,c2(c8,c5(c8,c5(c9,c7))))",
+        "c1(c10,c2(c8,c5(c9,c5(c8,c6))))",
+        "c1(c10,c2(c8,c5(c9,c5(c8,c7))))",
+        "c1(c10,c2(c8,c5(c9,c5(c9,c6))))",
+        "c1(c10,c2(c8,c5(c9,c5(c9,c7))))",
+        "c1(c10,c2(c9,c5(c8,c5(c8,c6))))",
+        "c1(c10,c2(c9,c5(c8,c5(c8,c7))))",
+        "c1(c10,c2(c9,c5(c8,c5(c9,c6))))",
+        "c1(c10,c2(c9,c5(c8,c5(c9,c7))))",
+        "c1(c10,c2(c9,c5(c9,c5(c8,c6))))",
+        "c1(c10,c2(c9,c5(c9,c5(c8,c7))))",
+        "c1(c10,c2(c9,c5(c9,c5(c9,c6))))",
+        "c1(c10,c2(c9,c5(c9,c5(c9,c7))))",
+    ],
+}
+TREE_ORDER["example_t4_cs0.chc", False] = TREE_ORDER["example_t4_cs0.chc", True]
+
+
+@pytest.mark.parametrize("name, prune", sorted(TREE_ORDER))
+def test_enumeration_order_is_pinned(name, prune):
+    got = [str(t) for t, _ in iter_and_trees(load(name), 9, prune=prune)]
+    assert got == TREE_ORDER[name, prune]
